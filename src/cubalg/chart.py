@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .cobar import BigradedChart
-from .emit import atomic_write_text
 
 CELL = 36           # px per lattice step
 MARGIN = 46
@@ -132,7 +131,3 @@ def chart_svg(r: ChartRender) -> str:
 def _esc(s: str) -> str:
     return (s.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;"))
-
-
-def emit_chart_svg(r: ChartRender, path: str) -> str:
-    return atomic_write_text(path, chart_svg(r))

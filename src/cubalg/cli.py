@@ -5,8 +5,8 @@ cech, descent, tmf-mu, hopf {synthesize, cobar, h0, kucp2},
 steenrod {conjugate, coproduct, verify, primitives}, chart render.
 
 Every command with an identical configuration produces byte-identical
-output (canonical JSON/TSV/SVG, no timestamps); the exit status is
-nonzero exactly when an engine invariant or golden comparison fails.
+output (canonical JSON/TSV/SVG, no timestamps); the exit status is 1
+when an engine invariant fails and 2 on bad input or an I/O error.
 Relative output paths resolve against $CUBALG_OUTPUT_DIR.
 """
 
@@ -17,6 +17,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+from . import InvariantError
 from . import chart as chartmod
 from . import emit
 from .cobar import cobar_cohomology, extended_comodule
@@ -331,8 +332,6 @@ def _common(p, cutoff=None):
     p.add_argument("--output", default=None,
                    help="output path (relative to $CUBALG_OUTPUT_DIR)")
     p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property suites")
     if cutoff is not None:
         p.add_argument("--cutoff", type=int, default=cutoff)
 
@@ -468,8 +467,11 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        sys.stderr.write("cubalg: invariant failed: %s\n" % exc)
+        return EXIT_INVARIANT
     except (ValueError, KeyError, NotImplementedError, RuntimeError,
-            AssertionError, OSError) as exc:
+            OSError) as exc:
         sys.stderr.write("cubalg: error: %s\n" % exc)
         return EXIT_ERROR
 

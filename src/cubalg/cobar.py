@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import InvariantError
 from .hopf import HopfAlgebroidPresentation
 from .intlinalg import FieldOps, field_rank, homology, p_local_part
 from .poly import Polynomial
@@ -217,7 +218,7 @@ class CobarComplex:
                 row = a[i]
                 for j in range(len(b[0])):
                     if sum(row[k] * b[k][j] for k in range(len(b))):
-                        raise AssertionError(
+                        raise InvariantError(
                             "d^2 != 0 at cochain degree %d, strand %d"
                             % (s, self.strand))
 

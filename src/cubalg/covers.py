@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import InvariantError
 from .intlinalg import FieldOps, smith_normal_form
 from .poincare import poincare_series
 from .poly import Ring
@@ -341,8 +342,9 @@ def cech_weighted_projective(weights: Tuple[int, int], twists: Sequence[int],
         page.h1_ranks[j] = len(h1)
         if cross_check:
             r0, r1 = _cech_snf_ranks(w1, w2, j)
-            assert (r0, r1) == (len(h0), len(h1)), \
-                "Cech SNF cross-check failed at twist %d" % j
+            if (r0, r1) != (len(h0), len(h1)):
+                raise InvariantError(
+                    "Cech SNF cross-check failed at twist %d" % j)
     return page
 
 

@@ -154,7 +154,3 @@ def invariants(curve: WeierstrassCurve) -> dict:
     return {"b2": b2, "b4": b4, "b6": b6, "b8": b8,
             "c4": c4, "c6": c6, "delta": disc,
             "c4_c6_delta_identity": identity_ok}
-
-
-def curve_equation_rhs(curve: WeierstrassCurve, x: Polynomial) -> Polynomial:
-    return x ** 3 + curve.a2 * x * x + curve.a4 * x + curve.a6

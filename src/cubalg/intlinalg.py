@@ -6,6 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from . import InvariantError
+
 Matrix = List[List[int]]
 
 
@@ -221,7 +223,8 @@ def homology(a: Matrix, b: Matrix) -> Tuple[int, List[int]]:
     for col in range(q):
         rhs = [b[i][col] for i in range(n)]
         sol = solve_integer(kmat, rhs)
-        assert sol is not None, "image does not lie in kernel"
+        if sol is None:
+            raise InvariantError("image does not lie in kernel")
         for i in range(k):
             x[i][col] = sol[i]
     return cokernel_structure(x, k)

@@ -10,11 +10,45 @@ zero-padding the exponent vector.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Optional, Sequence
-
-from .kernels import mul_terms, mul_terms_bounded
+from typing import Mapping, Optional, Sequence
 
 Monomial = tuple  # tuple[int, ...]
+
+
+def _mul_terms(a, b, modulus):
+    """Multiply two term dicts {exponent-tuple: int}."""
+    if len(a) > len(b):
+        a, b = b, a
+    acc = {}
+    get = acc.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            acc[m] = get(m, 0) + ca * cb
+            get = acc.get
+    if modulus:
+        return {m: c % modulus for m, c in acc.items() if c % modulus}
+    return {m: c for m, c in acc.items() if c}
+
+
+def _mul_terms_bounded(a, b, modulus, indices, bound):
+    """Multiply, discarding products whose total degree in the designated
+    variable positions exceeds `bound`."""
+    da = {m: sum(m[i] for i in indices) for m in a}
+    db = {m: sum(m[i] for i in indices) for m in b}
+    acc = {}
+    get = acc.get
+    for ma, ca in a.items():
+        ra = bound - da[ma]
+        for mb, cb in b.items():
+            if db[mb] > ra:
+                continue
+            m = tuple(x + y for x, y in zip(ma, mb))
+            acc[m] = get(m, 0) + ca * cb
+            get = acc.get
+    if modulus:
+        return {m: c % modulus for m, c in acc.items() if c % modulus}
+    return {m: c for m, c in acc.items() if c}
 
 
 class Ring:
@@ -171,10 +205,6 @@ class Polynomial:
         r = self.ring
         return max((r.weight_of_monomial(m) for m in self.terms), default=0)
 
-    def degree_in(self, indices: Iterable[int]) -> int:
-        idx = tuple(indices)
-        return max((sum(m[i] for i in idx) for m in self.terms), default=0)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -232,8 +262,8 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         return Polynomial(self.ring,
-                          mul_terms(self.terms, other.terms,
-                                    self.ring.modulus))
+                          _mul_terms(self.terms, other.terms,
+                                     self.ring.modulus))
 
     __rmul__ = __mul__
 
@@ -277,9 +307,9 @@ class Polynomial:
         """Product with terms of degree > bound in the given variables dropped."""
         other = self._coerce(other)
         return Polynomial(self.ring,
-                          mul_terms_bounded(self.terms, other.terms,
-                                            self.ring.modulus,
-                                            tuple(indices), bound))
+                          _mul_terms_bounded(self.terms, other.terms,
+                                             self.ring.modulus,
+                                             tuple(indices), bound))
 
     # -- maps --------------------------------------------------------------
 
@@ -333,23 +363,6 @@ class Polynomial:
                 term = term * pow_cache[key]
             result = result + term
         return result
-
-    def substitute_ints(self, values: Mapping[str, int]) -> "Polynomial":
-        """Specialize some generators to integer constants."""
-        r = self.ring
-        idx = {r._index[n]: v for n, v in values.items()}
-        out = {}
-        norm = r._norm
-        for m, c in self.terms.items():
-            for i, v in idx.items():
-                c *= v ** m[i]
-            m2 = tuple(0 if i in idx else e for i, e in enumerate(m))
-            c2 = norm(out.get(m2, 0) + c)
-            if c2:
-                out[m2] = c2
-            elif m2 in out:
-                del out[m2]
-        return Polynomial(r, out)
 
     # -- canonical form ----------------------------------------------------
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from . import InvariantError
 from .poly import Polynomial, Ring
 
 
@@ -177,10 +178,6 @@ class TruncatedSeries:
             result = result + term
         return result
 
-    def compose_univariate(self, var: str, g: "TruncatedSeries"
-                           ) -> "TruncatedSeries":
-        return self.substitute({var: g})
-
     def functional_inverse(self, var: str) -> "TruncatedSeries":
         """Compositional inverse of f = u*var + O(var^2), u an invertible
         constant, solved order by order."""
@@ -210,7 +207,8 @@ class TruncatedSeries:
                                     (var,), self.order) * uinv
         # final check
         err = self.substitute({var: g}) - z.poly
-        assert err.poly.is_zero(), "functional inverse failed to converge"
+        if not err.poly.is_zero():
+            raise InvariantError("functional inverse failed to converge")
         return g
 
     def text(self) -> str:

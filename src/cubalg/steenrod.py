@@ -239,10 +239,6 @@ class SubalgebraSpec:
         return "*".join(parts) if parts else "1"
 
 
-def _conjugated_generator(ring: Ring, i: int, power: int) -> Polynomial:
-    return _chi_images(ring)["xi%d" % i] ** power
-
-
 def make_spec(name: str, rule: Sequence[Tuple[int, int]], cutoff: int,
               conjugated: bool = True) -> SubalgebraSpec:
     """Spec from (xi index, power) pairs; indices beyond the rule follow

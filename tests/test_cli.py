@@ -5,8 +5,10 @@ import os
 
 import pytest
 
+from cubalg import InvariantError
 from cubalg import chart as chartmod
 from cubalg import emit
+from cubalg import cli
 from cubalg.cli import dispatch, parse_curve, parse_range
 from cubalg.cobar import BigradedChart, cobar_cohomology
 from cubalg.hopf import builtin_algebroid
@@ -86,6 +88,15 @@ def test_unknown_verb_nonzero():
 def test_error_exit_code():
     rc, _ = run(["curve", "nseries", "--curve", "bogus", "--n", "2"])
     assert rc == 2
+
+
+def test_invariant_failure_exit_code(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InvariantError("cross-check failed")
+
+    monkeypatch.setattr(cli, "cech_weighted_projective", broken)
+    assert dispatch(["cech"]) == cli.EXIT_INVARIANT == 1
+    assert "cross-check failed" in capsys.readouterr().err
 
 
 def test_emit_tsv_header_only():

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from cubalg import InvariantError
 from cubalg.intlinalg import (FieldOps, cokernel_structure, field_kernel,
                               field_rank, homology, integer_kernel,
                               invariant_factors, mat_mul, p_local_part,
@@ -60,6 +63,12 @@ def test_homology_torsion():
     # Z --2--> Z --0--> 0 gives Z/2 at the middle spot
     free, torsion = homology([], [[2]])
     assert (free, torsion) == (0, [2])
+
+
+def test_homology_rejects_nonzero_composite():
+    # A*B = [[1]] != 0: the image of B is not in the kernel of A
+    with pytest.raises(InvariantError):
+        homology([[1, 0]], [[1], [0]])
 
 
 def test_p_local_part():

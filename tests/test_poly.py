@@ -111,3 +111,22 @@ def test_mod2_reduction_matches_integer_arithmetic(data):
     prod_then_reduce = F.poly((pz * q).terms)
     reduce_then_prod = F.poly(p.terms) * F.poly(q.terms)
     assert prod_then_reduce == reduce_then_prod
+
+
+def term_polys(R):
+    monos = hst.tuples(*[hst.integers(0, 3)] * len(R.names))
+    return hst.dictionaries(monos, small, max_size=6).map(R.poly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=hst.data(), modulus=hst.sampled_from([None, 2]))
+def test_mul_bounded_is_truncated_product(data, modulus):
+    R = Ring(("x", "y", "t"), (1, 2, 3), modulus)
+    p = data.draw(term_polys(R))
+    q = data.draw(term_polys(R))
+    indices = data.draw(hst.lists(hst.integers(0, 2), min_size=1,
+                                  max_size=3, unique=True))
+    bound = data.draw(hst.integers(-1, 6))
+    kept = {m: c for m, c in (p * q).terms.items()
+            if sum(m[i] for i in indices) <= bound}
+    assert p.mul_bounded(q, indices, bound) == Polynomial(R, kept)

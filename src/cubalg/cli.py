@@ -327,7 +327,7 @@ def cmd_chart_render(args) -> int:
 
 
 def _common(p, cutoff=None):
-    p.add_argument("--format", choices=("json", "tsv", "svg"),
+    p.add_argument("--format", choices=("json", "tsv"),
                    default="json")
     p.add_argument("--output", default=None,
                    help="output path (relative to $CUBALG_OUTPUT_DIR)")
@@ -457,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--title", default="")
     p.add_argument("--arrow", action="append", default=None,
                    help="differential arrow s1,t1,s2,t2 (repeatable)")
-    _common(p)
+    p.add_argument("--output", default=None,
+                   help="output path (relative to $CUBALG_OUTPUT_DIR)")
     p.set_defaults(func=cmd_chart_render)
 
     return top

@@ -29,7 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .hopf import HopfAlgebroidPresentation
-from .intlinalg import FieldOps, field_rank, homology, p_local_part
+from .intlinalg import (FieldOps, field_rank, homology, mat_mul,
+                        p_local_part)
 from .poly import Polynomial
 
 
@@ -211,16 +212,11 @@ class CobarComplex:
 
     def _check_d_squared(self):
         for s in range(self.s_max):
-            a, b = self.matrices[s + 1], self.matrices[s]
-            if not (a and a[0] and b and b[0]):
-                continue
-            for i in range(len(a)):
-                row = a[i]
-                for j in range(len(b[0])):
-                    if sum(row[k] * b[k][j] for k in range(len(b))):
-                        raise InvariantError(
-                            "d^2 != 0 at cochain degree %d, strand %d"
-                            % (s, self.strand))
+            if any(map(any, mat_mul(self.matrices[s + 1],
+                                    self.matrices[s]))):
+                raise InvariantError(
+                    "d^2 != 0 at cochain degree %d, strand %d"
+                    % (s, self.strand))
 
     # -- cohomology --------------------------------------------------------
 

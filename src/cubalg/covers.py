@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import InvariantError
-from .intlinalg import FieldOps, smith_normal_form
+from .intlinalg import FieldOps, invariant_factors
 from .poincare import poincare_series
-from .poly import Ring
 
 # ---------------------------------------------------------------------------
 # fiber algebras
@@ -374,12 +373,7 @@ def _cech_snf_ranks(w1, w2, j):
     for cidx, (side, m) in enumerate(cols):
         sign = 1 if side == "a" else -1
         mat[rows[m]][cidx] = sign
-    if not mat or not cols:
-        rank = 0
-    else:
-        _, d, _ = smith_normal_form(mat)
-        rank = sum(1 for i in range(min(len(mat), len(cols)))
-                   if d[i][i])
+    rank = len(invariant_factors(mat))
     # kernel = (m, m) pairs of monomials regular on both patches
     h0 = len(cols) - rank
     h1 = len(c1) - rank

@@ -15,10 +15,10 @@ about Delta is transcribed from a source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from .curves import (CoordinateChange, WeierstrassCurve, identity_change,
-                     transform, universal_curve, universal_curve_ring)
+from .curves import (CoordinateChange, transform, universal_curve,
+                     universal_curve_ring)
 from .intlinalg import integer_kernel
 from .poly import Polynomial, Ring
 from .series import TruncatedSeries

@@ -203,31 +203,18 @@ def homology(a: Matrix, b: Matrix) -> Tuple[int, List[int]]:
     """Structure of ker(A)/im(B) as (free rank, torsion orders > 1).
 
     A: p x n, B: n x q with A*B = 0.  A or B may be empty (no rows/cols).
+
+    Z^n / ker A = im A is torsion-free, so ker A is a direct summand of
+    Z^n and ker A / im B has the torsion of Z^n / im B: the invariant
+    factors of B above 1.  Its free rank is n - rank A - rank B.
     """
     n = len(a[0]) if (a and a[0]) else (len(b) if b else 0)
     if n == 0:
         return 0, []
-    if a and a[0]:
-        kbasis = integer_kernel(a)
-    else:
-        kbasis = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    k = len(kbasis)
-    if k == 0:
-        return 0, []
-    if not b or not b[0]:
-        return k, []
-    # express the columns of B in kernel coordinates
-    kmat = [[kbasis[j][i] for j in range(k)] for i in range(n)]  # n x k
-    q = len(b[0])
-    x = [[0] * q for _ in range(k)]
-    for col in range(q):
-        rhs = [b[i][col] for i in range(n)]
-        sol = solve_integer(kmat, rhs)
-        if sol is None:
-            raise InvariantError("image does not lie in kernel")
-        for i in range(k):
-            x[i][col] = sol[i]
-    return cokernel_structure(x, k)
+    if any(map(any, mat_mul(a, b))):
+        raise InvariantError("image does not lie in kernel")
+    free, torsion = cokernel_structure(b, n)
+    return free - len(invariant_factors(a)), torsion
 
 
 def p_local_part(free: int, torsion: List[int], p: int) -> Tuple[int, List[int]]:

@@ -176,3 +176,13 @@ def test_steenrod_verify_cli():
     rc, out = run(["steenrod", "verify", "--cutoff", "16"])
     assert rc == 0
     assert json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["descent", "--format", "svg"],
+    ["chart", "render", "--input", "chart.json", "--format", "tsv"],
+])
+def test_format_values_without_effect_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2

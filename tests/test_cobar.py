@@ -1,5 +1,6 @@
 import pytest
 
+from cubalg import InvariantError
 from cubalg.cobar import (CobarComplex, cobar_cohomology, extended_comodule,
                           trivial_comodule, twist_comodule)
 from cubalg.hopf import builtin_algebroid, invariants_h0
@@ -18,6 +19,20 @@ def Z2():
 def test_d_squared_is_zero_assembled(W):
     # assembly asserts d^2 = 0 internally; this exercises the assertion
     CobarComplex(W, trivial_comodule(W), 8, 3)
+
+
+def test_d_squared_check_catches_corrupted_entry(W):
+    cx = CobarComplex(W, trivial_comodule(W), 8, 3)
+    # bump entry (i, 0) of d_s where column i of d_{s+1} is nonzero:
+    # d_{s+1} d_s then gains that column in its column 0
+    s, i = next((s, i) for s in range(cx.s_max)
+                if cx.matrices[s] and cx.matrices[s][0]
+                for i in range(len(cx.matrices[s]))
+                if any(r[i] for r in cx.matrices[s + 1]))
+    cx.matrices[s][i][0] += 1
+    with pytest.raises(InvariantError,
+                       match=r"d\^2 != 0 at cochain degree %d," % s):
+        cx._check_d_squared()
 
 
 def test_h0_matches_oracle_weierstrass(W):

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from cubalg import InvariantError
+from cubalg import InvariantError, intlinalg
 from cubalg.intlinalg import (FieldOps, cokernel_structure, field_kernel,
                               field_rank, homology, integer_kernel,
                               invariant_factors, mat_mul, p_local_part,
@@ -17,6 +19,44 @@ def test_snf_factorization():
         for j in range(len(d[0])):
             if i != j:
                 assert d[i][j] == 0
+
+
+def _det(m):
+    """Determinant by Fraction elimination."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        piv = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data())
+def test_snf_properties(data):
+    rows = data.draw(hst.integers(1, 5))
+    cols = data.draw(hst.integers(1, 5))
+    a = data.draw(hst.lists(hst.lists(hst.integers(-9, 9), min_size=cols,
+                                      max_size=cols),
+                            min_size=rows, max_size=rows))
+    u, d, v = smith_normal_form(a)
+    assert mat_mul(mat_mul(u, a), v) == d
+    assert all(d[i][j] == 0 for i in range(rows) for j in range(cols)
+               if i != j)
+    diag = [d[i][i] for i in range(min(rows, cols))]
+    assert all(x >= 0 for x in diag)
+    nonzero = [x for x in diag if x]
+    assert diag[:len(nonzero)] == nonzero   # zeros come last
+    assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+    assert abs(_det(u)) == 1 and abs(_det(v)) == 1
 
 
 def test_invariant_factors_divisibility():
@@ -69,6 +109,76 @@ def test_homology_rejects_nonzero_composite():
     # A*B = [[1]] != 0: the image of B is not in the kernel of A
     with pytest.raises(InvariantError):
         homology([[1, 0]], [[1], [0]])
+
+
+def _kernel_coordinates_homology(a, b):
+    """ker(A)/im(B) by putting each column of B into kernel coordinates:
+    the brute force that `homology` replaces, kept as its reference."""
+    n = len(a[0]) if (a and a[0]) else (len(b) if b else 0)
+    if n == 0:
+        return 0, []
+    if a and a[0]:
+        kbasis = integer_kernel(a)
+    else:
+        kbasis = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    k = len(kbasis)
+    if k == 0:
+        return 0, []
+    if not b or not b[0]:
+        return k, []
+    kmat = [[kbasis[j][i] for j in range(k)] for i in range(n)]
+    q = len(b[0])
+    x = [[0] * q for _ in range(k)]
+    for col in range(q):
+        sol = solve_integer(kmat, [b[i][col] for i in range(n)])
+        assert sol is not None
+        for i in range(k):
+            x[i][col] = sol[i]
+    return cokernel_structure(x, k)
+
+
+def _complex(a, n, m):
+    """B = K*M with the columns of K a basis of ker A (all of Z^n when A
+    has no rows), so A*B = 0."""
+    kbasis = integer_kernel(a) if a else [
+        [1 if i == j else 0 for i in range(n)] for j in range(n)]
+    return mat_mul([list(row) for row in zip(*kbasis)], m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=hst.data())
+def test_homology_matches_kernel_coordinates(data):
+    n = data.draw(hst.integers(1, 5))
+    p = data.draw(hst.integers(0, 4))
+    q = data.draw(hst.integers(0, 5))
+    a = [data.draw(hst.lists(hst.integers(-3, 3), min_size=n, max_size=n))
+         for _ in range(p)]
+    k = len(integer_kernel(a)) if a else n
+    entries = hst.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, 6, -6])
+    m = [data.draw(hst.lists(entries, min_size=q, max_size=q))
+         for _ in range(k)]
+    b = _complex(a, n, m)
+    assert homology(a, b) == _kernel_coordinates_homology(a, b)
+
+
+@pytest.mark.parametrize("q", [1, 8])
+def test_homology_snf_calls_constant_in_columns(monkeypatch, q):
+    a = [[1, -1, 0, 0, 0], [0, 2, -2, 0, 0]]
+    rng = random.Random(q)
+    m = [[rng.choice([0, 1, 2, 3, 4, 6]) for _ in range(q)]
+         for _ in range(3)]
+    b = _complex(a, 5, m)
+    expected = _kernel_coordinates_homology(a, b)
+    calls = []
+    snf = intlinalg.smith_normal_form
+
+    def counting(mat):
+        calls.append(mat)
+        return snf(mat)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    assert homology(a, b) == expected
+    assert len(calls) <= 2
 
 
 def test_p_local_part():

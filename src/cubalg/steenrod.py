@@ -9,9 +9,11 @@ of each degree, which keeps the degree-64 verifications fast.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import InvariantError
 from .poincare import poincare_series
 from .poly import Polynomial, Ring
 
@@ -42,22 +44,23 @@ def coproduct(x: Polynomial, cutoff: int) -> Polynomial:
     multiplicatively into the two-slot tensor ring."""
     if x.max_weight() > cutoff:
         raise ValueError("element degree exceeds cutoff")
-    ring = x.ring
+    t2, images = _coproduct_images(cutoff)
+    return x.map_gens(t2, dict(zip(x.ring.names, images)))
+
+
+@functools.lru_cache(maxsize=None)
+def _coproduct_images(cutoff: int) -> Tuple[Ring, Tuple[Polynomial, ...]]:
+    """The tensor ring and Delta(xi_1), ..., Delta(xi_k) through the
+    cutoff.  Shared by every call: `map_gens` only reads its images."""
     t2 = xi_tensor_ring(cutoff)
-    images = {}
-    for k in range(1, len(ring.names) + 1):
-        img = t2.zero()
-        for i in range(k + 1):
-            if i == 0:
-                left = t2.gen("xi%d@1" % k)
-                img = img + left
-            elif i == k:
-                img = img + t2.gen("xi%d@2" % k)
-            else:
-                img = img + (t2.gen("xi%d@1" % (k - i)) ** (1 << i)) \
-                    * t2.gen("xi%d@2" % i)
-        images[ring.names[k - 1]] = img
-    return x.map_gens(t2, images)
+    images = []
+    for k in range(1, gen_count(cutoff) + 1):
+        img = t2.gen("xi%d@1" % k)
+        for i in range(1, k):
+            img = img + (t2.gen("xi%d@1" % (k - i)) ** (1 << i)) \
+                * t2.gen("xi%d@2" % i)
+        images.append(img + t2.gen("xi%d@2" % k))
+    return t2, tuple(images)
 
 
 def conjugate(x: Polynomial) -> Polynomial:
@@ -290,8 +293,8 @@ def bp_n_homology(n: int, cutoff: int,
     if check_closure:
         report = comodule_closure_check(spec, cutoff)
         if not report["closed"]:
-            raise RuntimeError("BP<%d> spec not closed: %r"
-                               % (n, report["witness"]))
+            raise InvariantError("BP<%d> spec not closed: %r"
+                                 % (n, report["witness"]))
     return spec
 
 
@@ -304,8 +307,16 @@ def _split_tensor_term(mono: tuple, k: int) -> Tuple[tuple, tuple]:
 
 
 def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
-    """Delta(x) in A (x) span(spec basis) for every basis monomial x of
-    degree <= cutoff; first failure witnessed."""
+    """Delta(S) in A (x) S, for S the subalgebra the spec generates, through
+    the cutoff; first failure witnessed.
+
+    Delta is an algebra map (Milnor 1958) and A (x) S is a subalgebra, so
+    it suffices that Delta(g) lies in A (x) S for every generator g.  The
+    generators are visited in `basis_exponents` order; a decomposable
+    basis element is a product of lower-degree generators, so the first
+    failing basis element is always a generator, and the witness is the
+    one the check over every basis element would give.  `checked` counts
+    the generators that passed."""
     ring = spec.ring
     k = len(ring.names)
     index = DegreeIndex(ring)
@@ -318,8 +329,7 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
     checked = 0
     for expo in spec.basis_exponents():
         x = spec.basis_poly(expo)
-        d = x.weight() if not x.is_constant() else 0
-        if d > cutoff or d == 0:
+        if sum(expo) != 1 or x.weight() > cutoff:
             continue
         dx = coproduct(x, cutoff)
         # group by left leg; right legs must lie in the spec span
@@ -354,19 +364,18 @@ def _mono_text(ring: Ring, mono: tuple) -> str:
 
 def _ideal_rewrite(spec: SubalgebraSpec, index: DegreeIndex, d: int,
                    cache: Dict[int, BitSpan]) -> BitSpan:
-    """Echelon span of (A . spec^+)_d."""
+    """Echelon span of (A . spec^+)_d, which is sum_g A_{d-|g|} . g over
+    the spec generators g, since A . spec = A."""
     if d in cache:
         return cache[d]
     ring = spec.ring
     span = BitSpan()
-    for dc, expos in spec.basis_by_degree().items():
-        if dc == 0 or dc > d:
+    for g in spec.gens:
+        dg = g.weight()
+        if dg > d:
             continue
-        for expo in expos:
-            c = spec.basis_poly(expo)
-            for m in index.monomials(d - dc):
-                prod = Polynomial(ring, {m: 1}) * c
-                span.insert(index.mask(prod, d))
+        for m in index.monomials(d - dg):
+            span.insert(index.mask(Polynomial(ring, {m: 1}) * g, d))
     cache[d] = span
     return span
 
@@ -497,7 +506,13 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
     """(a) Poincare-series identity PS(big) = PS(small) * sum_d q^d over
     the cells, coefficientwise through the cutoff; (b) basis lifting:
     degreewise, cell lifts times the small basis span big (Nakayama
-    surjectivity), with matching dimension, hence a free basis."""
+    surjectivity), with matching dimension, hence a free basis.
+
+    The small generators must lie in big.  Since big is a subalgebra,
+    small . big then lies in big, and the cell lifts are taken modulo the
+    products of the small generators with big's basis (`_cell_lifts`);
+    the surjectivity check multiplies the lifts by every small basis
+    element."""
     ps_big = poincare_series(big.gen_degrees(), cutoff)
     ps_small = poincare_series(small.gen_degrees(), cutoff)
     ps_cells = [0] * (cutoff + 1)
@@ -523,26 +538,9 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
                     "failure": "small generator of degree %d not in big"
                                % d, "cells": sorted(cells)}
 
-    # cell lifts: a basis of big_d modulo (small^+ . big)_d, degreewise
-    lifts: List[Tuple[int, Polynomial]] = []
+    lifts = _cell_lifts(big, small, big_by_deg, index, cutoff)
+    got = sorted(d for d, _ in lifts)
     cell_multiset = sorted(cells)
-    got: List[int] = []
-    for d in sorted(set(big_by_deg) | {0}):
-        if d > cutoff:
-            continue
-        span = BitSpan()
-        for dc, expos in small_by_deg.items():
-            if dc == 0 or dc > d:
-                continue
-            for se in expos:
-                s = small.basis_poly(se)
-                for be in big_by_deg.get(d - dc, []):
-                    span.insert(index.mask(big.basis_poly(be) * s, d))
-        for be in big_by_deg.get(d, []):
-            if span.insert(index.mask(big.basis_poly(be), d)):
-                lifts.append((d, big.basis_poly(be)))
-                got.append(d)
-    got.sort()
     cells_ok = got == cell_multiset
 
     # Nakayama: lifts times small basis span big, degree by degree
@@ -572,6 +570,27 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
             "cells_found": got, "cells": cell_multiset,
             "cells_match": cells_ok, "lifts_generate": surj,
             "rank": len(cell_multiset)}
+
+
+def _cell_lifts(big: SubalgebraSpec, small: SubalgebraSpec,
+                big_by_deg: Dict[int, List[tuple]], index: DegreeIndex,
+                cutoff: int) -> List[Tuple[int, Polynomial]]:
+    """A basis of big_d modulo (small^+ . big)_d, degreewise, chosen from
+    big's basis.  (small^+ . big)_d is spanned by g . big_{d-|g|} over the
+    small generators g, because small . big lies in big once the small
+    generators do."""
+    lifts: List[Tuple[int, Polynomial]] = []
+    for d in sorted(set(big_by_deg) | {0}):
+        if d > cutoff:
+            continue
+        span = BitSpan()
+        for g in small.gens:
+            for be in big_by_deg.get(d - g.weight(), []):
+                span.insert(index.mask(big.basis_poly(be) * g, d))
+        for be in big_by_deg.get(d, []):
+            if span.insert(index.mask(big.basis_poly(be), d)):
+                lifts.append((d, big.basis_poly(be)))
+    return lifts
 
 
 def a2_pattern_series(cutoff: int) -> List[int]:

@@ -1,6 +1,8 @@
 import pytest
 
+from cubalg import InvariantError
 from cubalg import steenrod as st
+from cubalg.poly import Polynomial
 
 
 def test_ring_generators_follow_cutoff():
@@ -58,7 +60,8 @@ def test_closure_witness_xi1_cubed():
     bad = st.make_spec("bad", [(1, 3)], 24, conjugated=False)
     rep = st.comodule_closure_check(bad, 24)
     assert not rep["closed"]
-    assert rep["witness"]["element"] == "xi1^3"
+    assert rep["witness"] == {"element": "xi1^3", "left_leg": "xi1",
+                              "right_leg": "xi1^2"}
 
 
 def test_bp_specs_closed():
@@ -126,3 +129,180 @@ def test_f2_kernel():
     # columns (1,1), (1,1), (0,1): kernel = span{(1,1,0)}
     ker = st._f2_kernel([0b11, 0b11, 0b10])
     assert ker == [0b011]
+
+
+# ---------------------------------------------------------------------------
+# generator-level checks against the basis-level brute force they replace
+
+
+def _basis_closure_check(spec, cutoff):
+    """Closure by Delta of every basis element (not only the generators)."""
+    ring = spec.ring
+    k = len(ring.names)
+    index = st.DegreeIndex(ring)
+    spans = {}
+    for d, expos in spec.basis_by_degree().items():
+        span = st.BitSpan()
+        for expo in expos:
+            span.insert(index.mask(spec.basis_poly(expo), d))
+        spans[d] = span
+    checked = 0
+    for expo in spec.basis_exponents():
+        x = spec.basis_poly(expo)
+        d = x.weight() if not x.is_constant() else 0
+        if d > cutoff or d == 0:
+            continue
+        dx = st.coproduct(x, cutoff)
+        by_left = {}
+        for mono in dx.terms:
+            left, right = st._split_tensor_term(mono, k)
+            dr = sum(e * w for e, w in zip(right, ring.weights))
+            index.monomials(dr)
+            ri = index._index[dr][right]
+            slot = by_left.setdefault(left, {})
+            slot[dr] = slot.get(dr, 0) ^ (1 << ri)
+        for left, parts in by_left.items():
+            for dr, rmask in parts.items():
+                if not rmask or dr == 0:
+                    continue
+                span = spans.get(dr)
+                if span is None or not span.contains(rmask):
+                    return {"closed": False, "checked": checked,
+                            "witness": {
+                                "element": spec.expo_text(expo),
+                                "left_leg": st._mono_text(ring, left),
+                                "right_leg":
+                                    index.poly(rmask, dr).text()}}
+        checked += 1
+    return {"closed": True, "checked": checked, "witness": None}
+
+
+def _basis_cell_lifts(big, small, big_by_deg, index, cutoff):
+    """Cell lifts modulo every small-basis x big-basis product."""
+    small_by_deg = small.basis_by_degree()
+    lifts = []
+    for d in sorted(set(big_by_deg) | {0}):
+        if d > cutoff:
+            continue
+        span = st.BitSpan()
+        for dc, expos in small_by_deg.items():
+            if dc == 0 or dc > d:
+                continue
+            for se in expos:
+                s = small.basis_poly(se)
+                for be in big_by_deg.get(d - dc, []):
+                    span.insert(index.mask(big.basis_poly(be) * s, d))
+        for be in big_by_deg.get(d, []):
+            if span.insert(index.mask(big.basis_poly(be), d)):
+                lifts.append((d, big.basis_poly(be)))
+    return lifts
+
+
+def _basis_ideal_rewrite(spec, index, d, cache):
+    """(A . spec^+)_d from every spec-basis element x every A-monomial."""
+    if d in cache:
+        return cache[d]
+    span = st.BitSpan()
+    for dc, expos in spec.basis_by_degree().items():
+        if dc == 0 or dc > d:
+            continue
+        for expo in expos:
+            c = spec.basis_poly(expo)
+            for m in index.monomials(d - dc):
+                prod = Polynomial(spec.ring, {m: 1}) * c
+                span.insert(index.mask(prod, d))
+    cache[d] = span
+    return span
+
+
+CLOSURE_SPECS = {
+    "bp0": lambda c: st.bp_n_homology(0, c, check_closure=False),
+    "bp1": lambda c: st.bp_n_homology(1, c, check_closure=False),
+    "bp2": lambda c: st.bp_n_homology(2, c, check_closure=False),
+    "tmf": st.tmf_spec,
+    "ko": st.ko_spec,
+    "bad_xi1_cubed": lambda c: st.make_spec("bad", [(1, 3)], c,
+                                            conjugated=False),
+    "bad_xi1_sq_xi2": lambda c: st.make_spec("bad", [(1, 2), (2, 1)], c,
+                                             conjugated=False),
+    "bad_xibar1_4th_xibar2": lambda c: st.make_spec("bad", [(1, 4), (2, 1)],
+                                                    c),
+    # both generators fail, and xi2 (degree 3) precedes xi1^5 (degree 5)
+    "bad_xi1_5th_xi2": lambda c: st.make_spec("bad", [(1, 5), (2, 1)], c,
+                                              conjugated=False),
+}
+
+
+@pytest.mark.parametrize("cutoff", [16, 24, 32])
+@pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+def test_closure_matches_basis_check(name, cutoff):
+    spec = CLOSURE_SPECS[name](cutoff)
+    fast = st.comodule_closure_check(spec, cutoff)
+    slow = _basis_closure_check(spec, cutoff)
+    assert fast["closed"] == slow["closed"]
+    assert fast["closed"] == (not name.startswith("bad"))
+    assert fast["witness"] == slow["witness"]
+
+
+FREENESS_CASES = {
+    "ku_ko": (lambda c: st.bp_n_homology(1, c, check_closure=False),
+              st.ko_spec, [0, 2]),
+    "bp2_tmf": (lambda c: st.bp_n_homology(2, c, check_closure=False),
+                st.tmf_spec, [0, 2, 4, 6, 6, 8, 10, 12]),
+    "ku_ko_wrong_cells": (lambda c: st.bp_n_homology(1, c,
+                                                     check_closure=False),
+                          st.ko_spec, [0, 4]),
+}
+
+
+@pytest.mark.parametrize("cutoff", [16, 24, 32])
+@pytest.mark.parametrize("name", sorted(FREENESS_CASES))
+def test_freeness_matches_cell_lift_loop(name, cutoff, monkeypatch):
+    make_big, make_small, cells = FREENESS_CASES[name]
+    big, small = make_big(cutoff), make_small(cutoff)
+    big_by_deg = big.basis_by_degree()
+    index = st.DegreeIndex(big.ring)
+    assert st._cell_lifts(big, small, big_by_deg, index, cutoff) == \
+        _basis_cell_lifts(big, small, big_by_deg, index, cutoff)
+    fast = st.freeness_rank_check(big, small, cells, cutoff)
+    monkeypatch.setattr(st, "_cell_lifts", _basis_cell_lifts)
+    assert st.freeness_rank_check(big, small, cells, cutoff) == fast
+
+
+@pytest.mark.parametrize("cutoff", [16, 24, 32])
+def test_quotient_primitives_match_basis_ideal(cutoff, monkeypatch):
+    squares = st.make_spec("C", [(1, 2)], cutoff, conjugated=False)
+    index = st.DegreeIndex(squares.ring)
+    for d in range(1, cutoff + 1):
+        fast = st._ideal_rewrite(squares, index, d, {})
+        slow = _basis_ideal_rewrite(squares, index, d, {})
+        assert fast.rank == slow.rank
+        assert all(slow.contains(row) for row in fast.rows.values())
+    window = range(1, cutoff + 1)
+    fast = st.primitives(window, cutoff, quotient_by=squares)
+    monkeypatch.setattr(st, "_ideal_rewrite", _basis_ideal_rewrite)
+    assert st.primitives(window, cutoff, quotient_by=squares) == fast
+
+
+def test_closure_computes_one_coproduct_per_generator(monkeypatch):
+    spec = st.bp_n_homology(2, 64, check_closure=False)
+    calls = []
+    coproduct = st.coproduct
+
+    def counting(x, cutoff):
+        calls.append(x)
+        return coproduct(x, cutoff)
+
+    monkeypatch.setattr(st, "coproduct", counting)
+    rep = st.comodule_closure_check(spec, 64)
+    assert rep["closed"] and rep["checked"] == len(spec.gens)
+    assert len(calls) == len(spec.gens)
+
+
+def test_bp_n_homology_not_closed_is_invariant_error(monkeypatch):
+    monkeypatch.setattr(st, "comodule_closure_check", lambda spec, cutoff: {
+        "closed": False, "checked": 0,
+        "witness": {"element": "xibar1^2", "left_leg": "xi1@1",
+                    "right_leg": "xi1@2"}})
+    with pytest.raises(InvariantError, match="BP<2> spec not closed"):
+        st.bp_n_homology(2, 16)

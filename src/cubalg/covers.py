@@ -1,20 +1,26 @@
 """Finite flat covers of the moduli of cubic curves and descent bookkeeping.
 
 `cover_fiber` computes the fiber algebra of the rank-8 cover (p = 2) or the
-rank-3 cover (p = 3) over a field by degreewise linear reduction of the
-coordinate-change relations.  `cech_weighted_projective`, `descent_assemble`
-and `tmf_mu_page` handle the two-row descent spectral sequences.
+rank-3 cover (p = 3) over a field.  Its relations are coefficients of the
+moved curve that `curves.transform` computes; one `intlinalg.RowSpace` over
+the monomials up to a weight bound, ordered from the greatest down, holds
+the reduced echelon form of their monomial multiples, and a normal form is
+the reduction of a unit vector.  `cech_weighted_projective`,
+`descent_assemble` and `tmf_mu_page` handle the two-row descent spectral
+sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
-from .intlinalg import FieldOps, invariant_factors
+from .curves import (CoordinateChange, WeierstrassCurve, invariants,
+                     transform, universal_curve)
+from .intlinalg import FieldOps, RowSpace, invariant_factors
 from .poincare import poincare_series
+from .poly import Polynomial, Ring
 
 # ---------------------------------------------------------------------------
 # fiber algebras
@@ -46,248 +52,104 @@ def _mono_text(names, mono) -> str:
     return "*".join(parts)
 
 
-class _FieldElt:
-    """Coefficient helpers for a named base field."""
+def _relations(a: Tuple[int, ...], p: int, modulus: Optional[int]):
+    """The cover's ring and its relations, as polynomials with integer
+    coefficients, reduced modulo `modulus` when it is given so that a term
+    vanishing in F_q does not count toward a relation's top weight.
 
-    def __init__(self, spec: str):
-        spec = spec.upper()
-        if spec == "Q":
-            self.p = None
-        elif spec.startswith("F"):
-            self.p = int(spec[1:])
-        else:
-            raise ValueError("unknown field %r (use Q or F<p>)" % spec)
-        self.name = spec
-        self.ops = FieldOps(self.p)
-
-    def of(self, c) -> object:
-        if isinstance(c, Fraction) and self.p is None:
-            return c
-        return self.ops.of_int(int(c))
-
-
-def _relations_p2(k: _FieldElt, a):
-    """Relations in k[s, t] after eliminating r = (s^2 + s a1 - a2)/3.
-
-    The cover classifies coordinate changes onto curves with a2'=a4'=a6'=0;
-    the three relations are the transformation laws with zero left sides.
+    The cover classifies coordinate changes (u = 1) onto curves with
+    a1' = a3' = a6' = 0 (p = 3) or a2' = a4' = a6' = 0 (p = 2); the
+    relations are those coefficients of the moved curve.  At p = 2,
+    a2' = 0 reads 3r = s^2 + a1 s - a2, which eliminates r from 9 a4' and
+    27 a6': a term of r-degree e gains the factor 3^(d - e).
     """
-    a1, a2, a3, a4, a6 = a
-    names = ("s", "t")
-    weights = (2, 6)
-    inv3 = k.ops.inv(k.of(3))
-
-    def poly(d):
-        return {m: c for m, c in d.items() if not k.ops.is_zero(c)}
-
-    def add(p, q):
-        out = dict(p)
-        for m, c in q.items():
-            c2 = k.ops.add(out.get(m, k.of(0)), c)
-            if k.ops.is_zero(c2):
-                out.pop(m, None)
-            else:
-                out[m] = c2
-        return out
-
-    def mul(p, q):
-        out = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1])
-                c = k.ops.add(out.get(m, k.of(0)), k.ops.mul(c1, c2))
-                if k.ops.is_zero(c):
-                    out.pop(m, None)
-                else:
-                    out[m] = c
-        return out
-
-    def scal(p, c):
-        return poly({m: k.ops.mul(cc, c) for m, cc in p.items()})
-
-    const = lambda c: poly({(0, 0): k.of(c)})
-    s = {(1, 0): k.of(1)}
-    t = {(0, 1): k.of(1)}
-    # r = (s^2 + a1 s - a2)/3
-    r = scal(add(add(mul(s, s), scal(s, k.of(a1))), const(-a2)), inv3)
-    ca = {n: const(v) for n, v in
-          zip(("a1", "a2", "a3", "a4", "a6"), (a1, a2, a3, a4, a6))}
-    # a4' = 0:  a4 - s a3 + 2 a2 r - (t + r s) a1 + 3 r^2 - 2 s t
-    rel4 = add(add(add(const(a4), scal(mul(s, ca["a3"]), k.of(-1))),
-                   scal(mul(r, ca["a2"]), k.of(2))),
-               add(scal(add(t, mul(r, s)), k.of(-a1)),
-                   add(scal(mul(r, r), k.of(3)), scal(mul(s, t), k.of(-2)))))
-    # a6' = 0:  a6 + r a4 + r^2 a2 + r^3 - t a3 - t^2 - r t a1
-    r2 = mul(r, r)
-    rel6 = add(add(add(const(a6), scal(r, k.of(a4))),
-                   add(scal(r2, k.of(a2)), mul(r2, r))),
-               add(add(scal(t, k.of(-a3)), scal(mul(t, t), k.of(-1))),
-                   scal(mul(r, t), k.of(-a1))))
-    return names, weights, [rel4, rel6]
+    rst = Ring(("r", "s", "t"), (4, 2, 6), modulus)
+    r, s, t = rst.gens()
+    moved = transform(WeierstrassCurve.from_constants(a, ring=rst),
+                      CoordinateChange(1, r, s, t))
+    if p == 3:
+        return rst, [moved.a1, moved.a3, moved.a6]
+    st = Ring(("s", "t"), (2, 6), modulus)
+    s, t = st.gens()
+    images = {"r": s * s + a[0] * s - a[1], "s": s, "t": t}
+    rels = []
+    for d, rel in ((2, moved.a4), (3, moved.a6)):
+        cleared = rst.poly({m: c * 3 ** (d - m[0])
+                            for m, c in rel.terms.items()})
+        rels.append(cleared.map_gens(st, images))
+    return st, rels
 
 
-def _relations_p3(k: _FieldElt, a):
-    """Relations in k[r, s, t] forcing a1' = a3' = a6' = 0 (u = 1)."""
-    a1, a2, a3, a4, a6 = a
-    names = ("r", "s", "t")
-    weights = (4, 2, 6)
-
-    def mono(er, es, et, c=1):
-        return {(er, es, et): k.of(c)}
-
-    def combine(*polys):
-        out = {}
-        for p in polys:
-            for m, c in p.items():
-                c2 = k.ops.add(out.get(m, k.of(0)), c)
-                if k.ops.is_zero(c2):
-                    out.pop(m, None)
-                else:
-                    out[m] = c2
-        return out
-
-    rel1 = combine(mono(0, 0, 0, a1), mono(0, 1, 0, 2))          # a1 + 2s
-    rel3 = combine(mono(0, 0, 0, a3), mono(1, 0, 0, a1),
-                   mono(0, 0, 1, 2))                             # a3 + r a1 + 2t
-    rel6 = combine(mono(0, 0, 0, a6), mono(1, 0, 0, a4),
-                   mono(2, 0, 0, a2), mono(3, 0, 0, 1),
-                   mono(0, 0, 1, -a3), mono(0, 0, 2, -1),
-                   mono(1, 0, 1, -a1))
-    return names, weights, [rel1, rel3, rel6]
-
-
-def cover_fiber(curve_coeffs: Sequence, p: int, field: str = None
+def cover_fiber(curve_coeffs: Sequence[int], p: int, field: str = None
                 ) -> FiberAlgebra:
     """Fiber algebra of the flat cover over the given curve.
 
-    `curve_coeffs` = (a1, a2, a3, a4, a6) as constants of the base field;
-    `field` is "Q" or "F<q>" (default: F_p).  The off-prime integer must be
-    invertible in the field.
+    `curve_coeffs` = (a1, a2, a3, a4, a6) as integers, read in the base
+    field; `field` is "Q" or "F<q>" (default: F_p).  The off-prime integer
+    must be invertible in the field.
     """
     if p not in (2, 3):
         raise ValueError("cover exists for p in {2, 3}")
-    k = _FieldElt(field or "F%d" % p)
-    off = 3 if p == 2 else 2
-    if k.p is not None and k.p == off:
-        raise ValueError("off-prime %d is not invertible in %s"
-                         % (off, k.name))
-    a = tuple(curve_coeffs)
-    if p == 2:
-        names, weights, rels = _relations_p2(k, a)
+    name = (field or "F%d" % p).upper()
+    if name == "Q":
+        q = None
+    elif name.startswith("F"):
+        q = int(name[1:])
     else:
-        names, weights, rels = _relations_p3(k, a)
+        raise ValueError("unknown field %r (use Q or F<p>)" % name)
+    off = 3 if p == 2 else 2
+    if q == off:
+        raise ValueError("off-prime %d is not invertible in %s" % (off, name))
+    ops = FieldOps(q)
+    ring, rels = _relations(tuple(curve_coeffs), p, q)
 
-    # degreewise linear reduction: echelonize the span of monomial multiples
-    # of the relations, pivots on the graded-lex-greatest monomial
-    top = max(sum(e * w for e, w in zip(m, weights))
-              for rel in rels for m in rel)
-    bound = 4 * top + 2 * max(weights)
-    rules = _reduction_rules(k, names, weights, rels, bound)
+    # one reduced echelon form of all monomial multiples of the relations
+    # up to weight `bound`; columns run from the greatest (weight, exponent)
+    # monomial down, so each pivot is its row's leading monomial
+    top = max(rel.max_weight() for rel in rels)
+    bound = 4 * top + 2 * max(ring.weights)
+    by_weight = [ring.monomials_of_weight(w) for w in range(bound + 1)]
+    cols = [m for ms in reversed(by_weight) for m in reversed(ms)]
+    col = {m: j for j, m in enumerate(cols)}
+
+    def vector(terms):
+        vec = [0] * len(cols)       # int 0 is the zero of F_q and of Q
+        for m, c in terms.items():
+            vec[col[m]] = ops.of_int(c)
+        return vec
+
+    multiples = [Polynomial(ring, {m: 1}) * rel for rel in rels
+                 for ms in by_weight[:bound - rel.max_weight() + 1]
+                 for m in ms]
+    # least leading monomial first: a new pivot then mostly lies left of
+    # every stored row, which leaves little to back-substitute
+    multiples.sort(key=lambda f: -min(col[m] for m in f.terms))
+    space = RowSpace(ops, len(cols))
+    for f in multiples:
+        space.insert(vector(f.terms))
+
     # Nakayama-style finiteness: scan for a full window of weights with no
     # irreducible monomial; everything above such a window is reducible too
-    def wt(m):
-        return sum(e * w for e, w in zip(m, weights))
-    nonpiv = [m for m in _monomials_below(weights, bound - top)
-              if m not in rules]
-    by_weight = {}
-    for m in nonpiv:
-        by_weight.setdefault(wt(m), []).append(m)
-    wmax = max(weights)
-    cut = None
-    for w0 in range(0, bound - top - wmax):
-        if all(w not in by_weight for w in range(w0 + 1, w0 + wmax + 1)):
-            cut = w0
-            break
+    nonpiv = [[m for m in ms if col[m] not in space.rows]
+              for ms in by_weight[:bound - top + 1]]
+    wmax = max(ring.weights)
+    cut = next((w0 for w0 in range(bound - top - wmax)
+                if not any(nonpiv[w0 + 1:w0 + wmax + 1])), None)
     if cut is None:
-        raise RuntimeError("fiber basis did not stabilize below bound")
-    basis = [m for m in nonpiv if wt(m) <= cut]
-    basis.sort(key=lambda m: (wt(m), m))
+        raise InvariantError("fiber basis did not stabilize below bound")
+    basis = [m for ms in nonpiv[:cut + 1] for m in ms]
 
-    index = {m: i for i, m in enumerate(basis)}
+    # normal form of a monomial: reduce its unit vector
+    index = {col[m]: i for i, m in enumerate(basis)}
     table: Dict[Tuple[int, int], Dict[int, object]] = {}
     for i, mi in enumerate(basis):
         for j, mj in enumerate(basis):
             prod = tuple(x + y for x, y in zip(mi, mj))
-            red = _reduce_monomial(k, prod, rules)
-            table[(i, j)] = {index[m]: c for m, c in red.items()}
-    return FiberAlgebra(prime=p, field=k.name, var_names=names,
-                        var_weights=weights, basis=basis,
+            red = space.reduce(vector({prod: 1}))
+            table[(i, j)] = {index[k]: c for k, c in enumerate(red) if c}
+    return FiberAlgebra(prime=p, field=name, var_names=ring.names,
+                        var_weights=ring.weights, basis=basis,
                         mult_table=table, rank=len(basis))
-
-
-def _monomials_below(weights, wmax):
-    out = []
-    mono = [0] * len(weights)
-
-    def rec(i, rem):
-        if i == len(weights):
-            out.append(tuple(mono))
-            return
-        for e in range(rem // weights[i] + 1):
-            mono[i] = e
-            rec(i + 1, rem - e * weights[i])
-        mono[i] = 0
-
-    rec(0, wmax)
-    return out
-
-
-def _reduction_rules(k, names, weights, rels, bound):
-    """Echelon rewrite rules {pivot monomial: lower-term dict} from all
-    monomial multiples of the relations with top weight <= bound."""
-    def wt(m):
-        return sum(e * w for e, w in zip(m, weights))
-
-    def key(m):
-        return (wt(m), m)
-
-    rows = []
-    for rel in rels:
-        reltop = max(wt(m) for m in rel)
-        for m in _monomials_below(weights, bound - reltop):
-            row = {tuple(x + y for x, y in zip(m, mm)): c
-                   for mm, c in rel.items()}
-            rows.append(row)
-    rows.sort(key=lambda row: max(key(m) for m in row))
-    rules: Dict[tuple, dict] = {}
-    for row in rows:
-        row = _reduce_poly(k, row, rules)
-        if not row:
-            continue
-        piv = max(row, key=key)
-        cinv = k.ops.inv(row[piv])
-        rest = {m: k.ops.neg(k.ops.mul(c, cinv))
-                for m, c in row.items() if m != piv}
-        rules[piv] = rest
-        # keep existing rules reduced against the new one
-        for p2 in list(rules):
-            if p2 == piv:
-                continue
-            rules[p2] = _reduce_poly(k, rules[p2], {piv: rest})
-    return rules
-
-
-def _reduce_poly(k, poly: dict, rules: dict) -> dict:
-    out = dict(poly)
-    changed = True
-    while changed:
-        changed = False
-        for m in sorted(out, reverse=True):
-            if m in rules:
-                c = out.pop(m)
-                for m2, c2 in rules[m].items():
-                    cc = k.ops.add(out.get(m2, k.of(0)), k.ops.mul(c, c2))
-                    if k.ops.is_zero(cc):
-                        out.pop(m2, None)
-                    else:
-                        out[m2] = cc
-                changed = True
-                break
-    return out
-
-
-def _reduce_monomial(k, mono, rules) -> dict:
-    return _reduce_poly(k, {mono: k.of(1)}, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +323,7 @@ def tmf_mu_page(window: Tuple[int, int], e_cutoff: int, prime: int = 2,
             prev = cur
             m += 1
             if m > (hi - lo) + 64:
-                raise RuntimeError("Koszul limit failed to stabilize")
+                raise InvariantError("Koszul limit failed to stabilize")
         h1.update(prev)
         out["h1_meaning"] = "graded ranks (Koszul limit, stabilized)"
     else:
@@ -485,7 +347,6 @@ def tmf_mu_page(window: Tuple[int, int], e_cutoff: int, prime: int = 2,
                              "full ring)")
     out["generator_weights"] = weights
     if validate_h0:
-        from .curves import invariants, universal_curve
         from .regseq import graded_regular_sequence_check
         curve = universal_curve()
         inv = invariants(curve)
@@ -494,8 +355,8 @@ def tmf_mu_page(window: Tuple[int, int], e_cutoff: int, prime: int = 2,
         rep = graded_regular_sequence_check(
             curve.ring, [inv["c4"], inv["delta"]], prime, 32)
         if not rep.regular_through_cutoff:
-            raise RuntimeError("(c4, delta) regularity check failed: %r"
-                               % (rep.failure,))
+            raise InvariantError("(c4, delta) regularity check failed: %r"
+                                 % (rep.failure,))
         out["h0_validated"] = True
     return out
 

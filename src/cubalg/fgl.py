@@ -57,7 +57,7 @@ def fgl_from_curve(curve: WeierstrassCurve, order: int) -> "FormalGroupLaw":
         for i in range(n):
             h = h + (x ** i) * (y ** (n - 1 - i))
         lam = lam + h * an.cast(ring)
-    wx = branch_expansion(curve, pad).substitute({"z": x})
+    wx = w.substitute({"z": x})
     nu = wx - lam * x
 
     # third intersection of the chord w = lam*z + nu with the cubic

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from . import InvariantError
 from .curves import (CoordinateChange, transform, universal_curve,
                      universal_curve_ring)
 from .intlinalg import integer_kernel
@@ -227,8 +228,8 @@ class HopfAlgebroidPresentation:
         report = self.verify()
         bad = [k for k, v in report.items() if not v]
         if bad:
-            raise RuntimeError("presentation %r fails axioms: %s"
-                               % (self.name, ", ".join(bad)))
+            raise InvariantError("presentation %r fails axioms: %s"
+                                 % (self.name, ", ".join(bad)))
         return report
 
 
@@ -284,7 +285,7 @@ def synthesize_weierstrass_algebroid() -> HopfAlgebroidPresentation:
     one_step = transform(curve, comp)
     if any(x != y for x, y in zip(two_step.coefficients(),
                                   one_step.coefficients())):
-        raise RuntimeError("coordinate-change composition mismatch")
+        raise InvariantError("coordinate-change composition mismatch")
 
     H = HopfAlgebroidPresentation(
         name="weierstrass", A=A, gamma_names=gamma_names,
@@ -420,7 +421,7 @@ def ku_cp2_involution() -> dict:
     square = [[sum(matrix[i][k] * matrix[k][j] for k in range(2))
                for j in range(2)] for i in range(2)]
     if square != [[1, 0], [0, 1]]:
-        raise RuntimeError("involution does not square to the identity")
+        raise InvariantError("involution does not square to the identity")
     # basis {alpha, -alpha + beta}: e1 -> -alpha + beta = e2, e2 -> ?
     # iota(-alpha+beta) = -iota(alpha) + iota(beta)
     e2_img = [-ca[0] + cb[0], -ca[1] + cb[1]]       # in (alpha, beta) coords

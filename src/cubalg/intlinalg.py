@@ -234,7 +234,10 @@ def p_local_part(free: int, torsion: List[int], p: int) -> Tuple[int, List[int]]
 # field linear algebra (F_p via int arithmetic, Q via Fraction)
 
 class FieldOps:
-    """Tiny field abstraction so one elimination routine serves F_p and Q."""
+    """Tiny field abstraction so one elimination routine serves F_p and Q.
+
+    Elements are kept normalized (residues 0..p-1, or Fractions), so an
+    element is zero exactly when it is falsy."""
 
     def __init__(self, p: Optional[int]):
         self.p = p
@@ -254,57 +257,61 @@ class FieldOps:
     def inv(self, x):
         return pow(x, -1, self.p) if self.p else 1 / x
 
-    def is_zero(self, x) -> bool:
-        return (x % self.p == 0) if self.p else x == 0
-
 
 class RowSpace:
     """Reduced row space over a field, supporting incremental insertion and
-    reduction of vectors (dense lists in a fixed basis)."""
+    reduction of vectors.
+
+    Vectors are dense lists of normalized field elements in a fixed basis
+    of `width` columns.  Each stored row keeps only its nonzero entries,
+    {column: coefficient}: its pivot is its first nonzero column, with
+    coefficient 1, and it is zero in every other row's pivot column.  So
+    `reduce` and back-substitution cost grows with the nonzeros, not with
+    the width, and the rows do not depend on the order of insertion.
+    """
 
     def __init__(self, ops: FieldOps, width: int):
         self.ops = ops
         self.width = width
-        self.rows = {}  # pivot index -> reduced row (pivot coefficient 1)
+        self.rows = {}  # pivot index -> {column: nonzero coefficient}
 
     def reduce(self, vec):
-        ops = self.ops
+        add, mul, neg = self.ops.add, self.ops.mul, self.ops.neg
         v = list(vec)
-        for piv in sorted(self.rows):
+        # each row vanishes at the other pivots, so the order is immaterial
+        for piv, row in self.rows.items():
             c = v[piv]
-            if not ops.is_zero(c):
-                row = self.rows[piv]
-                nc = ops.neg(c)
-                for j in range(piv, self.width):
-                    v[j] = ops.add(v[j], ops.mul(nc, row[j]))
+            if c:
+                nc = neg(c)
+                for j, x in row.items():
+                    v[j] = add(v[j], mul(nc, x))
         return v
 
     def insert(self, vec) -> bool:
         """Insert a vector; returns True if it enlarged the space."""
-        ops = self.ops
-        v = self.reduce(vec)
-        piv = None
-        for j in range(self.width):
-            if not ops.is_zero(v[j]):
-                piv = j
-                break
-        if piv is None:
+        add, mul, neg = self.ops.add, self.ops.mul, self.ops.neg
+        new = {j: x for j, x in enumerate(self.reduce(vec)) if x}
+        if not new:
             return False
-        inv = ops.inv(v[piv])
-        v = [ops.mul(inv, x) for x in v]
+        piv = next(iter(new))       # the first nonzero column
+        inv = self.ops.inv(new[piv])
+        new = {j: mul(inv, x) for j, x in new.items()}
         # back-substitute into existing rows
-        for p2, row in list(self.rows.items()):
-            c = row[piv]
-            if not ops.is_zero(c):
-                nc = ops.neg(c)
-                self.rows[p2] = [ops.add(row[j], ops.mul(nc, v[j]))
-                                 for j in range(self.width)]
-        self.rows[piv] = v
+        for row in self.rows.values():
+            c = row.get(piv)
+            if c is not None:
+                nc = neg(c)
+                for j, x in new.items():
+                    y = add(row.get(j, 0), mul(nc, x))
+                    if y:
+                        row[j] = y
+                    else:
+                        row.pop(j, None)
+        self.rows[piv] = new
         return True
 
     def contains(self, vec) -> bool:
-        v = self.reduce(vec)
-        return all(self.ops.is_zero(x) for x in v)
+        return not any(self.reduce(vec))
 
     @property
     def rank(self) -> int:
@@ -328,7 +335,7 @@ def field_kernel(rows: List[list], width: int, ops: FieldOps) -> List[list]:
     kernel = []
     for v in aug:
         red = space.reduce(v)
-        if all(ops.is_zero(x) for x in red[:len(rows)]):
+        if not any(red[:len(rows)]):
             kernel.append(red[len(rows):])
         else:
             # pivot lands in the leading block, so tails stay consistent

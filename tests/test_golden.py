@@ -3,8 +3,10 @@
 Each case runs one command through `cubalg.cli.dispatch` and compares
 its stdout, or the file it writes under a temporary $CUBALG_OUTPUT_DIR,
 with a file in tests/golden/, byte for byte.  The corpus was written by
-the code before the compiled kernel backend was deleted.  A change that
-alters any of these bytes has to say so and why.
+the code before the compiled kernel backend was deleted; the two Q cover
+fibers were added from the code before `cover_fiber` moved onto
+`curves.transform` and `intlinalg.RowSpace`.  A change that alters any of
+these bytes has to say so and why.
 
 Regenerate the corpus from the code on PYTHONPATH with
 
@@ -42,6 +44,12 @@ STDOUT_CASES = (
     ("cover_fiber.tsv",
      ["cover", "fiber", "--cusp", "--prime", "2", "--field", "F2",
       "--format", "tsv"]),
+    ("cover_fiber_p2_q.json",
+     ["cover", "fiber", "--curve", "1,2,3,4,5", "--prime", "2",
+      "--field", "Q"]),
+    ("cover_fiber_p3_q.json",
+     ["cover", "fiber", "--curve", "1,2,3,4,5", "--prime", "3",
+      "--field", "Q"]),
     ("descent.json", ["descent", "--weights", "1,3", "--degrees", "0..12"]),
     ("descent.tsv",
      ["descent", "--weights", "1,3", "--degrees", "0..12",

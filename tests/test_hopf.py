@@ -1,7 +1,12 @@
 import pytest
 
-from cubalg.hopf import (builtin_algebroid, invariants_h0,
-                         ku_cp2_involution, synthesize_weierstrass_algebroid)
+from cubalg import InvariantError
+from cubalg.cli import EXIT_INVARIANT, dispatch
+from cubalg.curves import CoordinateChange
+from cubalg.hopf import (HopfAlgebroidPresentation, builtin_algebroid,
+                         invariants_h0, ku_cp2_involution,
+                         synthesize_weierstrass_algebroid)
+from cubalg.series import TruncatedSeries
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +65,30 @@ def test_ku_cp2_involution():
     assert out["involution"]
     assert out["is_swap"]
     assert out["swap_matrix"] == [[0, 1], [1, 0]]
+
+
+def test_failed_axiom_is_invariant_error(monkeypatch):
+    monkeypatch.setattr(HopfAlgebroidPresentation, "verify",
+                        lambda self: {"antipode_laws": False})
+    with pytest.raises(InvariantError, match="fails axioms: antipode_laws"):
+        builtin_algebroid("mqd")
+    assert dispatch(["hopf", "synthesize", "--algebroid", "mqd"]) \
+        == EXIT_INVARIANT
+
+
+def test_composition_mismatch_is_invariant_error(monkeypatch):
+    # a "composite" that drops the second change cannot match two steps
+    monkeypatch.setattr(CoordinateChange, "compose",
+                        lambda self, second: self)
+    with pytest.raises(InvariantError, match="composition mismatch"):
+        synthesize_weierstrass_algebroid()
+    assert dispatch(["hopf", "synthesize"]) == EXIT_INVARIANT
+
+
+def test_involution_square_failure_is_invariant_error(monkeypatch):
+    # x -> 2x in place of x -> x^-1 does not square to the identity
+    monkeypatch.setattr(TruncatedSeries, "unit_inverse",
+                        lambda self: self * 2)
+    with pytest.raises(InvariantError, match="does not square"):
+        ku_cp2_involution()
+    assert dispatch(["hopf", "kucp2"]) == EXIT_INVARIANT

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from cubalg import InvariantError, intlinalg
-from cubalg.intlinalg import (FieldOps, cokernel_structure, field_kernel,
-                              field_rank, homology, integer_kernel,
-                              invariant_factors, mat_mul, p_local_part,
-                              smith_normal_form, solve_integer)
+from cubalg.intlinalg import (FieldOps, RowSpace, cokernel_structure,
+                              field_kernel, field_rank, homology,
+                              integer_kernel, invariant_factors, mat_mul,
+                              p_local_part, smith_normal_form, solve_integer)
 
 
 def test_snf_factorization():
@@ -196,3 +196,128 @@ def test_field_ops_fp_and_q():
     fq = FieldOps(None)
     rows = [[fq.of_int(2), fq.of_int(4)]]
     assert field_rank(rows, 2, fq) == 1
+
+
+# ---------------------------------------------------------------------------
+# reference: RowSpace with dense list rows, and field_kernel/field_rank on it
+
+
+class _Ops(FieldOps):
+    def is_zero(self, x) -> bool:
+        return (x % self.p == 0) if self.p else x == 0
+
+
+class _DenseRowSpace:
+    """Reduced row space with dense rows (lists of `width` entries)."""
+
+    def __init__(self, ops, width: int):
+        self.ops = ops
+        self.width = width
+        self.rows = {}  # pivot index -> reduced row (pivot coefficient 1)
+
+    def reduce(self, vec):
+        ops = self.ops
+        v = list(vec)
+        for piv in sorted(self.rows):
+            c = v[piv]
+            if not ops.is_zero(c):
+                row = self.rows[piv]
+                nc = ops.neg(c)
+                for j in range(piv, self.width):
+                    v[j] = ops.add(v[j], ops.mul(nc, row[j]))
+        return v
+
+    def insert(self, vec) -> bool:
+        """Insert a vector; returns True if it enlarged the space."""
+        ops = self.ops
+        v = self.reduce(vec)
+        piv = None
+        for j in range(self.width):
+            if not ops.is_zero(v[j]):
+                piv = j
+                break
+        if piv is None:
+            return False
+        inv = ops.inv(v[piv])
+        v = [ops.mul(inv, x) for x in v]
+        # back-substitute into existing rows
+        for p2, row in list(self.rows.items()):
+            c = row[piv]
+            if not ops.is_zero(c):
+                nc = ops.neg(c)
+                self.rows[p2] = [ops.add(row[j], ops.mul(nc, v[j]))
+                                 for j in range(self.width)]
+        self.rows[piv] = v
+        return True
+
+    def contains(self, vec) -> bool:
+        v = self.reduce(vec)
+        return all(self.ops.is_zero(x) for x in v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def _dense_field_kernel(rows, width: int, ops):
+    """Kernel basis of the linear map x -> M x where `rows` are the rows of M
+    (length `width` each); returns column vectors of length width."""
+    # eliminate on the transpose-augmented system
+    aug = []
+    for j in range(width):
+        col = [ops.of_int(0)] * len(rows) + [ops.of_int(0)] * width
+        for i, r in enumerate(rows):
+            col[i] = r[j]
+        col[len(rows) + j] = ops.of_int(1)
+        aug.append(col)
+    # row reduce the `aug` vectors; kernel vectors are those whose first part
+    # reduces to zero
+    space = _DenseRowSpace(ops, len(rows) + width)
+    kernel = []
+    for v in aug:
+        red = space.reduce(v)
+        if all(ops.is_zero(x) for x in red[:len(rows)]):
+            kernel.append(red[len(rows):])
+        else:
+            # pivot lands in the leading block, so tails stay consistent
+            space.insert(red)
+    return kernel
+
+
+def _dense_field_rank(rows, width: int, ops) -> int:
+    space = _DenseRowSpace(ops, width)
+    for r in rows:
+        space.insert(r)
+    return space.rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hst.data())
+def test_rowspace_matches_dense_reference(data):
+    p = data.draw(hst.sampled_from([2, 3, 7, None]), label="p")
+    ops = FieldOps(p)
+    width = data.draw(hst.integers(1, 8), label="width")
+    if p is None:
+        entry = hst.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        entry = hst.integers(0, p - 1)
+    vector = hst.lists(entry, min_size=width, max_size=width)
+    # up to 6 rows: up to 4 random ones, an all-zero row and a repeat
+    rows = data.draw(hst.lists(vector, min_size=1, max_size=4), label="rows")
+    rows += [[ops.of_int(0)] * width, rows[0]]
+    probes = rows + data.draw(hst.lists(vector, max_size=3), label="probes")
+
+    sparse = RowSpace(ops, width)
+    dense = _DenseRowSpace(_Ops(p), width)
+    for r in data.draw(hst.permutations(rows), label="order"):
+        assert sparse.insert(r) == dense.insert(r)
+        assert sparse.rank == dense.rank
+    assert sparse.rows == {piv: {j: x for j, x in enumerate(row) if x}
+                           for piv, row in dense.rows.items()}
+    for v in probes:
+        assert sparse.reduce(v) == dense.reduce(v)
+        assert sparse.contains(v) == dense.contains(v)
+    assert field_rank(rows, width, ops) == \
+        _dense_field_rank(rows, width, _Ops(p))
+    assert field_kernel(rows, width, ops) == \
+        _dense_field_kernel(rows, width, _Ops(p))

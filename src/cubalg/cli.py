@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cusp", action="store_true")
     p.add_argument("--curve", default="0,0,0,0,0",
                    help="integer coefficients a1,a2,a3,a4,a6")
-    p.add_argument("--field", default=None, help='"Q" or "F<q>"')
+    p.add_argument("--field", default=None, help='"Q" or "F<p>", p prime')
     _common(p)
     p.set_defaults(func=cmd_cover_fiber)
 

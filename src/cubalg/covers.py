@@ -20,7 +20,7 @@ from .curves import (CoordinateChange, WeierstrassCurve, invariants,
                      transform, universal_curve)
 from .intlinalg import FieldOps, RowSpace, invariant_factors
 from .poincare import poincare_series
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, _is_prime
 
 # ---------------------------------------------------------------------------
 # fiber algebras
@@ -85,8 +85,8 @@ def cover_fiber(curve_coeffs: Sequence[int], p: int, field: str = None
     """Fiber algebra of the flat cover over the given curve.
 
     `curve_coeffs` = (a1, a2, a3, a4, a6) as integers, read in the base
-    field; `field` is "Q" or "F<q>" (default: F_p).  The off-prime integer
-    must be invertible in the field.
+    field; `field` is "Q" or "F<p>", p prime (default: F_p).  The
+    off-prime integer must be invertible in the field.
     """
     if p not in (2, 3):
         raise ValueError("cover exists for p in {2, 3}")
@@ -95,8 +95,11 @@ def cover_fiber(curve_coeffs: Sequence[int], p: int, field: str = None
         q = None
     elif name.startswith("F"):
         q = int(name[1:])
+        if not _is_prime(q):
+            raise ValueError("%s is not a prime field (use Q or F<p>, p prime)"
+                             % name)
     else:
-        raise ValueError("unknown field %r (use Q or F<p>)" % name)
+        raise ValueError("unknown field %r (use Q or F<p>, p prime)" % name)
     off = 3 if p == 2 else 2
     if q == off:
         raise ValueError("off-prime %d is not invertible in %s" % (off, name))

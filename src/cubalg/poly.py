@@ -10,6 +10,7 @@ zero-padding the exponent vector.
 from __future__ import annotations
 
 import re
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 Monomial = tuple  # tuple[int, ...]
@@ -23,9 +24,8 @@ def _mul_terms(a, b, modulus):
     get = acc.get
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
+            m = tuple(map(add, ma, mb))
             acc[m] = get(m, 0) + ca * cb
-            get = acc.get
     if modulus:
         return {m: c % modulus for m, c in acc.items() if c % modulus}
     return {m: c for m, c in acc.items() if c}
@@ -33,19 +33,27 @@ def _mul_terms(a, b, modulus):
 
 def _mul_terms_bounded(a, b, modulus, indices, bound):
     """Multiply, discarding products whose total degree in the designated
-    variable positions exceeds `bound`."""
-    da = {m: sum(m[i] for i in indices) for m in a}
-    db = {m: sum(m[i] for i in indices) for m in b}
+    variable positions exceeds `bound`.
+
+    The terms of `b` are grouped by that degree, in ascending order, so a
+    term of `a` visits only the groups it can pair with and no pair is
+    formed only to be thrown away (Monagan & Pearce, CASC 2007)."""
+    groups = {}
+    for mb, cb in b.items():
+        d = sum(mb[i] for i in indices)
+        if d <= bound:
+            groups.setdefault(d, []).append((mb, cb))
+    groups = sorted(groups.items())
     acc = {}
     get = acc.get
     for ma, ca in a.items():
-        ra = bound - da[ma]
-        for mb, cb in b.items():
-            if db[mb] > ra:
-                continue
-            m = tuple(x + y for x, y in zip(ma, mb))
-            acc[m] = get(m, 0) + ca * cb
-            get = acc.get
+        room = bound - sum(ma[i] for i in indices)
+        for d, terms in groups:
+            if d > room:
+                break
+            for mb, cb in terms:
+                m = tuple(map(add, ma, mb))
+                acc[m] = get(m, 0) + ca * cb
     if modulus:
         return {m: c % modulus for m, c in acc.items() if c % modulus}
     return {m: c for m, c in acc.items() if c}

@@ -3,6 +3,10 @@
 A series lives in a Ring some of whose generators are designated "series
 variables"; truncation order counts total degree in those variables only,
 so base-ring coefficients stay exact polynomials.
+
+Invariant: a series never stores a term above its order.  The public
+constructor drops such terms; a result that cannot have any (a bounded
+product, or a sum of two series of the same order) is wrapped as it is.
 """
 
 from __future__ import annotations
@@ -23,6 +27,17 @@ class TruncatedSeries:
         self.order = order
         idx = self._indices(poly.ring)
         self.poly = _drop_above(poly, idx, order)
+
+    @classmethod
+    def _truncated(cls, poly: Polynomial, series_vars: tuple, order: int
+                   ) -> "TruncatedSeries":
+        """Wrap a polynomial known to have no term above `order`, without
+        the rescan `__init__` does."""
+        s = object.__new__(cls)
+        s.poly = poly
+        s.series_vars = series_vars
+        s.order = order
+        return s
 
     def _indices(self, ring: Ring):
         return tuple(ring.index(v) for v in self.series_vars)
@@ -47,9 +62,16 @@ class TruncatedSeries:
             return other.poly, min(self.order, other.order)
         return NotImplemented
 
+    def _sum(self, poly: Polynomial, other, n: int) -> "TruncatedSeries":
+        """The series of `poly`, a sum or difference of this and `other`:
+        with two series of one order it has no term above that order."""
+        if isinstance(other, TruncatedSeries) and other.order == self.order:
+            return TruncatedSeries._truncated(poly, self.series_vars, n)
+        return TruncatedSeries(poly, self.series_vars, n)
+
     def __add__(self, other):
         p, n = self._join(other)
-        return TruncatedSeries(self.poly + p, self.series_vars, n)
+        return self._sum(self.poly + p, other, n)
 
     __radd__ = __add__
 
@@ -58,20 +80,20 @@ class TruncatedSeries:
 
     def __sub__(self, other):
         p, n = self._join(other)
-        return TruncatedSeries(self.poly - p, self.series_vars, n)
+        return self._sum(self.poly - p, other, n)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TruncatedSeries(self.poly * other, self.series_vars,
-                                   self.order)
+            return TruncatedSeries._truncated(self.poly * other,
+                                              self.series_vars, self.order)
         p, n = self._join(other)
         if isinstance(p, Polynomial):
             idx = self._indices(self.poly.ring)
             prod = self.poly.mul_bounded(p, idx, n)
-            return TruncatedSeries(prod, self.series_vars, n)
+            return TruncatedSeries._truncated(prod, self.series_vars, n)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -157,9 +179,10 @@ class TruncatedSeries:
             if i not in sub_idx:
                 raise ValueError("missing substitution for %r"
                                  % self.ring.names[i])
-        zero = TruncatedSeries(target.zero(), tvars, order)
-        pow_cache = {}
-        result = zero
+        # powers[i][e] = s^e for the series s substituted at position i,
+        # each power one product from the last
+        powers = {i: [None, s] for i, s in sub_idx.items()}
+        result = TruncatedSeries(target.zero(), tvars, order)
         for m, c in self.poly.terms.items():
             base = tuple(0 if i in sub_idx else e for i, e in enumerate(m))
             term = TruncatedSeries(
@@ -171,10 +194,10 @@ class TruncatedSeries:
                 e = m[i]
                 if not e:
                     continue
-                key = (i, e)
-                if key not in pow_cache:
-                    pow_cache[key] = sub_idx[i] ** e
-                term = term * pow_cache[key]
+                table = powers[i]
+                while len(table) <= e:
+                    table.append(table[-1] * sub_idx[i])
+                term = term * table[e]
             result = result + term
         return result
 

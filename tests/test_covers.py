@@ -1,7 +1,7 @@
 import pytest
 
 from cubalg import InvariantError, covers, regseq
-from cubalg.cli import EXIT_INVARIANT, dispatch
+from cubalg.cli import EXIT_ERROR, EXIT_INVARIANT, dispatch
 from cubalg.covers import (cech_weighted_projective, cover_fiber,
                            descent_assemble, tmf_mu_page)
 from cubalg.intlinalg import FieldOps, RowSpace
@@ -366,3 +366,15 @@ def test_c4_delta_regularity_failure_is_invariant_error(monkeypatch):
         tmf_mu_page((-8, 8), 3, specialize_p13=True, validate_h0=True)
     assert dispatch(["tmf-mu", "--specialize", "--window=-8..8",
                      "--validate"]) == EXIT_INVARIANT
+
+
+@pytest.mark.parametrize("prime, field", [(3, "F9"), (3, "F15"), (3, "F25"),
+                                          (2, "F25"), (2, "F4")])
+def test_fiber_rejects_composite_field(prime, field, capsys):
+    # Z/q is not a field for composite q, and F_{p^k} is not Z/p^k
+    with pytest.raises(ValueError, match="not a prime field"):
+        cover_fiber((0, 0, 0, 0, 0), prime, field)
+    assert dispatch(["cover", "fiber", "--cusp", "--prime", str(prime),
+                     "--field", field]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and "not a prime field" in err

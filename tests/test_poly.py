@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from cubalg.poly import Polynomial, Ring, parse_polynomial
+from cubalg.poly import (Polynomial, Ring, _mul_terms_bounded,
+                         parse_polynomial)
 
 
 @pytest.fixture
@@ -130,3 +131,39 @@ def test_mul_bounded_is_truncated_product(data, modulus):
     kept = {m: c for m, c in (p * q).terms.items()
             if sum(m[i] for i in indices) <= bound}
     assert p.mul_bounded(q, indices, bound) == Polynomial(R, kept)
+
+
+def _mul_terms_bounded_reference(a, b, modulus, indices, bound):
+    """The skip-loop kernel `poly._mul_terms_bounded` replaced: it walks
+    every term pair and skips those over the bound."""
+    da = {m: sum(m[i] for i in indices) for m in a}
+    db = {m: sum(m[i] for i in indices) for m in b}
+    acc = {}
+    get = acc.get
+    for ma, ca in a.items():
+        ra = bound - da[ma]
+        for mb, cb in b.items():
+            if db[mb] > ra:
+                continue
+            m = tuple(x + y for x, y in zip(ma, mb))
+            acc[m] = get(m, 0) + ca * cb
+            get = acc.get
+    if modulus:
+        return {m: c % modulus for m, c in acc.items() if c % modulus}
+    return {m: c for m, c in acc.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=hst.data(), modulus=hst.sampled_from([None, 2, 3]),
+       indices=hst.sampled_from([(2,), (0,), (1, 2), (0, 2)]),
+       bound=hst.sampled_from([0, 1, 2, 4, 7]))
+def test_bounded_kernel_matches_skip_loop_reference(data, modulus, indices,
+                                                    bound):
+    R = Ring(("x", "y", "t"), (1, 2, 3), modulus)
+    p = data.draw(term_polys(R))
+    q = data.draw(term_polys(R))
+    got = _mul_terms_bounded(p.terms, q.terms, modulus, indices, bound)
+    assert got == _mul_terms_bounded_reference(p.terms, q.terms, modulus,
+                                               indices, bound)
+    assert all(sum(m[i] for i in indices) <= bound and c for m, c in
+               got.items())

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from cubalg.poly import Ring
+from cubalg.poly import Polynomial, Ring
 from cubalg.series import TruncatedSeries
 
 
@@ -56,3 +57,125 @@ def test_coefficient_extraction(R):
     assert f.coefficient("z", 1) == R.const(2)
     assert f.coefficient("z", 2) == R.const(3)
     assert f.coefficient("z", 5).is_zero()
+
+
+def _substitute_reference(f, assignments):
+    """`TruncatedSeries.substitute` as it was before the power tables: each
+    power s^e by binary powering, once per (variable, exponent)."""
+    order = f.order
+    for s in assignments.values():
+        order = min(order, s.order)
+        if s.series_degree_min() < 1:
+            raise ValueError("substituted series must have no constant term")
+    target = next(iter(assignments.values())).ring
+    tvars = next(iter(assignments.values())).series_vars
+    sub_idx = {f.ring.index(v): s for v, s in assignments.items()}
+    pow_cache = {}
+    result = TruncatedSeries(target.zero(), tvars, order)
+    for m, c in f.poly.terms.items():
+        base = tuple(0 if i in sub_idx else e for i, e in enumerate(m))
+        term = TruncatedSeries(
+            Polynomial(f.ring, {base: c}).map_gens(
+                target, {n: target.gen(n) for n in f.ring.names
+                         if n in target._index}),
+            tvars, order)
+        for i in sub_idx:
+            e = m[i]
+            if not e:
+                continue
+            key = (i, e)
+            if key not in pow_cache:
+                pow_cache[key] = sub_idx[i] ** e
+            term = term * pow_cache[key]
+        result = result + term
+    return result
+
+
+def _series(data, ring, svars, order, min_degree=0):
+    """A random series in `ring` with at most 6 terms, none of series
+    degree below `min_degree`."""
+    idx = [ring.index(v) for v in svars]
+    mono = hst.tuples(*[hst.integers(0, 3)] * len(ring.names)).filter(
+        lambda m: sum(m[i] for i in idx) >= min_degree)
+    terms = data.draw(hst.dictionaries(mono, hst.integers(-5, 5),
+                                       max_size=6))
+    return TruncatedSeries(ring.poly(terms), svars, order)
+
+
+def _degrees(s):
+    idx = [s.ring.index(v) for v in s.series_vars]
+    return [sum(m[i] for i in idx) for m in s.poly.terms]
+
+
+orders = hst.integers(0, 6)
+moduli = hst.sampled_from([None, 3, 5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hst.data(), modulus=moduli)
+def test_substitute_matches_reference_univariate(data, modulus):
+    R = Ring(("c", "z"), (2, 0), modulus)
+    f = _series(data, R, ("z",), data.draw(orders))
+    s = _series(data, R, ("z",), data.draw(orders), min_degree=1)
+    got = f.substitute({"z": s})
+    want = _substitute_reference(f, {"z": s})
+    assert got == want and got.poly.terms == want.poly.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hst.data(), modulus=moduli)
+def test_substitute_matches_reference_bivariate(data, modulus):
+    R = Ring(("c", "x", "y"), (2, 0, 0), modulus)
+    sv = ("x", "y")
+    f = _series(data, R, sv, data.draw(orders))
+    sx = _series(data, R, sv, data.draw(orders), min_degree=1)
+    sy = _series(data, R, sv, data.draw(orders), min_degree=1)
+    got = f.substitute({"x": sx, "y": sy})
+    want = _substitute_reference(f, {"x": sx, "y": sy})
+    assert got == want and got.poly.terms == want.poly.terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), modulus=moduli)
+def test_substitute_matches_reference_into_other_ring(data, modulus):
+    # a univariate series in z, with z replaced by a series in (x, y)
+    R = Ring(("c", "z"), (2, 0), modulus)
+    T = Ring(("c", "x", "y"), (2, 0, 0), modulus)
+    f = _series(data, R, ("z",), data.draw(orders))
+    s = _series(data, T, ("x", "y"), data.draw(orders), min_degree=1)
+    got = f.substitute({"z": s})
+    want = _substitute_reference(f, {"z": s})
+    assert got == want and got.poly.terms == want.poly.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hst.data(), modulus=moduli, equal=hst.booleans())
+def test_arithmetic_stores_no_term_above_order(data, modulus, equal):
+    R = Ring(("c", "x", "y"), (2, 0, 0), modulus)
+    sv = ("x", "y")
+    n = data.draw(orders)
+    a = _series(data, R, sv, n)
+    b = _series(data, R, sv, n if equal else data.draw(orders))
+    for r in (a + b, a - b, a * b, b + a, b - a, b * a):
+        assert r.order == min(a.order, b.order)
+        assert all(d <= r.order for d in _degrees(r))
+
+
+def test_substitute_builds_each_power_from_the_last(R, monkeypatch):
+    k = 8
+    z = zs(R, k)
+    f = sum((z ** e for e in range(2, k + 1)), z)
+    s = z + R.gen("c") * z * z
+    calls = []
+    mul_bounded = Polynomial.mul_bounded
+
+    def counting(self, *args):
+        calls.append(1)
+        return mul_bounded(self, *args)
+
+    monkeypatch.setattr(Polynomial, "mul_bounded", counting)
+    got = f.substitute({"z": s})
+    # k - 1 products for s^2 .. s^k, then one for each of the k terms
+    assert len(calls) == 2 * k - 1
+    monkeypatch.undo()
+    assert got == _substitute_reference(f, {"z": s})

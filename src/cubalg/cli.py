@@ -326,12 +326,13 @@ def cmd_chart_render(args) -> int:
 # parser
 
 
-def _common(p, cutoff=None):
+def _common(p, cutoff=None, prime=False):
     p.add_argument("--format", choices=("json", "tsv"),
                    default="json")
     p.add_argument("--output", default=None,
                    help="output path (relative to $CUBALG_OUTPUT_DIR)")
-    p.add_argument("--prime", type=int, default=None)
+    if prime:
+        p.add_argument("--prime", type=int, default=None)
     if cutoff is not None:
         p.add_argument("--cutoff", type=int, default=cutoff)
 
@@ -345,27 +346,27 @@ def build_parser() -> argparse.ArgumentParser:
     curve = sub.add_parser("curve").add_subparsers(dest="sub", required=True)
     p = curve.add_parser("invariants")
     p.add_argument("--curve", default="a1,a2,a3,a4,a6")
-    _common(p)
+    _common(p, prime=True)
     p.set_defaults(func=cmd_curve_invariants)
     p = curve.add_parser("fgl")
     p.add_argument("--curve", default="a1,a2,a3,a4,a6")
     p.add_argument("--order", type=int, default=4)
-    _common(p)
+    _common(p, prime=True)
     p.set_defaults(func=cmd_curve_fgl)
     p = curve.add_parser("nseries")
     p.add_argument("--curve", default="a1,a2,a3,a4,a6")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--order", type=int, default=4)
-    _common(p)
+    _common(p, prime=True)
     p.set_defaults(func=cmd_curve_nseries)
     p = curve.add_parser("hasse")
     p.add_argument("--curve", default="a1,a2,a3,a4,a6")
     p.add_argument("--imax", type=int, default=2)
-    _common(p)
+    _common(p, prime=True)
     p.set_defaults(func=cmd_curve_hasse)
     p = curve.add_parser("landweber")
     p.add_argument("--curve", default="a1,a2,a3,a4,a6")
-    _common(p, cutoff=48)
+    _common(p, cutoff=48, prime=True)
     p.set_defaults(func=cmd_curve_landweber)
 
     cover = sub.add_parser("cover").add_subparsers(dest="sub", required=True)
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", default="0,0,0,0,0",
                    help="integer coefficients a1,a2,a3,a4,a6")
     p.add_argument("--field", default=None, help='"Q" or "F<p>", p prime')
-    _common(p)
+    _common(p, prime=True)
     p.set_defaults(func=cmd_cover_fiber)
 
     p = sub.add_parser("cech")
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="two-variable specialization (exact graded ranks)")
     p.add_argument("--validate", action="store_true",
                    help="certify H0 via the (c4, delta) regular sequence")
-    _common(p, cutoff=8)
+    _common(p, cutoff=8, prime=True)
     p.set_defaults(func=cmd_tmf_mu)
 
     hopf = sub.add_parser("hopf").add_subparsers(dest="sub", required=True)

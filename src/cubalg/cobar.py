@@ -134,13 +134,6 @@ class CobarComplex:
 
     # -- basis -------------------------------------------------------------
 
-    def _slot_weight_options(self, cap: int) -> List[int]:
-        opts = []
-        for w in range(cap + 1):
-            if self.H.gamma_monomials(w):
-                opts.append(w)
-        return opts
-
     def _enumerate(self, s: int) -> List[tuple]:
         H = self.H
         out: List[tuple] = []
@@ -151,10 +144,10 @@ class CobarComplex:
 
             def rec(i: int, budget: int, slots: tuple):
                 if i == s:
-                    for amono in _a_monomials(H, budget):
+                    for amono in H.A.monomials_of_weight(budget):
                         out.append((amono, slots, label))
                     return
-                for w in self._slot_weight_options(budget):
+                for w in range(budget + 1):
                     for m in H.gamma_monomials(w):
                         rec(i + 1, budget - w, slots + (m,))
 
@@ -250,14 +243,6 @@ def _fp_rank(mat: List[List[int]], ops: FieldOps) -> int:
         return 0
     rows = [[ops.of_int(c) for c in row] for row in mat]
     return field_rank(rows, len(mat[0]), ops)
-
-
-def _a_monomials(H, w: int) -> List[tuple]:
-    if w < 0:
-        return []
-    if not H.A.names:
-        return [()] if w == 0 else []
-    return H.A.monomials_of_weight(w)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from . import InvariantError
 from .curves import (CoordinateChange, transform, universal_curve,
                      universal_curve_ring)
 from .intlinalg import integer_kernel
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, monomials
 from .series import TruncatedSeries
 
 
@@ -147,11 +147,8 @@ class HopfAlgebroidPresentation:
                 out.append(tuple(1 if i == k else 0
                                  for i in range(len(self.gamma_names))))
             return out
-        only = Ring(self.gamma_names, self.gamma_weights)
-        monos = only.monomials_of_weight(w)
-        if nonconstant:
-            monos = [m for m in monos if any(m)]
-        return sorted(monos)
+        monos = monomials(self.gamma_weights, w)
+        return [m for m in monos if any(m)] if nonconstant else list(monos)
 
     # -- axiom verification ------------------------------------------------
 

@@ -5,10 +5,15 @@ modulus, and all residues are kept normalized to ``0..p-1``.  Monomials are
 fixed-width exponent tuples indexed by an append-only generator table, so a
 polynomial from a smaller ring embeds into any extension of its ring by
 zero-padding the exponent vector.
+
+The monomial basis of each graded piece is enumerated once per (weights,
+degree): `monomials` and `monomial_index` are memoized and shared by every
+engine that works degree by degree in that basis.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from operator import add
 from typing import Mapping, Optional, Sequence
@@ -57,6 +62,29 @@ def _mul_terms_bounded(a, b, modulus, indices, bound):
     if modulus:
         return {m: c % modulus for m, c in acc.items() if c % modulus}
     return {m: c for m, c in acc.items() if c}
+
+
+@functools.lru_cache(maxsize=None)
+def monomials(weights: tuple, w: int) -> tuple:
+    """The exponent tuples of weight w under the generator weights, in
+    ascending lexicographic order; () when w < 0.  Shared by every call, so
+    callers only read it."""
+    if any(wt <= 0 for wt in weights):
+        raise ValueError("generator weights must be positive to enumerate "
+                         "a graded piece")
+    if w < 0:
+        return ()
+    if not weights:
+        return ((),) if w == 0 else ()
+    first, rest = weights[0], weights[1:]
+    return tuple((e,) + m for e in range(w // first + 1)
+                 for m in monomials(rest, w - e * first))
+
+
+@functools.lru_cache(maxsize=None)
+def monomial_index(weights: tuple, w: int) -> dict:
+    """{monomial: position} in `monomials(weights, w)`; shared, read only."""
+    return {m: i for i, m in enumerate(monomials(weights, w))}
 
 
 class Ring:
@@ -144,30 +172,10 @@ class Ring:
                 and self.modulus == other.modulus)
 
     def monomials_of_weight(self, w: int) -> list:
-        """All monomials of the given weight; weight-0 generators excluded
-        from enumeration blowup by requiring exponent 0 for them unless w==0
-        is impossible -- rings used for enumeration have positive weights."""
-        for wt in self.weights:
-            if wt == 0:
-                raise ValueError("weight-0 generator: graded pieces infinite")
-        out = []
-        mono = [0] * len(self.names)
-
-        def rec(i: int, rem: int):
-            if i == len(self.names):
-                if rem == 0:
-                    out.append(tuple(mono))
-                return
-            wt = self.weights[i]
-            emax = rem // wt if wt else 0
-            for e in range(emax + 1):
-                mono[i] = e
-                rec(i + 1, rem - e * wt)
-            mono[i] = 0
-
-        rec(0, w)
-        out.sort()
-        return out
+        """All monomials of weight w, in ascending lexicographic order (the
+        basis of the weight-w piece).  Every generator weight must be
+        positive, or the piece is infinite."""
+        return list(monomials(self.weights, w))
 
     def __repr__(self):
         base = "Z" if self.modulus is None else "Z/%d" % self.modulus

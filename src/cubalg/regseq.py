@@ -16,29 +16,26 @@ from typing import Dict, List, Optional, Sequence
 from .curves import WeierstrassCurve, invariants
 from .fgl import hasse_coefficients
 from .intlinalg import FieldOps, RowSpace, field_kernel
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, monomial_index, monomials
 
 
 class GradedIdeal:
-    """Weightwise reduced spans of a homogeneous ideal, over a field."""
+    """Weightwise reduced spans of a homogeneous ideal, over a field, in
+    the monomial basis `poly.monomials(ring.weights, w)`."""
 
     def __init__(self, ring: Ring, p: Optional[int], cutoff: int):
         self.ring = ring
         self.ops = FieldOps(p)
         self.cutoff = cutoff
-        self.monomials = {w: ring.monomials_of_weight(w)
-                          for w in range(cutoff + 1)}
-        self.index = {w: {m: i for i, m in enumerate(ms)}
-                      for w, ms in self.monomials.items()}
         self.spans: Dict[int, RowSpace] = {
-            w: RowSpace(self.ops, len(self.monomials[w]))
+            w: RowSpace(self.ops, len(monomials(ring.weights, w)))
             for w in range(cutoff + 1)}
         self.generators: List[Polynomial] = []
 
     def vector(self, poly: Polynomial, w: int):
         ops = self.ops
-        vec = [ops.of_int(0)] * len(self.monomials[w])
-        idx = self.index[w]
+        idx = monomial_index(self.ring.weights, w)
+        vec = [ops.of_int(0)] * len(idx)
         for m, c in poly.terms.items():
             vec[idx[m]] = ops.of_int(c)
         return vec
@@ -47,12 +44,12 @@ class GradedIdeal:
         d = x.weight()
         self.generators.append(x)
         for w in range(0, self.cutoff - d + 1):
-            for m in self.monomials[w]:
+            for m in monomials(self.ring.weights, w):
                 prod = Polynomial(self.ring, {m: 1}) * x
                 self.spans[w + d].insert(self.vector(prod, w + d))
 
     def quotient_rank(self, w: int) -> int:
-        return len(self.monomials[w]) - self.spans[w].rank
+        return len(monomials(self.ring.weights, w)) - self.spans[w].rank
 
     def contains(self, poly: Polynomial) -> bool:
         if poly.is_zero():
@@ -74,6 +71,9 @@ class RegularityReport:
     failure: Optional[dict]
     quotient_ranks: List[int]
     notes: List[str] = field(default_factory=list)
+    # the ideal of the elements that passed, for further membership tests
+    ideal: Optional[GradedIdeal] = field(default=None, repr=False,
+                                         compare=False)
 
     @property
     def quotient_total_rank(self) -> Optional[int]:
@@ -116,13 +116,13 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
             raise ValueError("element weight out of range")
         # kernel of multiplication on the current quotient, weight by weight
         for w in range(0, cutoff - d + 1):
-            monos = ideal.monomials[w]
+            monos = monomials(ring.weights, w)
             rows = []
             for m in monos:
                 prod = Polynomial(ring, {m: 1}) * x
                 rows.append(ideal.spans[w + d].reduce(
                     ideal.vector(prod, w + d)))
-            width = len(ideal.monomials[w + d])
+            width = len(monomials(ring.weights, w + d))
             # matrix of the multiplication map, target-indexed rows
             mat = [[rows[i][j] for i in range(len(monos))]
                    for j in range(width)]
@@ -155,7 +155,7 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
         prime=prime, cutoff=cutoff,
         regular_through_cutoff=failure is None,
         certified=certified, failure=failure,
-        quotient_ranks=quotient_ranks, notes=notes)
+        quotient_ranks=quotient_ranks, notes=notes, ideal=ideal)
 
 
 def _vec_to_poly(vec, monos, ring: Ring) -> Polynomial:
@@ -185,8 +185,10 @@ def landweber_report(curve: WeierstrassCurve, p: int, cutoff: int,
     seq = [ring.const(p), v1, v2]
     reg = graded_regular_sequence_check(ring, seq, p, cutoff)
     inv = invariants(curve)
-    ideal = GradedIdeal(ring, p, cutoff)
-    for x in (v1, v2):
+    # the check added a prefix of (v1, v2); a reduced echelon form depends
+    # only on its span, so adding the rest gives the ideal (v1, v2) exactly
+    ideal = reg.ideal
+    for x in (v1, v2)[len(ideal.generators):]:
         if not x.is_zero():
             ideal.add_generator(x)
     powers = {}

@@ -70,7 +70,10 @@ class TruncatedSeries:
         return TruncatedSeries(poly, self.series_vars, n)
 
     def __add__(self, other):
-        p, n = self._join(other)
+        joined = self._join(other)
+        if joined is NotImplemented:
+            return NotImplemented
+        p, n = joined
         return self._sum(self.poly + p, other, n)
 
     __radd__ = __add__
@@ -79,22 +82,25 @@ class TruncatedSeries:
         return TruncatedSeries(-self.poly, self.series_vars, self.order)
 
     def __sub__(self, other):
-        p, n = self._join(other)
+        joined = self._join(other)
+        if joined is NotImplemented:
+            return NotImplemented
+        p, n = joined
         return self._sum(self.poly - p, other, n)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return TruncatedSeries._truncated(self.poly * other,
                                               self.series_vars, self.order)
-        p, n = self._join(other)
-        if isinstance(p, Polynomial):
-            idx = self._indices(self.poly.ring)
-            prod = self.poly.mul_bounded(p, idx, n)
-            return TruncatedSeries._truncated(prod, self.series_vars, n)
-        return NotImplemented
+        joined = self._join(other)
+        if joined is NotImplemented:
+            return NotImplemented
+        p, n = joined
+        prod = self.poly.mul_bounded(p, self._indices(self.poly.ring), n)
+        return TruncatedSeries._truncated(prod, self.series_vars, n)
 
     __rmul__ = __mul__
 

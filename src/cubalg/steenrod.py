@@ -4,7 +4,8 @@ closure, primitives, graded freeness, and the uniqueness probes.
 The algebra is Z/2[xi1, xi2, ...] with |xi_i| = 2^i - 1 (single grading);
 only the generators needed for a given degree cutoff are instantiated.
 Linear algebra over F_2 is done on bitmasks indexed by the monomial basis
-of each degree, which keeps the degree-64 verifications fast.
+of each degree (`poly.monomials`), which keeps the degree-64 verifications
+fast.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .poincare import poincare_series
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, monomial_index, monomials
 
 
 def gen_count(cutoff: int) -> int:
@@ -108,8 +109,17 @@ def antipode_identity_holds(k_max: int, cutoff: Optional[int] = None
 # F_2 linear algebra on bitmasks
 
 
+def _bits(mask: int):
+    """The positions of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class BitSpan:
-    """F_2 row space of bitmask vectors, echelonized by lowest set bit."""
+    """F_2 row space of bitmask vectors in reduced echelon form, with the
+    highest set bit of each row as its pivot."""
 
     def __init__(self):
         self.rows: Dict[int, int] = {}   # pivot bit index -> row mask
@@ -143,24 +153,20 @@ class BitSpan:
 
 
 class DegreeIndex:
-    """Monomial index of each graded piece of a ring, with polynomial <->
-    bitmask conversion."""
+    """Polynomial <-> bitmask conversion on the graded pieces of a ring:
+    bit i of a degree-d mask is the i-th monomial of `monomials(d)`."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
-        self._monos: Dict[int, List[tuple]] = {}
-        self._index: Dict[int, Dict[tuple, int]] = {}
 
-    def monomials(self, d: int) -> List[tuple]:
-        if d not in self._monos:
-            ms = sorted(self.ring.monomials_of_weight(d)) if d >= 0 else []
-            self._monos[d] = ms
-            self._index[d] = {m: i for i, m in enumerate(ms)}
-        return self._monos[d]
+    def monomials(self, d: int) -> Tuple[tuple, ...]:
+        return monomials(self.ring.weights, d)
+
+    def position(self, mono: tuple, d: int) -> int:
+        return monomial_index(self.ring.weights, d)[mono]
 
     def mask(self, x: Polynomial, d: int) -> int:
-        self.monomials(d)
-        idx = self._index[d]
+        idx = monomial_index(self.ring.weights, d)
         v = 0
         for m, c in x.terms.items():
             if c % 2:
@@ -169,14 +175,7 @@ class DegreeIndex:
 
     def poly(self, mask: int, d: int) -> Polynomial:
         ms = self.monomials(d)
-        terms = {}
-        i = 0
-        while mask:
-            if mask & 1:
-                terms[ms[i]] = 1
-            mask >>= 1
-            i += 1
-        return self.ring.poly(terms)
+        return self.ring.poly({ms[i]: 1 for i in _bits(mask)})
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +198,11 @@ class SubalgebraSpec:
         return [g.weight() for g in self.gens]
 
     def basis_exponents(self) -> List[tuple]:
-        degs = self.gen_degrees()
-        out: List[tuple] = []
-        expo = [0] * len(degs)
-
-        def rec(i: int, rem: int):
-            if i == len(degs):
-                out.append(tuple(expo))
-                return
-            e = 0
-            while e * degs[i] <= rem:
-                expo[i] = e
-                rec(i + 1, rem - e * degs[i])
-                e += 1
-            expo[i] = 0
-
-        rec(0, self.cutoff)
-        out.sort(key=lambda t: (sum(e * d for e, d in zip(t, degs)), t))
-        return out
+        """Exponent tuples over the generators through the cutoff, by
+        degree and then lexicographically."""
+        degs = tuple(self.gen_degrees())
+        return [expo for d in range(self.cutoff + 1)
+                for expo in monomials(degs, d)]
 
     def basis_poly(self, expo: tuple) -> Polynomial:
         if expo not in self._basis:
@@ -229,12 +215,10 @@ class SubalgebraSpec:
         return self._basis[expo]
 
     def basis_by_degree(self) -> Dict[int, List[tuple]]:
-        degs = self.gen_degrees()
-        out: Dict[int, List[tuple]] = {}
-        for expo in self.basis_exponents():
-            d = sum(e * g for e, g in zip(expo, degs))
-            out.setdefault(d, []).append(expo)
-        return out
+        """`basis_exponents` grouped by degree; nonempty degrees only."""
+        degs = tuple(self.gen_degrees())
+        return {d: list(expos) for d in range(self.cutoff + 1)
+                if (expos := monomials(degs, d))}
 
     def expo_text(self, expo: tuple) -> str:
         parts = ["%s^%d" % (n, e) if e > 1 else n
@@ -337,10 +321,8 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
         for mono, _ in dx.terms.items():
             left, right = _split_tensor_term(mono, k)
             dr = sum(e * w for e, w in zip(right, ring.weights))
-            index.monomials(dr)
-            ri = index._index[dr][right]
             slot = by_left.setdefault(left, {})
-            slot[dr] = slot.get(dr, 0) ^ (1 << ri)
+            slot[dr] = slot.get(dr, 0) ^ (1 << index.position(right, dr))
         for left, parts in by_left.items():
             for dr, rmask in parts.items():
                 if not rmask or dr == 0:
@@ -401,22 +383,7 @@ def primitives(window: Sequence[int], cutoff: int,
         if d <= 0 or d > cutoff:
             out[d] = []
             continue
-        monos = index.monomials(d)
-        span_d = ideal(d)
-        cols: List[int] = []
-        reps: List[tuple] = []
-        # representatives: monomials not reducible by the ideal
-        seen = BitSpan()
-        if span_d:
-            for piv, row in span_d.rows.items():
-                seen.insert(row)
-        for i, m in enumerate(monos):
-            v = seen.reduce(1 << i)
-            if not v or not seen.insert(v):
-                continue
-            reps.append(m)
-        if span_d is None:
-            reps = list(monos)
+        reps = _representatives(index.monomials(d), ideal(d))
         # reduced-coproduct vectors, both legs reduced mod the ideal
         tindex: Dict[Tuple[int, int, int, int], int] = {}
         vecs: List[int] = []
@@ -439,37 +406,29 @@ def primitives(window: Sequence[int], cutoff: int,
                         v ^= 1 << tindex[key]
             vecs.append(v)
         kern = _f2_kernel(vecs)
-        basis = []
-        for mask in kern:
-            terms = {}
-            i = 0
-            while mask:
-                if mask & 1:
-                    terms[reps[i]] = 1
-                mask >>= 1
-                i += 1
-            basis.append(ring.poly(terms).text())
-        out[d] = basis
+        out[d] = [ring.poly({reps[i]: 1 for i in _bits(mask)}).text()
+                  for mask in kern]
     return out
+
+
+def _representatives(monos: Sequence[tuple], span: Optional[BitSpan]
+                     ) -> List[tuple]:
+    """The monomials of one degree that are not pivots of the ideal span
+    (all of them when there is no ideal): e_i lies in span(ideal, e_0,
+    ..., e_{i-1}) exactly when some ideal element has highest bit i."""
+    if span is None:
+        return list(monos)
+    return [m for i, m in enumerate(monos) if i not in span.rows]
 
 
 def _reduced_parts(mono: tuple, d: int, index: DegreeIndex,
                    span: Optional[BitSpan]) -> List[int]:
     """Indices of the monomials in the canonical residue of `mono` mod the
     ideal span (mono's own index when there is no ideal)."""
-    index.monomials(d)
-    i = index._index[d][mono]
+    i = index.position(mono, d)
     if span is None:
         return [i]
-    v = _residue(1 << i, span)
-    out = []
-    b = 0
-    while v:
-        if v & 1:
-            out.append(b)
-        v >>= 1
-        b += 1
-    return out
+    return list(_bits(_residue(1 << i, span)))
 
 
 def _residue(v: int, span: BitSpan) -> int:

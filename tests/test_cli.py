@@ -186,3 +186,31 @@ def test_format_values_without_effect_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         dispatch(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cech", "--prime", "5"],
+    ["descent", "--prime", "3"],
+    ["hopf", "synthesize", "--prime", "3"],
+    ["hopf", "cobar", "--prime", "3"],
+    ["hopf", "h0", "--prime", "7"],
+    ["hopf", "kucp2", "--prime", "3"],
+    ["steenrod", "conjugate", "--k", "2", "--prime", "3"],
+    ["steenrod", "coproduct", "--k", "2", "--prime", "3"],
+    ["steenrod", "verify", "--prime", "3"],
+    ["steenrod", "primitives", "--prime", "3"],
+])
+def test_prime_is_rejected_where_it_is_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "invariants"], ["curve", "fgl"],
+    ["curve", "nseries", "--n", "2"], ["curve", "hasse"],
+    ["curve", "landweber"], ["cover", "fiber"], ["tmf-mu"],
+])
+def test_prime_is_taken_where_it_is_read(argv):
+    args = cli.build_parser().parse_args(argv + ["--prime", "3"])
+    assert args.prime == 3

@@ -4,6 +4,7 @@ from cubalg import InvariantError
 from cubalg.cobar import (CobarComplex, cobar_cohomology, extended_comodule,
                           trivial_comodule, twist_comodule)
 from cubalg.hopf import builtin_algebroid, invariants_h0
+from cubalg.poly import Ring
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +116,68 @@ def test_twist_comodule_weights(Z2, W):
     assert twist_comodule(Z2, 3).basis == [("1", 6)]
     assert twist_comodule(Z2, 2).basis == [("1", 4)]
     assert twist_comodule(W, 3).basis == [("1", 0)]
+
+
+# ---------------------------------------------------------------------------
+# cochain bases against the enumeration the shared monomial basis replaced
+
+
+def _gamma_monomials_reference(H, w, nonconstant=True):
+    """Gamma monomials from a ring of the gamma generators alone."""
+    if H.reduce_hook is not None:
+        return H.gamma_monomials(w, nonconstant)
+    monos = Ring(H.gamma_names, H.gamma_weights).monomials_of_weight(w)
+    if nonconstant:
+        monos = [m for m in monos if any(m)]
+    return sorted(monos)
+
+
+def _a_monomials(H, w):
+    if w < 0:
+        return []
+    if not H.A.names:
+        return [()] if w == 0 else []
+    return H.A.monomials_of_weight(w)
+
+
+def _slot_weight_options(H, cap):
+    return [w for w in range(cap + 1) if _gamma_monomials_reference(H, w)]
+
+
+def _bases_reference(H, M, strand, s_max):
+    bases = []
+    for s in range(s_max + 2):
+        out = []
+        for label, wl in M.basis:
+            rem = strand - wl
+            if rem < 0:
+                continue
+
+            def rec(i, budget, slots):
+                if i == s:
+                    for amono in _a_monomials(H, budget):
+                        out.append((amono, slots, label))
+                    return
+                for w in _slot_weight_options(H, budget):
+                    for m in _gamma_monomials_reference(H, w):
+                        rec(i + 1, budget - w, slots + (m,))
+
+            rec(0, rem, ())
+        out.sort()
+        bases.append(out)
+    return bases
+
+
+@pytest.mark.parametrize("algebroid", ["z2_group", "mqd", "weierstrass"])
+def test_bases_match_reference_enumeration(algebroid):
+    H = builtin_algebroid(algebroid)
+    comodules = [twist_comodule(H, j) for j in range(-2, 5)] \
+        + [extended_comodule(H, 6)]
+    for M in comodules:
+        for strand in (-4, 0, 4, 8):
+            cx = CobarComplex(H, M, strand, 2)
+            assert cx.bases == _bases_reference(H, M, strand, 2)
+    for w in range(-2, 13):
+        for nonconstant in (True, False):
+            assert H.gamma_monomials(w, nonconstant) == \
+                _gamma_monomials_reference(H, w, nonconstant)

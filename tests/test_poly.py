@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from cubalg.poly import (Polynomial, Ring, _mul_terms_bounded,
-                         parse_polynomial)
+                         monomial_index, monomials, parse_polynomial)
 
 
 @pytest.fixture
@@ -55,6 +55,60 @@ def test_monomials_of_weight(R):
     assert len(R.monomials_of_weight(8)) == 3   # a^4, a^2 b, b^2
     assert R.monomials_of_weight(3) == []
     assert R.monomials_of_weight(0) == [(0, 0)]
+
+
+def _monomials_reference(weights, w):
+    """The recursive enumerator the memoized `monomials` replaced."""
+    out = []
+    mono = [0] * len(weights)
+
+    def rec(i, rem):
+        if i == len(weights):
+            if rem == 0:
+                out.append(tuple(mono))
+            return
+        for e in range(rem // weights[i] + 1):
+            mono[i] = e
+            rec(i + 1, rem - e * weights[i])
+        mono[i] = 0
+
+    rec(0, w)
+    out.sort()
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.lists(hst.integers(1, 8), min_size=1, max_size=5),
+       hst.integers(-2, 24))
+def test_monomials_match_recursive_enumerator(weights, w):
+    ring = Ring(tuple("g%d" % i for i in range(len(weights))), weights)
+    expected = _monomials_reference(weights, w)
+    assert ring.monomials_of_weight(w) == expected
+    assert list(monomials(tuple(weights), w)) == expected
+    assert monomial_index(tuple(weights), w) == {
+        m: i for i, m in enumerate(expected)}
+
+
+def test_monomials_of_weight_returns_a_fresh_list(R):
+    first = R.monomials_of_weight(8)
+    first.append((9, 9))
+    first[0] = (7, 7)
+    assert R.monomials_of_weight(8) == [(0, 2), (2, 1), (4, 0)]
+
+
+def test_monomials_of_the_empty_ring():
+    ring = Ring((), ())
+    assert ring.monomials_of_weight(0) == [()]
+    assert ring.monomials_of_weight(2) == []
+    assert ring.monomials_of_weight(-1) == []
+
+
+def test_weight_zero_generator_cannot_be_enumerated():
+    ring = Ring(("w", "x"), (0, 1))
+    with pytest.raises(ValueError):
+        ring.monomials_of_weight(2)
+    with pytest.raises(ValueError):
+        monomials((1, 0), 3)
 
 
 def test_divexact(R):

@@ -4,6 +4,7 @@ from cubalg.curves import (WeierstrassCurve, invariants, universal_curve,
                            universal_curve_ring)
 from cubalg.fgl import hasse_coefficients
 from cubalg.poly import Ring
+from cubalg import regseq
 from cubalg.regseq import graded_regular_sequence_check, landweber_report
 
 
@@ -62,3 +63,28 @@ def test_landweber_report_p2():
     assert rep["regularity"].regular_through_cutoff
     assert rep["c4_power_in_ideal"] == 1
     assert rep["delta_power_in_ideal"] == 1
+
+
+def test_landweber_report_builds_one_ideal(monkeypatch):
+    built = []
+
+    class Counting(regseq.GradedIdeal):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(regseq, "GradedIdeal", Counting)
+    rep = landweber_report(universal_curve(), 3, 24)
+    assert len(built) == 1
+    assert rep["regularity"].ideal is not None
+    assert len(rep["regularity"].ideal.generators) == 2
+
+
+def test_regularity_report_ideal_is_kept_out_of_repr_and_eq():
+    ring = Ring(("x", "y"), (1, 1))
+    x, y = ring.gen("x"), ring.gen("y")
+    a = graded_regular_sequence_check(ring, [x, y], None, 6)
+    b = graded_regular_sequence_check(ring, [x, y], None, 6)
+    assert a.ideal is not b.ideal and a == b
+    assert "ideal" not in repr(a)
+    assert a.ideal.contains(x * y) and not a.ideal.contains(ring.one())

@@ -179,3 +179,12 @@ def test_substitute_builds_each_power_from_the_last(R, monkeypatch):
     assert len(calls) == 2 * k - 1
     monkeypatch.undo()
     assert got == _substitute_reference(f, {"z": s})
+
+
+@pytest.mark.parametrize("op", [
+    lambda s: s + 1.5, lambda s: 1.5 + s, lambda s: s - 1.5,
+    lambda s: 1.5 - s, lambda s: s * 1.5, lambda s: 1.5 * s,
+])
+def test_unsupported_operand_is_pythons_type_error(R, op):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(zs(R))

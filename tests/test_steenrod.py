@@ -157,8 +157,7 @@ def _basis_closure_check(spec, cutoff):
         for mono in dx.terms:
             left, right = st._split_tensor_term(mono, k)
             dr = sum(e * w for e, w in zip(right, ring.weights))
-            index.monomials(dr)
-            ri = index._index[dr][right]
+            ri = index.position(right, dr)
             slot = by_left.setdefault(left, {})
             slot[dr] = slot.get(dr, 0) ^ (1 << ri)
         for left, parts in by_left.items():
@@ -306,3 +305,108 @@ def test_bp_n_homology_not_closed_is_invariant_error(monkeypatch):
                     "right_leg": "xi1@2"}})
     with pytest.raises(InvariantError, match="BP<2> spec not closed"):
         st.bp_n_homology(2, 16)
+
+
+# ---------------------------------------------------------------------------
+# the shared monomial basis against the enumerators it replaced
+
+
+def _basis_exponents_reference(spec):
+    """The recursive enumerator `basis_exponents` had, sorted by (degree,
+    exponent tuple)."""
+    degs = spec.gen_degrees()
+    out = []
+    expo = [0] * len(degs)
+
+    def rec(i, rem):
+        if i == len(degs):
+            out.append(tuple(expo))
+            return
+        e = 0
+        while e * degs[i] <= rem:
+            expo[i] = e
+            rec(i + 1, rem - e * degs[i])
+            e += 1
+        expo[i] = 0
+
+    rec(0, spec.cutoff)
+    out.sort(key=lambda t: (sum(e * d for e, d in zip(t, degs)), t))
+    return out
+
+
+BASIS_SPECS = {
+    "ko": st.ko_spec,
+    "tmf": st.tmf_spec,
+    "bp1": lambda c: st.bp_n_homology(1, c, check_closure=False),
+    "bp2": lambda c: st.bp_n_homology(2, c, check_closure=False),
+}
+
+
+@pytest.mark.parametrize("cutoff", [16, 32, 64])
+@pytest.mark.parametrize("name", sorted(BASIS_SPECS))
+def test_basis_exponents_match_recursive_enumerator(name, cutoff):
+    spec = BASIS_SPECS[name](cutoff)
+    expected = _basis_exponents_reference(spec)
+    assert spec.basis_exponents() == expected
+    degs = spec.gen_degrees()
+    by_degree = {}
+    for expo in expected:
+        d = sum(e * g for e, g in zip(expo, degs))
+        by_degree.setdefault(d, []).append(expo)
+    assert spec.basis_by_degree() == by_degree
+
+
+def _representatives_reference(monos, span):
+    """Representatives chosen by growing a span from the ideal rows, one
+    monomial at a time: a monomial is kept when it enlarges the span."""
+    if span is None:
+        return list(monos)
+    seen = st.BitSpan()
+    for row in span.rows.values():
+        seen.insert(row)
+    reps = []
+    for i, m in enumerate(monos):
+        v = seen.reduce(1 << i)
+        if not v or not seen.insert(v):
+            continue
+        reps.append(m)
+    return reps
+
+
+QUOTIENTS = {
+    "none": lambda c: None,
+    "squares": lambda c: st.make_spec("C", [(1, 2)], c, conjugated=False),
+    "ko": st.ko_spec,
+    "tmf": st.tmf_spec,
+    "bp1": lambda c: st.bp_n_homology(1, c, check_closure=False),
+}
+
+
+@pytest.mark.parametrize("cutoff", [16, 24, 32])
+@pytest.mark.parametrize("name", sorted(QUOTIENTS))
+def test_primitive_representatives_match_span_loop(name, cutoff,
+                                                   monkeypatch):
+    spec = QUOTIENTS[name](cutoff)
+    index = st.DegreeIndex(st.xi_ring(cutoff))
+    cache = {}
+    for d in range(1, cutoff + 1):
+        span = None if spec is None else \
+            st._ideal_rewrite(spec, index, d, cache)
+        assert st._representatives(index.monomials(d), span) == \
+            _representatives_reference(index.monomials(d), span)
+    window = range(1, cutoff + 1)
+    fast = st.primitives(window, cutoff, quotient_by=spec)
+    monkeypatch.setattr(st, "_representatives", _representatives_reference)
+    assert st.primitives(window, cutoff, quotient_by=spec) == fast
+
+
+def test_degree_index_positions_follow_the_shared_basis():
+    ring = st.xi_ring(16)
+    index = st.DegreeIndex(ring)
+    for d in range(-1, 17):
+        monos = index.monomials(d)
+        assert list(monos) == ring.monomials_of_weight(d)
+        for i, m in enumerate(monos):
+            assert index.position(m, d) == i
+            assert index.mask(Polynomial(ring, {m: 1}), d) == 1 << i
+            assert index.poly(1 << i, d) == Polynomial(ring, {m: 1})

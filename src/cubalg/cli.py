@@ -411,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twists", default="0..4")
     p.add_argument("--smax", type=int, default=3)
     p.add_argument("--fp", type=int, default=None,
-                   help="compute over F_p instead of Z")
+                   help="compute over F_p (p prime) instead of Z")
     p.add_argument("--p-local", dest="p_local", type=int, default=None,
-                   help="strip torsion prime to p")
+                   help="strip torsion prime to p (p prime)")
     p.add_argument("--extended", type=int, default=None,
                    help="use Gamma itself (truncated at this weight) as "
                         "the comodule")

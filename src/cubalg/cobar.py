@@ -29,9 +29,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .hopf import HopfAlgebroidPresentation
-from .intlinalg import (FieldOps, field_rank, homology, mat_mul,
+from .intlinalg import (FieldOps, field_rank, invariant_factors, mat_mul,
                         p_local_part)
-from .poly import Polynomial
+from .poly import Polynomial, _is_prime
 
 
 @dataclass
@@ -216,26 +216,26 @@ class CobarComplex:
     def cohomology(self, prime: Optional[int] = None
                    ) -> List[Tuple[int, List[int]]]:
         """Per s in 0..s_max: (free rank, torsion orders) over Z, or
-        (dimension, []) over F_p when `prime` is given."""
-        out = []
-        for s in range(self.s_max + 1):
-            dout = self.matrices[s]
-            din = self.matrices[s - 1] if s else []
-            n = len(self.bases[s])
-            if prime is None:
-                has_out = bool(dout and dout[0])
-                has_in = bool(din and din[0])
-                if not has_out and not has_in:
-                    out.append((n, []))
-                else:
-                    out.append(homology(dout if has_out else [],
-                                        din if has_in else []))
-            else:
-                ops = FieldOps(prime)
-                rk_out = _fp_rank(dout, ops)
-                rk_in = _fp_rank(din, ops)
-                out.append((n - rk_out - rk_in, []))
-        return out
+        (dimension, []) over F_p when `prime` is given.
+
+        Each differential is eliminated once.  Over Z, Z^n / ker d_s is
+        torsion-free, so ker d_s is a direct summand of Z^n and H^s has
+        free rank n - rank d_s - rank d_{s-1} and the torsion of
+        Z^n / im d_{s-1}: the invariant factors of d_{s-1} above 1.
+        d^2 = 0 was checked when the complex was assembled.
+        """
+        # entry s + 1 is d_s; entry 0 is the zero map into degree 0
+        if prime is None:
+            facs = [[]] + [invariant_factors(m) if m and m[0] else []
+                           for m in self.matrices]
+            ranks = [len(f) for f in facs]
+        else:
+            ops = FieldOps(prime)
+            ranks = [0] + [_fp_rank(m, ops) for m in self.matrices]
+            facs = [[]] * len(ranks)
+        return [(len(self.bases[s]) - ranks[s + 1] - ranks[s],
+                 [f for f in facs[s] if f != 1])
+                for s in range(self.s_max + 1)]
 
 
 def _fp_rank(mat: List[List[int]], ops: FieldOps) -> int:
@@ -281,17 +281,22 @@ def cobar_cohomology(H: HopfAlgebroidPresentation, twists: Sequence[int],
     """Bigraded chart of cobar cohomology, one column per twist j (placed
     at internal degree t = 2j).  `prime` switches to F_p coefficients;
     `p_local` keeps Z coefficients but strips torsion prime to p."""
+    if s_max < 0:
+        raise ValueError("s_max must be >= 0, got %d" % s_max)
+    for opt, q in (("prime", prime), ("p_local", p_local)):
+        if q is not None and not _is_prime(q):
+            raise ValueError("%s must be a prime, got %d" % (opt, q))
     chart = BigradedChart(s_max=s_max,
                           t_values=tuple(2 * j for j in twists))
     chart.meta["algebroid"] = H.name
     chart.meta["coefficients"] = ("Z" if prime is None else "F%d" % prime)
-    if p_local:
+    if p_local is not None:
         chart.meta["p_local"] = p_local
     for j in twists:
         M = comodule if comodule is not None else twist_comodule(H, j)
         cx = CobarComplex(H, M, 2 * j, s_max)
         for s, (rank, torsion) in enumerate(cx.cohomology(prime)):
-            if p_local:
+            if p_local is not None:
                 rank, torsion = p_local_part(rank, list(torsion), p_local)
             if rank or torsion:
                 chart.cells[(s, 2 * j)] = (rank, tuple(torsion))

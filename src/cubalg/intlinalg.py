@@ -7,6 +7,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import InvariantError
+from .poly import _is_prime
 
 Matrix = List[List[int]]
 
@@ -34,55 +35,69 @@ def mat_vec(a: Matrix, v: Sequence[int]) -> List[int]:
     return [sum(aij * vj for aij, vj in zip(row, v)) for row in a]
 
 
-def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
-    """Return (U, D, V) with U*A*V = D, U and V unimodular, D diagonal with
-    nonnegative entries forming a divisibility chain d1 | d2 | ...
+def _pivot(d: Matrix, t: int, m: int, n: int) -> Optional[Tuple[int, int]]:
+    """The first nonzero entry of least magnitude in the block d[t:, t:],
+    in row-major order; a unit is least, so the scan stops at the first."""
+    piv = None
+    best = None
+    for i in range(t, m):
+        row = d[i]
+        for j in range(t, n):
+            x = row[j]
+            if x and (best is None or abs(x) < best):
+                best = abs(x)
+                piv = (i, j)
+                if best == 1:
+                    return piv
+    return piv
+
+
+def _diagonalize(d: Matrix, u: Optional[Matrix] = None,
+                 v: Optional[Matrix] = None) -> None:
+    """Bring d to Smith normal form in place by unimodular row and column
+    operations.  The row operations are applied to u and the column
+    operations to v, each only when given.  The pivots depend on d alone,
+    so d and v come out the same whichever transforms are tracked.
     """
-    m = len(a)
-    n = len(a[0]) if a else 0
-    d = [row[:] for row in a]
-    u = _identity(m)
-    v = _identity(n)
+    m = len(d)
+    n = len(d[0]) if d else 0
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, c):
         drow, srow = d[dst], d[src]
         for j in range(n):
             drow[j] += c * srow[j]
-        urow, usrow = u[dst], u[src]
-        for j in range(m):
-            urow[j] += c * usrow[j]
+        if u is not None:
+            urow, usrow = u[dst], u[src]
+            for j in range(m):
+                urow[j] += c * usrow[j]
 
     def add_col(dst, src, c):
         for row in d:
             row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+        if v is not None:
+            for row in v:
+                row[dst] += c * row[src]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     t = 0
     while t < m and t < n:
-        # pick the nonzero pivot of least magnitude in the remaining block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
+        piv = _pivot(d, t, m, n)
         if piv is None:
             break
         swap_rows(t, piv[0])
@@ -141,6 +156,19 @@ def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
                 if d[g_i + 1][g_i + 1] < 0:
                     negate_row(g_i + 1)
                 changed = True
+
+
+def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
+    """Return (U, D, V) with U*A*V = D, U and V unimodular, D diagonal with
+    nonnegative entries forming a divisibility chain d1 | d2 | ...
+
+    Tracks both transforms; callers that read only D or only V use
+    `invariant_factors` or `integer_kernel`.
+    """
+    d = [row[:] for row in a]
+    u = _identity(len(a))
+    v = _identity(len(a[0]) if a else 0)
+    _diagonalize(d, u, v)
     return u, d, v
 
 
@@ -149,23 +177,24 @@ def diagonal_of(d: Matrix) -> List[int]:
 
 
 def invariant_factors(a: Matrix) -> List[int]:
-    _, d, _ = smith_normal_form(a)
+    """The nonzero diagonal of the Smith form of A, d1 | d2 | ...; tracks
+    neither transform."""
+    d = [row[:] for row in a]
+    _diagonalize(d)
     return [x for x in diagonal_of(d) if x]
 
 
 def integer_kernel(a: Matrix) -> List[List[int]]:
-    """Basis (list of column vectors) of the integer kernel of A."""
-    if not a or not a[0]:
-        n = len(a[0]) if a else 0
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    u, d, v = smith_normal_form(a)
-    n = len(a[0])
+    """Basis (list of column vectors) of the integer kernel of A: the
+    columns of the Smith form's V at zero diagonal entries.  Tracks V only,
+    so the basis is the one `smith_normal_form` would give."""
+    n = len(a[0]) if a else 0
+    d = [row[:] for row in a]
+    v = _identity(n)
+    _diagonalize(d, v=v)
     diag = diagonal_of(d)
-    basis = []
-    for j in range(n):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append([v[i][j] for i in range(n)])
-    return basis
+    return [[row[j] for row in v] for j in range(n)
+            if j >= len(diag) or diag[j] == 0]
 
 
 def solve_integer(a: Matrix, b: Sequence[int]) -> Optional[List[int]]:
@@ -219,6 +248,8 @@ def homology(a: Matrix, b: Matrix) -> Tuple[int, List[int]]:
 
 def p_local_part(free: int, torsion: List[int], p: int) -> Tuple[int, List[int]]:
     """Strip torsion prime to p (p-localization of a finitely generated group)."""
+    if not _is_prime(p):
+        raise ValueError("p-localization needs a prime, got %d" % p)
     out = []
     for t in torsion:
         e = 0

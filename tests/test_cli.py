@@ -214,3 +214,19 @@ def test_prime_is_rejected_where_it_is_not_read(argv):
 def test_prime_is_taken_where_it_is_read(argv):
     args = cli.build_parser().parse_args(argv + ["--prime", "3"])
     assert args.prime == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--fp", "0"], ["--fp", "1"], ["--fp", "-3"], ["--fp", "9"],
+    ["--fp", "15"],
+    ["--p-local", "0"], ["--p-local", "1"], ["--p-local", "4"],
+    ["--p-local", "-2"],
+    ["--smax", "-1"],
+], ids="=".join)
+def test_hopf_cobar_rejects_bad_coefficients(flags, capsys):
+    # eta gives Z/2 at (s, t) = (1, 2): --p-local 1 has torsion to strip
+    argv = ["hopf", "cobar", "--algebroid", "weierstrass", "--twists",
+            "0..1", "--smax", "2"] + flags
+    assert dispatch(argv) == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cubalg: error: ")

@@ -1,9 +1,11 @@
 import pytest
 
-from cubalg import InvariantError
-from cubalg.cobar import (CobarComplex, cobar_cohomology, extended_comodule,
-                          trivial_comodule, twist_comodule)
+from cubalg import InvariantError, cobar, intlinalg
+from cubalg.cobar import (CobarComplex, _fp_rank, cobar_cohomology,
+                          extended_comodule, trivial_comodule,
+                          twist_comodule)
 from cubalg.hopf import builtin_algebroid, invariants_h0
+from cubalg.intlinalg import FieldOps, homology, p_local_part
 from cubalg.poly import Ring
 
 
@@ -181,3 +183,83 @@ def test_bases_match_reference_enumeration(algebroid):
         for nonconstant in (True, False):
             assert H.gamma_monomials(w, nonconstant) == \
                 _gamma_monomials_reference(H, w, nonconstant)
+
+
+# ---------------------------------------------------------------------------
+# cohomology against the loop that eliminated every differential twice
+
+
+def _reference_cohomology(cx, prime=None):
+    """Per s: homology(d_s, d_{s-1}) over Z, or n - rank d_s - rank d_{s-1}
+    over F_p, with both differentials eliminated afresh for each s."""
+    out = []
+    for s in range(cx.s_max + 1):
+        dout = cx.matrices[s]
+        din = cx.matrices[s - 1] if s else []
+        n = len(cx.bases[s])
+        if prime is None:
+            has_out = bool(dout and dout[0])
+            has_in = bool(din and din[0])
+            if not has_out and not has_in:
+                out.append((n, []))
+            else:
+                out.append(homology(dout if has_out else [],
+                                    din if has_in else []))
+        else:
+            ops = FieldOps(prime)
+            rk_out = _fp_rank(dout, ops)
+            rk_in = _fp_rank(din, ops)
+            out.append((n - rk_out - rk_in, []))
+    return out
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["twist", "Gamma"])
+@pytest.mark.parametrize("algebroid", ["weierstrass", "mqd", "z2_group"])
+def test_cohomology_matches_reference(algebroid, extended):
+    H = builtin_algebroid(algebroid)
+    twists = range(0, 7)
+    M = extended_comodule(H, 6) if extended else None
+    over_z = {}
+    for j in twists:
+        cx = CobarComplex(H, M or twist_comodule(H, j), 2 * j, 2)
+        for prime in (None, 2, 3):
+            assert cx.cohomology(prime) == _reference_cohomology(cx, prime)
+        over_z[j] = _reference_cohomology(cx)
+    for p in (2, 3):
+        expect = {}
+        for j in twists:
+            for s, (rank, torsion) in enumerate(over_z[j]):
+                rank, torsion = p_local_part(rank, torsion, p)
+                if rank or torsion:
+                    expect[(s, 2 * j)] = (rank, tuple(torsion))
+        chart = cobar_cohomology(H, twists, 2, p_local=p, comodule=M)
+        assert chart.cells == expect
+
+
+@pytest.mark.parametrize("strand", [0, 4, 8])
+def test_cohomology_eliminates_each_differential_once(W, monkeypatch,
+                                                      strand):
+    cx = CobarComplex(W, extended_comodule(W, 6), strand, 2)
+    nonempty = sum(1 for m in cx.matrices if m and m[0])
+    expected = {p: _reference_cohomology(cx, p) for p in (None, 3)}
+    calls = {"invariant_factors": 0, "field_rank": 0}
+
+    def counting(name):
+        original = getattr(cobar, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapped
+
+    def no_product(a, b):
+        raise AssertionError("mat_mul called: d^2 = 0 is checked once")
+
+    for name in calls:
+        monkeypatch.setattr(cobar, name, counting(name))
+    monkeypatch.setattr(cobar, "mat_mul", no_product)
+    monkeypatch.setattr(intlinalg, "mat_mul", no_product)
+    assert cx.cohomology() == expected[None]
+    assert calls == {"invariant_factors": nonempty, "field_rank": 0}
+    assert cx.cohomology(3) == expected[3]
+    assert calls == {"invariant_factors": nonempty, "field_rank": nonempty}

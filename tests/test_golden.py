@@ -5,8 +5,9 @@ its stdout, or the file it writes under a temporary $CUBALG_OUTPUT_DIR,
 with a file in tests/golden/, byte for byte.  The corpus was written by
 the code before the compiled kernel backend was deleted; the two Q cover
 fibers were added from the code before `cover_fiber` moved onto
-`curves.transform` and `intlinalg.RowSpace`.  A change that alters any of
-these bytes has to say so and why.
+`curves.transform` and `intlinalg.RowSpace`, and the `hopf h0` kernel
+basis from the code before `integer_kernel` stopped tracking U.  A change
+that alters any of these bytes has to say so and why.
 
 Regenerate the corpus from the code on PYTHONPATH with
 
@@ -58,6 +59,8 @@ STDOUT_CASES = (
      ["tmf-mu", "--specialize", "--window=-40..8", "--validate"]),
     ("hopf_synthesize.json",
      ["hopf", "synthesize", "--algebroid", "weierstrass"]),
+    ("hopf_h0.json",
+     ["hopf", "h0", "--algebroid", "weierstrass", "--twists=0..8"]),
     ("hopf_cobar.tsv",
      ["hopf", "cobar", "--algebroid", "z2_group", "--twists=-4..4",
       "--smax", "6", "--format", "tsv"]),

@@ -170,13 +170,13 @@ def test_homology_snf_calls_constant_in_columns(monkeypatch, q):
     b = _complex(a, 5, m)
     expected = _kernel_coordinates_homology(a, b)
     calls = []
-    snf = intlinalg.smith_normal_form
+    diagonalize = intlinalg._diagonalize
 
-    def counting(mat):
-        calls.append(mat)
-        return snf(mat)
+    def counting(d, u=None, v=None):
+        calls.append(d)
+        return diagonalize(d, u, v)
 
-    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    monkeypatch.setattr(intlinalg, "_diagonalize", counting)
     assert homology(a, b) == expected
     assert len(calls) <= 2
 
@@ -185,6 +185,168 @@ def test_p_local_part():
     assert p_local_part(2, [6, 35], 2) == (2, [2])
     assert p_local_part(0, [9, 3], 3) == (0, [3, 9])
     assert p_local_part(1, [5], 2) == (1, [])
+
+
+@pytest.mark.parametrize("p", [-2, 0, 1, 4, 9])
+def test_p_local_part_rejects_non_prime(p):
+    with pytest.raises(ValueError, match="needs a prime"):
+        p_local_part(0, [2, 6], p)
+
+
+# ---------------------------------------------------------------------------
+# reference: the Smith form that always tracked U and V and scanned the
+# whole block for its pivot
+
+
+def _reference_smith_normal_form(a):
+    """Return (U, D, V) with U*A*V = D, U and V unimodular, D diagonal with
+    nonnegative entries forming a divisibility chain d1 | d2 | ...
+    """
+    m = len(a)
+    n = len(a[0]) if a else 0
+    d = [row[:] for row in a]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, c):
+        drow, srow = d[dst], d[src]
+        for j in range(n):
+            drow[j] += c * srow[j]
+        urow, usrow = u[dst], u[src]
+        for j in range(m):
+            urow[j] += c * usrow[j]
+
+    def add_col(dst, src, c):
+        for row in d:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < m and t < n:
+        # pick the nonzero pivot of least magnitude in the remaining block
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = d[i][j]
+                if x and (best is None or abs(x) < best):
+                    best = abs(x)
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            # clear column t
+            done = True
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    add_row(i, t, -q)
+                    if d[i][t]:
+                        swap_rows(i, t)
+                        done = False
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    add_col(j, t, -q)
+                    if d[t][j]:
+                        swap_cols(j, t)
+                        done = False
+            if done:
+                break
+        if d[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    # enforce divisibility chain
+    r = t
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r - 1):
+            if d[i + 1][i + 1] % d[i][i] != 0:
+                # fold entry i+1 into row/column i and re-clear
+                add_col(i, i + 1, 1)
+                g_i = i
+                while True:
+                    done = True
+                    if d[g_i + 1][g_i]:
+                        q = d[g_i + 1][g_i] // d[g_i][g_i]
+                        add_row(g_i + 1, g_i, -q)
+                        if d[g_i + 1][g_i]:
+                            swap_rows(g_i + 1, g_i)
+                            done = False
+                    if d[g_i][g_i + 1]:
+                        q = d[g_i][g_i + 1] // d[g_i][g_i]
+                        add_col(g_i + 1, g_i, -q)
+                        if d[g_i][g_i + 1]:
+                            swap_cols(g_i + 1, g_i)
+                            done = False
+                    if done:
+                        break
+                if d[g_i][g_i] < 0:
+                    negate_row(g_i)
+                if d[g_i + 1][g_i + 1] < 0:
+                    negate_row(g_i + 1)
+                changed = True
+    return u, d, v
+
+
+# entries with a unit (the pivot scan stops early) and without one (it
+# scans the whole block every time)
+_WITH_UNIT = [0, 0, 1, -1, 2, -3, 4, 6, -9]
+_WITHOUT_UNIT = [0, 0, 2, -2, 3, -4, 6, 9, -10]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hst.data())
+def test_elimination_matches_reference(data):
+    shape = data.draw(hst.sampled_from(["wide", "square", "tall"]))
+    small, big = hst.integers(1, 4), hst.integers(5, 9)
+    rows = data.draw(small if shape == "wide" else
+                     big if shape == "tall" else hst.integers(1, 5))
+    cols = rows if shape == "square" else data.draw(
+        big if shape == "wide" else small)
+    entries = hst.sampled_from(data.draw(hst.sampled_from(
+        [_WITH_UNIT, _WITHOUT_UNIT])))
+    a = data.draw(hst.lists(hst.lists(entries, min_size=cols,
+                                      max_size=cols),
+                            min_size=rows, max_size=rows))
+    ref_u, ref_d, ref_v = _reference_smith_normal_form(a)
+    # same pivots, so the same transforms, entry for entry
+    assert smith_normal_form(a) == (ref_u, ref_d, ref_v)
+    diag = [ref_d[i][i] for i in range(min(rows, cols))]
+    assert invariant_factors(a) == [x for x in diag if x]
+    assert integer_kernel(a) == [
+        [row[j] for row in ref_v] for j in range(cols)
+        if j >= len(diag) or diag[j] == 0]
+
+
+def test_factors_and_kernel_skip_the_full_smith_form(monkeypatch):
+    def unread_transforms(a):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", unread_transforms)
+    assert invariant_factors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == \
+        [2, 2, 156]
+    assert invariant_factors([[4, 0], [0, 6]]) == [2, 12]
+    assert integer_kernel([[2, -2, 0], [0, 3, -3]]) == [[1, 1, 1]]
 
 
 def test_field_ops_fp_and_q():

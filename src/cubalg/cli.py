@@ -53,10 +53,13 @@ def parse_curve(text: str, prime: Optional[int] = None) -> WeierstrassCurve:
 
 
 def parse_range(text: str) -> List[int]:
-    """"a..b" (inclusive) or a comma list."""
+    """"a..b" (inclusive, a <= b) or a comma list."""
     if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(p) for p in text.split(".."))
+        if lo > hi:
+            raise ValueError("reversed range %r: %d exceeds %d"
+                             % (text, lo, hi))
+        return list(range(lo, hi + 1))
     return [int(p) for p in text.split(",") if p.strip() != ""]
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .poincare import poincare_series
@@ -193,9 +194,13 @@ class SubalgebraSpec:
     gens: List[Polynomial]
     cutoff: int
     _basis: Dict[tuple, Polynomial] = field(default_factory=dict)
+    _degrees: Tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._degrees = tuple(g.weight() for g in self.gens)
 
     def gen_degrees(self) -> List[int]:
-        return [g.weight() for g in self.gens]
+        return list(self._degrees)
 
     def basis_exponents(self) -> List[tuple]:
         """Exponent tuples over the generators through the cutoff, by
@@ -304,18 +309,18 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
     ring = spec.ring
     k = len(ring.names)
     index = DegreeIndex(ring)
+    by_deg = spec.basis_by_degree()
     spans: Dict[int, BitSpan] = {}
-    for d, expos in spec.basis_by_degree().items():
+    for d, expos in by_deg.items():
         span = BitSpan()
         for expo in expos:
             span.insert(index.mask(spec.basis_poly(expo), d))
         spans[d] = span
+    gen_expos = [e for d, expos in by_deg.items() if d <= cutoff
+                 for e in expos if sum(e) == 1]
     checked = 0
-    for expo in spec.basis_exponents():
-        x = spec.basis_poly(expo)
-        if sum(expo) != 1 or x.weight() > cutoff:
-            continue
-        dx = coproduct(x, cutoff)
+    for expo in gen_expos:
+        dx = coproduct(spec.basis_poly(expo), cutoff)
         # group by left leg; right legs must lie in the spec span
         by_left: Dict[tuple, Dict[int, int]] = {}
         for mono, _ in dx.terms.items():
@@ -352,8 +357,7 @@ def _ideal_rewrite(spec: SubalgebraSpec, index: DegreeIndex, d: int,
         return cache[d]
     ring = spec.ring
     span = BitSpan()
-    for g in spec.gens:
-        dg = g.weight()
+    for g, dg in zip(spec.gens, spec.gen_degrees()):
         if dg > d:
             continue
         for m in index.monomials(d - dg):
@@ -460,6 +464,51 @@ def _f2_kernel(cols: List[int]) -> List[int]:
     return out
 
 
+def _f2_solve(cols: Sequence[int], v: int) -> Optional[int]:
+    """A mask over column indices whose columns XOR to v, or None when v
+    is not in their span: the kernel vector `_f2_kernel` finds for v put
+    last, which exists exactly when v reduces to zero."""
+    ker = _f2_kernel(list(cols) + [v])
+    n = len(cols)
+    if ker and (ker[-1] >> n) & 1:
+        return ker[-1] ^ (1 << n)
+    return None
+
+
+def _product_mask(masks: Dict[tuple, int], b: tuple,
+                  coords: Iterable[tuple]) -> int:
+    """Mask of big.basis_poly(b) times the element whose big-basis
+    coordinates are `coords`: basis_poly(b) . basis_poly(e) is
+    basis_poly(b + e)."""
+    v = 0
+    for e in coords:
+        v ^= masks[tuple(map(add, b, e))]
+    return v
+
+
+def _basis_coordinates(by_deg: Dict[int, List[tuple]],
+                       gen_coords: List[Tuple[int, List[tuple]]],
+                       one: tuple, top: int) -> Dict[tuple, set]:
+    """Big-basis coordinates of every small basis element through degree
+    `top`, by the prefix recursion of `SubalgebraSpec.basis_poly`; those
+    of a product are the exponent sums, mod 2."""
+    coords: Dict[tuple, set] = {}
+    for d, expos in by_deg.items():
+        if d > top:
+            break
+        for x in expos:
+            if not d:
+                coords[x] = {one}
+                continue
+            i = next(k for k, e in enumerate(x) if e)
+            prev = x[:i] + (x[i] - 1,) + x[i + 1:]
+            out = coords[x] = set()
+            for a in coords[prev]:
+                for b in gen_coords[i][1]:
+                    out.symmetric_difference_update((tuple(map(add, a, b)),))
+    return coords
+
+
 def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
                         cells: Sequence[int], cutoff: int) -> dict:
     """(a) Poincare-series identity PS(big) = PS(small) * sum_d q^d over
@@ -467,11 +516,15 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
     degreewise, cell lifts times the small basis span big (Nakayama
     surjectivity), with matching dimension, hence a free basis.
 
-    The small generators must lie in big.  Since big is a subalgebra,
-    small . big then lies in big, and the cell lifts are taken modulo the
-    products of the small generators with big's basis (`_cell_lifts`);
-    the surjectivity check multiplies the lifts by every small basis
-    element."""
+    The small generators must lie in big: the embedding check writes each
+    as a sum of big basis elements, g = sum_e big.basis_poly(e).  Every
+    product is then formed in big's own basis, g . basis_poly(b) =
+    sum_e basis_poly(b + e), as the XOR of the xi-masks of big's basis
+    elements, each computed once.  Since big is a subalgebra, small . big
+    lies in big, and the cell lifts are taken modulo the products of the
+    small generators with big's basis (`_cell_lifts`); the surjectivity
+    check multiplies the lifts by every small basis element, whose
+    coordinates come from those of the generators."""
     ps_big = poincare_series(big.gen_degrees(), cutoff)
     ps_small = poincare_series(small.gen_degrees(), cutoff)
     ps_cells = [0] * (cutoff + 1)
@@ -482,48 +535,44 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
             for d in range(cutoff + 1)]
     ps_ok = conv == list(ps_big)
 
-    ring = big.ring
-    index = DegreeIndex(ring)
-    # small must embed in big: every small generator in big's span
+    index = DegreeIndex(big.ring)
     big_by_deg = big.basis_by_degree()
-    small_by_deg = small.basis_by_degree()
-    for g in small.gens:
-        d = g.weight()
-        span = BitSpan()
-        for expo in big_by_deg.get(d, []):
-            span.insert(index.mask(big.basis_poly(expo), d))
-        if not span.contains(index.mask(g, d)):
+    masks = {e: index.mask(big.basis_poly(e), d)
+             for d, expos in big_by_deg.items() for e in expos}
+    # small must embed in big: coordinates of every small generator
+    gen_coords: List[Tuple[int, List[tuple]]] = []
+    for g, d in zip(small.gens, small.gen_degrees()):
+        expos = big_by_deg.get(d, [])
+        sol = _f2_solve([masks[e] for e in expos], index.mask(g, d))
+        if sol is None:
             return {"free": False, "ps_identity": ps_ok,
                     "failure": "small generator of degree %d not in big"
                                % d, "cells": sorted(cells)}
+        gen_coords.append((d, [expos[i] for i in _bits(sol)]))
 
-    lifts = _cell_lifts(big, small, big_by_deg, index, cutoff)
+    lifts = _cell_lifts(big_by_deg, masks, gen_coords, cutoff)
     got = sorted(d for d, _ in lifts)
     cell_multiset = sorted(cells)
     cells_ok = got == cell_multiset
 
-    # Nakayama: lifts times small basis span big, degree by degree
+    # Nakayama: lifts times small basis span big, degree by degree; spans
+    # above big's cutoff are never read
+    top = min(cutoff, big.cutoff)
+    small_by_deg = small.basis_by_degree()
+    small_coords = _basis_coordinates(small_by_deg, gen_coords,
+                                      (0,) * len(big.gens), top)
     span_by_deg: Dict[int, BitSpan] = {}
-    for d, lift in lifts:
+    for d, be in lifts:
         for dc, expos in small_by_deg.items():
-            for se in expos:
-                dd = d + dc
-                if dd > cutoff:
-                    continue
-                prod = lift * small.basis_poly(se)
-                span_by_deg.setdefault(dd, BitSpan()).insert(
-                    index.mask(prod, dd))
-    surj = True
-    for d, expos in big_by_deg.items():
-        if d > cutoff:
-            continue
-        span = span_by_deg.get(d, BitSpan())
-        for be in expos:
-            if not span.contains(index.mask(big.basis_poly(be), d)):
-                surj = False
+            dd = d + dc
+            if dd > top:
                 break
-        if not surj:
-            break
+            span = span_by_deg.setdefault(dd, BitSpan())
+            for se in expos:
+                span.insert(_product_mask(masks, be, small_coords[se]))
+    surj = all(span_by_deg.get(d, BitSpan()).contains(masks[be])
+               for d, expos in big_by_deg.items() if d <= cutoff
+               for be in expos)
     rank_free = ps_ok and cells_ok and surj
     return {"free": rank_free, "ps_identity": ps_ok,
             "cells_found": got, "cells": cell_multiset,
@@ -531,24 +580,25 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
             "rank": len(cell_multiset)}
 
 
-def _cell_lifts(big: SubalgebraSpec, small: SubalgebraSpec,
-                big_by_deg: Dict[int, List[tuple]], index: DegreeIndex,
-                cutoff: int) -> List[Tuple[int, Polynomial]]:
+def _cell_lifts(big_by_deg: Dict[int, List[tuple]], masks: Dict[tuple, int],
+                gen_coords: List[Tuple[int, List[tuple]]], cutoff: int
+                ) -> List[Tuple[int, tuple]]:
     """A basis of big_d modulo (small^+ . big)_d, degreewise, chosen from
-    big's basis.  (small^+ . big)_d is spanned by g . big_{d-|g|} over the
-    small generators g, because small . big lies in big once the small
-    generators do."""
-    lifts: List[Tuple[int, Polynomial]] = []
+    big's basis, as (degree, big exponent) pairs.  (small^+ . big)_d is
+    spanned by g . big_{d-|g|} over the small generators g, given by
+    their degree and big-basis coordinates, because small . big lies in
+    big once the small generators do."""
+    lifts: List[Tuple[int, tuple]] = []
     for d in sorted(set(big_by_deg) | {0}):
         if d > cutoff:
             continue
         span = BitSpan()
-        for g in small.gens:
-            for be in big_by_deg.get(d - g.weight(), []):
-                span.insert(index.mask(big.basis_poly(be) * g, d))
+        for dg, coords in gen_coords:
+            for be in big_by_deg.get(d - dg, []):
+                span.insert(_product_mask(masks, be, coords))
         for be in big_by_deg.get(d, []):
-            if span.insert(index.mask(big.basis_poly(be), d)):
-                lifts.append((d, big.basis_poly(be)))
+            if span.insert(masks[be]):
+                lifts.append((d, be))
     return lifts
 
 

@@ -32,7 +32,28 @@ def test_parse_curve_mixed():
 
 def test_parse_range():
     assert parse_range("-2..2") == [-2, -1, 0, 1, 2]
+    assert parse_range("-1..-1") == [-1]
     assert parse_range("1,5,9") == [1, 5, 9]
+    with pytest.raises(ValueError, match="reversed range '5..2'"):
+        parse_range("5..2")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "cobar", "--twists", "3..1"],
+    ["hopf", "h0", "--twists", "5..2"],
+    ["descent", "--degrees", "12..0"],
+    ["chart", "render", "--x-range=8..-8"],
+])
+def test_reversed_range_is_rejected(argv, tmp_path, capsys):
+    if argv[0] == "chart":
+        chart = tmp_path / "chart.json"
+        chart.write_text(emit.json_text(emit.chart_to_obj(
+            BigradedChart(s_max=2, t_values=(0,), cells={(0, 0): (1, ())}))))
+        argv = argv + ["--input", str(chart)]
+    assert dispatch(argv) == cli.EXIT_ERROR == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cubalg: error: reversed range")
 
 
 def test_nseries_golden():

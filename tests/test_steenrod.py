@@ -131,6 +131,21 @@ def test_f2_kernel():
     assert ker == [0b011]
 
 
+def test_f2_solve():
+    cols = [0b011, 0b110, 0b101]       # the third is the sum of the first two
+    for v in range(8):
+        sol = st._f2_solve(cols, v)
+        if v in (0b000, 0b011, 0b110, 0b101):
+            acc = 0
+            for i in st._bits(sol):
+                acc ^= cols[i]
+            assert acc == v
+        else:
+            assert sol is None
+    assert st._f2_solve([], 0) == 0
+    assert st._f2_solve([], 1) is None
+
+
 # ---------------------------------------------------------------------------
 # generator-level checks against the basis-level brute force they replace
 
@@ -243,29 +258,164 @@ def test_closure_matches_basis_check(name, cutoff):
     assert fast["witness"] == slow["witness"]
 
 
+def _polynomial_freeness_check(big, small, cells, cutoff):
+    """Freeness with every product formed as a polynomial in
+    xi-coordinates: the embedding by span membership, the cell lifts by
+    `_basis_cell_lifts`, and Nakayama by lift x small-basis products."""
+    ps_big = st.poincare_series(big.gen_degrees(), cutoff)
+    ps_small = st.poincare_series(small.gen_degrees(), cutoff)
+    ps_cells = [0] * (cutoff + 1)
+    for d in cells:
+        if d <= cutoff:
+            ps_cells[d] += 1
+    conv = [sum(ps_small[i] * ps_cells[d - i] for i in range(d + 1))
+            for d in range(cutoff + 1)]
+    ps_ok = conv == list(ps_big)
+    index = st.DegreeIndex(big.ring)
+    big_by_deg = big.basis_by_degree()
+    small_by_deg = small.basis_by_degree()
+    for g in small.gens:
+        d = g.weight()
+        span = st.BitSpan()
+        for expo in big_by_deg.get(d, []):
+            span.insert(index.mask(big.basis_poly(expo), d))
+        if not span.contains(index.mask(g, d)):
+            return {"free": False, "ps_identity": ps_ok,
+                    "failure": "small generator of degree %d not in big"
+                               % d, "cells": sorted(cells)}
+    lifts = _basis_cell_lifts(big, small, big_by_deg, index, cutoff)
+    got = sorted(d for d, _ in lifts)
+    cell_multiset = sorted(cells)
+    cells_ok = got == cell_multiset
+    span_by_deg = {}
+    for d, lift in lifts:
+        for dc, expos in small_by_deg.items():
+            for se in expos:
+                dd = d + dc
+                if dd > cutoff:
+                    continue
+                prod = lift * small.basis_poly(se)
+                span_by_deg.setdefault(dd, st.BitSpan()).insert(
+                    index.mask(prod, dd))
+    surj = True
+    for d, expos in big_by_deg.items():
+        if d > cutoff:
+            continue
+        span = span_by_deg.get(d, st.BitSpan())
+        for be in expos:
+            if not span.contains(index.mask(big.basis_poly(be), d)):
+                surj = False
+                break
+        if not surj:
+            break
+    rank_free = ps_ok and cells_ok and surj
+    return {"free": rank_free, "ps_identity": ps_ok,
+            "cells_found": got, "cells": cell_multiset,
+            "cells_match": cells_ok, "lifts_generate": surj,
+            "rank": len(cell_multiset)}
+
+
+def _ko_with_xi2_squared(cutoff):
+    """ko's generators with xibar2^2 replaced by xi2^2 = xibar2^2 +
+    xibar1^6: two terms in ku's basis, and the same subalgebra."""
+    ko = st.ko_spec(cutoff)
+    xi2_sq = ko.ring.gen("xi2") ** 2
+    swap = [n == "xibar2^2" for n in ko.gen_names]
+    return st.SubalgebraSpec(
+        name="H(ko)", ring=ko.ring,
+        gen_names=["xi2^2" if s else n for s, n in zip(swap, ko.gen_names)],
+        gens=[xi2_sq if s else g for s, g in zip(swap, ko.gens)],
+        cutoff=cutoff)
+
+
+def _ku(cutoff):
+    return st.bp_n_homology(1, cutoff, check_closure=False)
+
+
+def _bp2(cutoff):
+    return st.bp_n_homology(2, cutoff, check_closure=False)
+
+
+# (big, small, cells, expected "free" or expected "failure")
 FREENESS_CASES = {
-    "ku_ko": (lambda c: st.bp_n_homology(1, c, check_closure=False),
-              st.ko_spec, [0, 2]),
-    "bp2_tmf": (lambda c: st.bp_n_homology(2, c, check_closure=False),
-                st.tmf_spec, [0, 2, 4, 6, 6, 8, 10, 12]),
-    "ku_ko_wrong_cells": (lambda c: st.bp_n_homology(1, c,
-                                                     check_closure=False),
-                          st.ko_spec, [0, 4]),
+    "ku_ko": (_ku, st.ko_spec, [0, 2], True),
+    "bp2_tmf": (_bp2, st.tmf_spec, [0, 2, 4, 6, 6, 8, 10, 12], True),
+    "ku_ko_wrong_cells": (_ku, st.ko_spec, [0, 4], False),
+    "ku_ko_xi2_squared": (_ku, _ko_with_xi2_squared, [0, 2], True),
+    "bp2_ko": (_bp2, st.ko_spec, [0, 2],
+               "small generator of degree 7 not in big"),
 }
 
 
 @pytest.mark.parametrize("cutoff", [16, 24, 32])
 @pytest.mark.parametrize("name", sorted(FREENESS_CASES))
 def test_freeness_matches_cell_lift_loop(name, cutoff, monkeypatch):
-    make_big, make_small, cells = FREENESS_CASES[name]
+    make_big, make_small, cells, expected = FREENESS_CASES[name]
     big, small = make_big(cutoff), make_small(cutoff)
-    big_by_deg = big.basis_by_degree()
     index = st.DegreeIndex(big.ring)
-    assert st._cell_lifts(big, small, big_by_deg, index, cutoff) == \
-        _basis_cell_lifts(big, small, big_by_deg, index, cutoff)
+
+    def reference_lifts(big_by_deg, masks, gen_coords, cutoff):
+        expo_of = {(d, masks[e]): e for d, expos in big_by_deg.items()
+                   for e in expos}
+        return [(d, expo_of[d, index.mask(lift, d)]) for d, lift in
+                _basis_cell_lifts(big, small, big_by_deg, index, cutoff)]
+
+    cell_lifts = st._cell_lifts
+    compared = []
+
+    def checked_lifts(*args):
+        lifts = cell_lifts(*args)
+        assert lifts == reference_lifts(*args)
+        compared.append(lifts)
+        return lifts
+
+    basis_coordinates = st._basis_coordinates
+
+    def checked_coordinates(by_deg, gen_coords, one, top):
+        # every coordinate list sums to its element in xi-coordinates
+        coords = basis_coordinates(by_deg, gen_coords, one, top)
+        elements = [(dg, g, c) for g, (dg, c) in zip(small.gens, gen_coords)]
+        elements += [(d, small.basis_poly(se), coords[se])
+                     for d, expos in by_deg.items() if d <= top
+                     for se in expos]
+        for d, x, c in elements:
+            acc = 0
+            for e in c:
+                acc ^= index.mask(big.basis_poly(e), d)
+            assert acc == index.mask(x, d)
+        compared.append(coords)
+        return coords
+
+    monkeypatch.setattr(st, "_cell_lifts", checked_lifts)
+    monkeypatch.setattr(st, "_basis_coordinates", checked_coordinates)
     fast = st.freeness_rank_check(big, small, cells, cutoff)
-    monkeypatch.setattr(st, "_cell_lifts", _basis_cell_lifts)
+    assert len(compared) == (0 if isinstance(expected, str) else 2)
+    if isinstance(expected, str):
+        assert fast["failure"] == expected and not fast["free"]
+    else:
+        assert fast["free"] == expected
+    assert fast == _polynomial_freeness_check(big, small, cells, cutoff)
+    monkeypatch.setattr(st, "_cell_lifts", reference_lifts)
     assert st.freeness_rank_check(big, small, cells, cutoff) == fast
+
+
+@pytest.mark.parametrize("name", ["ku_ko", "bp2_tmf", "ku_ko_xi2_squared"])
+def test_freeness_forms_one_product_per_big_basis_element(name,
+                                                         monkeypatch):
+    make_big, make_small, cells, _ = FREENESS_CASES[name]
+    big, small = make_big(32), make_small(32)
+    products = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        if isinstance(other, Polynomial):
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert st.freeness_rank_check(big, small, cells, 32)["free"]
+    monkeypatch.undo()
+    assert 0 < len(products) <= len(big.basis_exponents())
 
 
 @pytest.mark.parametrize("cutoff", [16, 24, 32])

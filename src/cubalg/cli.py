@@ -117,7 +117,7 @@ def cmd_curve_nseries(args) -> int:
 
 def cmd_curve_hasse(args) -> int:
     curve = parse_curve(args.curve)
-    p = args.prime or 2
+    p = 2 if args.prime is None else args.prime
     vs = hasse_coefficients(curve, p, args.imax)
     obj = {"prime": p,
            "v": {("v%d" % i): vs[i].text() for i in range(len(vs))}}
@@ -127,7 +127,7 @@ def cmd_curve_hasse(args) -> int:
 
 def cmd_curve_landweber(args) -> int:
     curve = parse_curve(args.curve)
-    p = args.prime or 2
+    p = 2 if args.prime is None else args.prime
     rep = landweber_report(curve, p, args.cutoff)
     reg = rep["regularity"]
     obj = {"prime": p, "v": rep["v"],
@@ -141,7 +141,7 @@ def cmd_curve_landweber(args) -> int:
 
 
 def cmd_cover_fiber(args) -> int:
-    p = args.prime or 2
+    p = 2 if args.prime is None else args.prime
     if args.cusp:
         coeffs = (0, 0, 0, 0, 0)
     else:
@@ -188,7 +188,7 @@ def cmd_descent(args) -> int:
 def cmd_tmf_mu(args) -> int:
     window = parse_range(args.window)
     out = tmf_mu_page((min(window), max(window)), args.cutoff,
-                      prime=args.prime or 2,
+                      prime=2 if args.prime is None else args.prime,
                       specialize_p13=args.specialize,
                       validate_h0=args.validate)
     obj = {"window": list(out["window"]), "prime": out["prime"],

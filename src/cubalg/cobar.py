@@ -29,8 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .hopf import HopfAlgebroidPresentation
-from .intlinalg import (FieldOps, field_rank, invariant_factors, mat_mul,
-                        p_local_part)
+from .intlinalg import field_rank, invariant_factors, mat_mul, p_local_part
 from .poly import Polynomial, _is_prime
 
 
@@ -230,19 +229,13 @@ class CobarComplex:
                            for m in self.matrices]
             ranks = [len(f) for f in facs]
         else:
-            ops = FieldOps(prime)
-            ranks = [0] + [_fp_rank(m, ops) for m in self.matrices]
+            ranks = [0] + [field_rank([[c % prime for c in row] for row in m],
+                                      len(m[0]), prime) if m and m[0] else 0
+                           for m in self.matrices]
             facs = [[]] * len(ranks)
         return [(len(self.bases[s]) - ranks[s + 1] - ranks[s],
                  [f for f in facs[s] if f != 1])
                 for s in range(self.s_max + 1)]
-
-
-def _fp_rank(mat: List[List[int]], ops: FieldOps) -> int:
-    if not mat or not mat[0]:
-        return 0
-    rows = [[ops.of_int(c) for c in row] for row in mat]
-    return field_rank(rows, len(mat[0]), ops)
 
 
 # ---------------------------------------------------------------------------

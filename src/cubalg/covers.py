@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import InvariantError
 from .curves import (CoordinateChange, WeierstrassCurve, invariants,
                      transform, universal_curve)
-from .intlinalg import FieldOps, RowSpace, invariant_factors
+from .intlinalg import RowSpace, invariant_factors
 from .poincare import poincare_series
 from .poly import Polynomial, Ring, _is_prime
 
@@ -103,7 +103,6 @@ def cover_fiber(curve_coeffs: Sequence[int], p: int, field: str = None
     off = 3 if p == 2 else 2
     if q == off:
         raise ValueError("off-prime %d is not invertible in %s" % (off, name))
-    ops = FieldOps(q)
     ring, rels = _relations(tuple(curve_coeffs), p, q)
 
     # one reduced echelon form of all monomial multiples of the relations
@@ -116,9 +115,9 @@ def cover_fiber(curve_coeffs: Sequence[int], p: int, field: str = None
     col = {m: j for j, m in enumerate(cols)}
 
     def vector(terms):
-        vec = [0] * len(cols)       # int 0 is the zero of F_q and of Q
+        vec = [0] * len(cols)
         for m, c in terms.items():
-            vec[col[m]] = ops.of_int(c)
+            vec[col[m]] = c         # reduced mod q by the ring
         return vec
 
     multiples = [Polynomial(ring, {m: 1}) * rel for rel in rels
@@ -127,7 +126,7 @@ def cover_fiber(curve_coeffs: Sequence[int], p: int, field: str = None
     # least leading monomial first: a new pivot then mostly lies left of
     # every stored row, which leaves little to back-substitute
     multiples.sort(key=lambda f: -min(col[m] for m in f.terms))
-    space = RowSpace(ops, len(cols))
+    space = RowSpace(q, len(cols))
     for f in multiples:
         space.insert(vector(f.terms))
 
@@ -299,6 +298,8 @@ def tmf_mu_page(window: Tuple[int, int], e_cutoff: int, prime: int = 2,
     two-dimensional, the Koszul limit stabilizes weightwise, and the page
     carries exact graded ranks reproducing P(1, 3).
     """
+    if not _is_prime(prime):
+        raise ValueError("%d is not a prime" % prime)
     lo, hi = window
     wc4, wd = 8, 24
     h0 = {}

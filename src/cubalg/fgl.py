@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from .curves import WeierstrassCurve
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, _is_prime
 from .series import TruncatedSeries
 
 
@@ -148,6 +148,10 @@ def hasse_coefficients(curve: WeierstrassCurve, p: int, i_max: int,
                        order: int = 0) -> List[Polynomial]:
     """[v_0, ..., v_imax]: v_i the literal coefficient of z^(p^i) in the
     p-series (v_0 = p as a constant of the coefficient ring)."""
+    if not _is_prime(p):
+        raise ValueError("%d is not a prime" % p)
+    if i_max < 0:
+        raise ValueError("i_max must be >= 0")
     need = p ** i_max
     if order < need:
         order = need

@@ -4,7 +4,7 @@ homology of chain maps, and Gaussian elimination over F_p and Q."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .poly import _is_prime
@@ -262,78 +262,153 @@ def p_local_part(free: int, torsion: List[int], p: int) -> Tuple[int, List[int]]
 
 
 # ---------------------------------------------------------------------------
-# field linear algebra (F_p via int arithmetic, Q via Fraction)
+# F_2 linear algebra on bitmasks
 
-class FieldOps:
-    """Tiny field abstraction so one elimination routine serves F_p and Q.
 
-    Elements are kept normalized (residues 0..p-1, or Fractions), so an
-    element is zero exactly when it is falsy."""
+def bits(mask: int):
+    """The positions of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def __init__(self, p: Optional[int]):
-        self.p = p
 
-    def of_int(self, c: int):
-        return c % self.p if self.p else Fraction(c)
+class BitSpan:
+    """F_2 span of the given bitmask vectors, kept in echelon form: each
+    row's pivot is its highest set bit, and no two rows share a pivot.
 
-    def add(self, x, y):
-        return (x + y) % self.p if self.p else x + y
+    The pivot set, membership and the canonical residue depend only on
+    the span, so rows are never back-substituted."""
 
-    def mul(self, x, y):
-        return (x * y) % self.p if self.p else x * y
+    def __init__(self, vectors: Iterable[int] = ()):
+        self.rows: Dict[int, int] = {}   # pivot bit index -> row mask
+        for v in vectors:
+            self.insert(v)
 
-    def neg(self, x):
-        return (-x) % self.p if self.p else -x
+    def reduce(self, v: int) -> int:
+        """v with pivot top bits cleared until its top bit is no pivot."""
+        while v:
+            row = self.rows.get(v.bit_length() - 1)
+            if row is None:
+                return v
+            v ^= row
+        return 0
 
-    def inv(self, x):
-        return pow(x, -1, self.p) if self.p else 1 / x
+    def insert(self, v: int) -> bool:
+        """Insert a vector; returns True if it enlarged the space."""
+        v = self.reduce(v)
+        if not v:
+            return False
+        self.rows[v.bit_length() - 1] = v
+        return True
+
+    def contains(self, v: int) -> bool:
+        return self.reduce(v) == 0
+
+    def residue(self, v: int) -> int:
+        """Canonical residue: v with every pivot bit eliminated.  Bits are
+        taken from the highest down, so a row never sets a bit already
+        passed; the residue has no pivot bit, and there is one such
+        element in each coset of the span."""
+        rows = self.rows
+        out = 0
+        while v:
+            piv = v.bit_length() - 1
+            row = rows.get(piv)
+            if row is None:
+                row = 1 << piv
+                out |= row
+            v ^= row
+        return out
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def f2_kernel(cols: Sequence[int]) -> List[int]:
+    """Kernel of the F_2 matrix whose columns are the given masks, as masks
+    over column indices: augmented elimination of v << n | 1 << i, where
+    a row whose column part alone survives is a kernel vector."""
+    n = len(cols)
+    span = BitSpan()
+    out: List[int] = []
+    for i, v in enumerate(cols):
+        r = span.reduce(v << n | 1 << i)
+        if r >> n:
+            span.rows[r.bit_length() - 1] = r
+        else:
+            out.append(r)
+    return out
+
+
+def f2_solve(cols: Sequence[int], v: int) -> Optional[int]:
+    """A mask over column indices whose columns XOR to v, or None when v
+    is not in their span: the kernel vector `f2_kernel` finds for v put
+    last, which exists exactly when v reduces to zero."""
+    n = len(cols)
+    ker = f2_kernel(list(cols) + [v])
+    return ker[-1] ^ (1 << n) if ker and ker[-1] >> n else None
+
+
+# ---------------------------------------------------------------------------
+# F_p and Q linear algebra
+#
+# `p` is a prime for F_p, whose elements are the residues 0..p-1, or None
+# for Q, whose elements are ints and Fractions.  Either way an element is
+# zero exactly when it is falsy.  Vectors come in with their entries so
+# reduced, and elimination reduces mod p only the entries a row touches.
 
 
 class RowSpace:
-    """Reduced row space over a field, supporting incremental insertion and
-    reduction of vectors.
+    """Reduced row space over F_p or Q, supporting incremental insertion
+    and reduction of vectors.
 
-    Vectors are dense lists of normalized field elements in a fixed basis
-    of `width` columns.  Each stored row keeps only its nonzero entries,
-    {column: coefficient}: its pivot is its first nonzero column, with
-    coefficient 1, and it is zero in every other row's pivot column.  So
-    `reduce` and back-substitution cost grows with the nonzeros, not with
-    the width, and the rows do not depend on the order of insertion.
+    Vectors are dense lists of field elements in a fixed basis of `width`
+    columns.  Each stored row keeps only its nonzero entries, {column:
+    coefficient}: its pivot is its first nonzero column, with coefficient
+    1, and it is zero in every other row's pivot column.  So `reduce` and
+    back-substitution cost grows with the nonzeros, not with the width,
+    and the rows do not depend on the order of insertion.
     """
 
-    def __init__(self, ops: FieldOps, width: int):
-        self.ops = ops
+    def __init__(self, p: Optional[int], width: int):
+        self.p = p
         self.width = width
         self.rows = {}  # pivot index -> {column: nonzero coefficient}
 
     def reduce(self, vec):
-        add, mul, neg = self.ops.add, self.ops.mul, self.ops.neg
+        p = self.p
         v = list(vec)
         # each row vanishes at the other pivots, so the order is immaterial
         for piv, row in self.rows.items():
             c = v[piv]
             if c:
-                nc = neg(c)
-                for j, x in row.items():
-                    v[j] = add(v[j], mul(nc, x))
+                if p:
+                    for j, x in row.items():
+                        v[j] = (v[j] - c * x) % p
+                else:
+                    for j, x in row.items():
+                        v[j] -= c * x
         return v
 
     def insert(self, vec) -> bool:
         """Insert a vector; returns True if it enlarged the space."""
-        add, mul, neg = self.ops.add, self.ops.mul, self.ops.neg
+        p = self.p
         new = {j: x for j, x in enumerate(self.reduce(vec)) if x}
         if not new:
             return False
         piv = next(iter(new))       # the first nonzero column
-        inv = self.ops.inv(new[piv])
-        new = {j: mul(inv, x) for j, x in new.items()}
+        inv = pow(new[piv], -1, p) if p else 1 / Fraction(new[piv])
+        new = {j: inv * x % p if p else inv * x for j, x in new.items()}
         # back-substitute into existing rows
         for row in self.rows.values():
             c = row.get(piv)
             if c is not None:
-                nc = neg(c)
                 for j, x in new.items():
-                    y = add(row.get(j, 0), mul(nc, x))
+                    y = row.get(j, 0) - c * x
+                    if p:
+                        y %= p
                     if y:
                         row[j] = y
                     else:
@@ -349,33 +424,31 @@ class RowSpace:
         return len(self.rows)
 
 
-def field_kernel(rows: List[list], width: int, ops: FieldOps) -> List[list]:
-    """Kernel basis of the linear map x -> M x where `rows` are the rows of M
-    (length `width` each); returns column vectors of length width."""
-    # eliminate on the transpose-augmented system
-    aug = []
-    for j in range(width):
-        col = [ops.of_int(0)] * len(rows) + [ops.of_int(0)] * width
-        for i, r in enumerate(rows):
-            col[i] = r[j]
-        col[len(rows) + j] = ops.of_int(1)
-        aug.append(col)
-    # row reduce the `aug` vectors; kernel vectors are those whose first part
-    # reduces to zero
-    space = RowSpace(ops, len(rows) + width)
+def field_kernel(cols: Sequence[list], p: Optional[int]) -> List[list]:
+    """Kernel basis of the linear map sending the i-th unit vector to
+    cols[i], over F_p (p prime) or Q (p None); returns vectors of length
+    len(cols)."""
+    n = len(cols)
+    m = len(cols[0]) if cols else 0
+    # augment each image with its unit vector; kernel vectors are those
+    # whose image part reduces to zero
+    space = RowSpace(p, m + n)
     kernel = []
-    for v in aug:
-        red = space.reduce(v)
-        if not any(red[:len(rows)]):
-            kernel.append(red[len(rows):])
+    for i, col in enumerate(cols):
+        aug = list(col) + [0] * n
+        aug[m + i] = 1
+        red = space.reduce(aug)
+        if not any(red[:m]):
+            kernel.append(red[m:])
         else:
             # pivot lands in the leading block, so tails stay consistent
             space.insert(red)
     return kernel
 
 
-def field_rank(rows: List[list], width: int, ops: FieldOps) -> int:
-    space = RowSpace(ops, width)
+def field_rank(rows: Sequence[list], width: int, p: Optional[int]) -> int:
+    """Rank of the rows (each of length `width`) over F_p or Q."""
+    space = RowSpace(p, width)
     for r in rows:
         space.insert(r)
     return space.rank

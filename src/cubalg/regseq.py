@@ -11,12 +11,14 @@ p-locally by the dimension count -- is certified beyond the cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence
 
 from .curves import WeierstrassCurve, invariants
 from .fgl import hasse_coefficients
-from .intlinalg import FieldOps, RowSpace, field_kernel
-from .poly import Polynomial, Ring, monomial_index, monomials
+from .intlinalg import RowSpace, field_kernel
+from .poly import Polynomial, Ring, _is_prime, monomial_index, monomials
 
 
 class GradedIdeal:
@@ -25,19 +27,19 @@ class GradedIdeal:
 
     def __init__(self, ring: Ring, p: Optional[int], cutoff: int):
         self.ring = ring
-        self.ops = FieldOps(p)
+        self.p = p
         self.cutoff = cutoff
         self.spans: Dict[int, RowSpace] = {
-            w: RowSpace(self.ops, len(monomials(ring.weights, w)))
+            w: RowSpace(p, len(monomials(ring.weights, w)))
             for w in range(cutoff + 1)}
         self.generators: List[Polynomial] = []
 
     def vector(self, poly: Polynomial, w: int):
-        ops = self.ops
+        p = self.p
         idx = monomial_index(self.ring.weights, w)
-        vec = [ops.of_int(0)] * len(idx)
+        vec = [0] * len(idx)
         for m, c in poly.terms.items():
-            vec[idx[m]] = ops.of_int(c)
+            vec[idx[m]] = c % p if p else c
         return vec
 
     def add_generator(self, x: Polynomial):
@@ -92,6 +94,8 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
     when `prime` is p: multiplication by p is injective on the free ambient
     ring, and the remaining elements are then checked on the mod-p reduction.
     """
+    if prime is not None and not _is_prime(prime):
+        raise ValueError("%d is not a prime" % prime)
     notes: List[str] = []
     elements = list(elements)
     if prime is not None and elements and elements[0].is_constant() \
@@ -102,7 +106,6 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
                      "ring; remaining elements checked mod p")
         elements = elements[1:]
     ideal = GradedIdeal(ring, prime, cutoff)
-    ops = ideal.ops
     failure = None
     for x in elements:
         if not x.is_homogeneous():
@@ -117,16 +120,10 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
         # kernel of multiplication on the current quotient, weight by weight
         for w in range(0, cutoff - d + 1):
             monos = monomials(ring.weights, w)
-            rows = []
-            for m in monos:
-                prod = Polynomial(ring, {m: 1}) * x
-                rows.append(ideal.spans[w + d].reduce(
-                    ideal.vector(prod, w + d)))
-            width = len(monomials(ring.weights, w + d))
-            # matrix of the multiplication map, target-indexed rows
-            mat = [[rows[i][j] for i in range(len(monos))]
-                   for j in range(width)]
-            for kv in field_kernel(mat, len(monos), ops):
+            # the images of the monomials in the quotient's weight w + d
+            images = [ideal.spans[w + d].reduce(ideal.vector(
+                Polynomial(ring, {m: 1}) * x, w + d)) for m in monos]
+            for kv in field_kernel(images, prime):
                 if not ideal.spans[w].contains(kv):
                     failure = {"element": x.text(), "weight": w,
                                "witness": _vec_to_poly(kv, monos, ring).text()}
@@ -159,18 +156,9 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
 
 
 def _vec_to_poly(vec, monos, ring: Ring) -> Polynomial:
-    from fractions import Fraction
-    from math import lcm
-    scale = 1
-    for c in vec:
-        if isinstance(c, Fraction):
-            scale = lcm(scale, c.denominator)
-    terms = {}
-    for m, c in zip(monos, vec):
-        ci = int(c * scale)
-        if ci:
-            terms[m] = ci
-    return ring.poly(terms)
+    """The vector as a polynomial, cleared of denominators over Q."""
+    scale = lcm(*(Fraction(c).denominator for c in vec))
+    return ring.poly({m: int(c * scale) for m, c in zip(monos, vec) if c})
 
 
 def landweber_report(curve: WeierstrassCurve, p: int, cutoff: int,

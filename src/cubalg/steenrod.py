@@ -3,9 +3,9 @@ closure, primitives, graded freeness, and the uniqueness probes.
 
 The algebra is Z/2[xi1, xi2, ...] with |xi_i| = 2^i - 1 (single grading);
 only the generators needed for a given degree cutoff are instantiated.
-Linear algebra over F_2 is done on bitmasks indexed by the monomial basis
-of each degree (`poly.monomials`), which keeps the degree-64 verifications
-fast.
+Linear algebra over F_2 is done by `intlinalg.BitSpan` on bitmasks indexed
+by the monomial basis of each degree (`poly.monomials`), which keeps the
+degree-64 verifications fast.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import InvariantError
+from .intlinalg import BitSpan, bits, f2_kernel, f2_solve
 from .poincare import poincare_series
 from .poly import Polynomial, Ring, monomial_index, monomials
 
@@ -28,6 +29,8 @@ def gen_count(cutoff: int) -> int:
 
 
 def xi_ring(cutoff: int) -> Ring:
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     k = gen_count(cutoff)
     return Ring(tuple("xi%d" % i for i in range(1, k + 1)),
                 tuple((1 << i) - 1 for i in range(1, k + 1)), 2)
@@ -107,50 +110,7 @@ def antipode_identity_holds(k_max: int, cutoff: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
-# F_2 linear algebra on bitmasks
-
-
-def _bits(mask: int):
-    """The positions of the set bits of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class BitSpan:
-    """F_2 row space of bitmask vectors in reduced echelon form, with the
-    highest set bit of each row as its pivot."""
-
-    def __init__(self):
-        self.rows: Dict[int, int] = {}   # pivot bit index -> row mask
-
-    def reduce(self, v: int) -> int:
-        while v:
-            piv = v.bit_length() - 1
-            row = self.rows.get(piv)
-            if row is None:
-                return v
-            v ^= row
-        return 0
-
-    def insert(self, v: int) -> bool:
-        v = self.reduce(v)
-        if not v:
-            return False
-        piv = v.bit_length() - 1
-        for p, row in list(self.rows.items()):
-            if (row >> piv) & 1:
-                self.rows[p] = row ^ v
-        self.rows[piv] = v
-        return True
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+# degreewise bitmasks
 
 
 class DegreeIndex:
@@ -176,7 +136,7 @@ class DegreeIndex:
 
     def poly(self, mask: int, d: int) -> Polynomial:
         ms = self.monomials(d)
-        return self.ring.poly({ms[i]: 1 for i in _bits(mask)})
+        return self.ring.poly({ms[i]: 1 for i in bits(mask)})
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +270,8 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
     k = len(ring.names)
     index = DegreeIndex(ring)
     by_deg = spec.basis_by_degree()
-    spans: Dict[int, BitSpan] = {}
-    for d, expos in by_deg.items():
-        span = BitSpan()
-        for expo in expos:
-            span.insert(index.mask(spec.basis_poly(expo), d))
-        spans[d] = span
+    spans = {d: BitSpan(index.mask(spec.basis_poly(e), d) for e in expos)
+             for d, expos in by_deg.items()}
     gen_expos = [e for d, expos in by_deg.items() if d <= cutoff
                  for e in expos if sum(e) == 1]
     checked = 0
@@ -353,17 +309,12 @@ def _ideal_rewrite(spec: SubalgebraSpec, index: DegreeIndex, d: int,
                    cache: Dict[int, BitSpan]) -> BitSpan:
     """Echelon span of (A . spec^+)_d, which is sum_g A_{d-|g|} . g over
     the spec generators g, since A . spec = A."""
-    if d in cache:
-        return cache[d]
-    ring = spec.ring
-    span = BitSpan()
-    for g, dg in zip(spec.gens, spec.gen_degrees()):
-        if dg > d:
-            continue
-        for m in index.monomials(d - dg):
-            span.insert(index.mask(Polynomial(ring, {m: 1}) * g, d))
-    cache[d] = span
-    return span
+    if d not in cache:
+        cache[d] = BitSpan(
+            index.mask(Polynomial(spec.ring, {m: 1}) * g, d)
+            for g, dg in zip(spec.gens, spec.gen_degrees()) if dg <= d
+            for m in index.monomials(d - dg))
+    return cache[d]
 
 
 def primitives(window: Sequence[int], cutoff: int,
@@ -409,8 +360,8 @@ def primitives(window: Sequence[int], cutoff: int,
                             tindex[key] = len(tindex)
                         v ^= 1 << tindex[key]
             vecs.append(v)
-        kern = _f2_kernel(vecs)
-        out[d] = [ring.poly({reps[i]: 1 for i in _bits(mask)}).text()
+        kern = f2_kernel(vecs)
+        out[d] = [ring.poly({reps[i]: 1 for i in bits(mask)}).text()
                   for mask in kern]
     return out
 
@@ -432,47 +383,7 @@ def _reduced_parts(mono: tuple, d: int, index: DegreeIndex,
     i = index.position(mono, d)
     if span is None:
         return [i]
-    return list(_bits(_residue(1 << i, span)))
-
-
-def _residue(v: int, span: BitSpan) -> int:
-    """Canonical residue: eliminate every pivot bit of the span from v."""
-    for piv in sorted(span.rows, reverse=True):
-        if (v >> piv) & 1:
-            v ^= span.rows[piv]
-    return v
-
-
-def _f2_kernel(cols: List[int]) -> List[int]:
-    """Kernel of the F_2 matrix whose columns are the given masks;
-    kernel vectors returned as masks over column indices (augmented
-    Gaussian elimination, echelonized by highest row bit)."""
-    out: List[int] = []
-    rows: Dict[int, Tuple[int, int]] = {}   # pivot -> (row-part, col-part)
-    for i, v in enumerate(cols):
-        cpart = 1 << i
-        while v:
-            piv = v.bit_length() - 1
-            hit = rows.get(piv)
-            if hit is None:
-                rows[piv] = (v, cpart)
-                break
-            v ^= hit[0]
-            cpart ^= hit[1]
-        else:
-            out.append(cpart)
-    return out
-
-
-def _f2_solve(cols: Sequence[int], v: int) -> Optional[int]:
-    """A mask over column indices whose columns XOR to v, or None when v
-    is not in their span: the kernel vector `_f2_kernel` finds for v put
-    last, which exists exactly when v reduces to zero."""
-    ker = _f2_kernel(list(cols) + [v])
-    n = len(cols)
-    if ker and (ker[-1] >> n) & 1:
-        return ker[-1] ^ (1 << n)
-    return None
+    return list(bits(span.residue(1 << i)))
 
 
 def _product_mask(masks: Dict[tuple, int], b: tuple,
@@ -543,12 +454,12 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
     gen_coords: List[Tuple[int, List[tuple]]] = []
     for g, d in zip(small.gens, small.gen_degrees()):
         expos = big_by_deg.get(d, [])
-        sol = _f2_solve([masks[e] for e in expos], index.mask(g, d))
+        sol = f2_solve([masks[e] for e in expos], index.mask(g, d))
         if sol is None:
             return {"free": False, "ps_identity": ps_ok,
                     "failure": "small generator of degree %d not in big"
                                % d, "cells": sorted(cells)}
-        gen_coords.append((d, [expos[i] for i in _bits(sol)]))
+        gen_coords.append((d, [expos[i] for i in bits(sol)]))
 
     lifts = _cell_lifts(big_by_deg, masks, gen_coords, cutoff)
     got = sorted(d for d, _ in lifts)
@@ -592,10 +503,9 @@ def _cell_lifts(big_by_deg: Dict[int, List[tuple]], masks: Dict[tuple, int],
     for d in sorted(set(big_by_deg) | {0}):
         if d > cutoff:
             continue
-        span = BitSpan()
-        for dg, coords in gen_coords:
-            for be in big_by_deg.get(d - dg, []):
-                span.insert(_product_mask(masks, be, coords))
+        span = BitSpan(_product_mask(masks, be, coords)
+                       for dg, coords in gen_coords
+                       for be in big_by_deg.get(d - dg, []))
         for be in big_by_deg.get(d, []):
             if span.insert(masks[be]):
                 lifts.append((d, be))

@@ -237,6 +237,27 @@ def test_prime_is_taken_where_it_is_read(argv):
     assert args.prime == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "hasse", "--prime", "4"],
+    ["curve", "hasse", "--prime", "1"],
+    ["curve", "hasse", "--prime", "0"],
+    ["curve", "hasse", "--imax", "-1"],
+    ["curve", "landweber", "--prime", "1"],
+    ["curve", "landweber", "--prime", "0"],
+    ["cover", "fiber", "--prime", "0"],
+    ["tmf-mu", "--prime", "4", "--validate"],
+    ["tmf-mu", "--prime", "0"],
+    ["steenrod", "verify", "--cutoff", "-5"],
+    ["steenrod", "primitives", "--cutoff", "-1"],
+    ["steenrod", "conjugate", "--k", "1", "--cutoff", "-1"],
+], ids=" ".join)
+def test_bad_prime_or_bound_exits_2(argv, capsys):
+    # --prime 0 is not the default prime 2: it is rejected like any non-prime
+    assert dispatch(argv) == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cubalg: error: ")
+
+
 @pytest.mark.parametrize("flags", [
     ["--fp", "0"], ["--fp", "1"], ["--fp", "-3"], ["--fp", "9"],
     ["--fp", "15"],

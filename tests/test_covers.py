@@ -4,7 +4,8 @@ from cubalg import InvariantError, covers, regseq
 from cubalg.cli import EXIT_ERROR, EXIT_INVARIANT, dispatch
 from cubalg.covers import (cech_weighted_projective, cover_fiber,
                            descent_assemble, tmf_mu_page)
-from cubalg.intlinalg import FieldOps, RowSpace
+from cubalg.intlinalg import RowSpace
+from elimination_reference import FieldOps
 
 
 def test_cusp_fiber_p2():
@@ -90,6 +91,12 @@ def test_tmf_mu_full_ring_generators():
 def test_tmf_mu_window_needs_cutoff():
     with pytest.raises(ValueError):
         tmf_mu_page((0, 100), 1)
+
+
+@pytest.mark.parametrize("prime", [0, 1, 4])
+def test_tmf_mu_rejects_a_non_prime(prime):
+    with pytest.raises(ValueError, match="%d is not a prime" % prime):
+        tmf_mu_page((-8, 8), 3, prime=prime, validate_h0=True)
 
 
 # ---------------------------------------------------------------------------

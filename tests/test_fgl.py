@@ -1,5 +1,7 @@
 import time
 
+import pytest
+
 from cubalg.curves import WeierstrassCurve, universal_curve, \
     universal_curve_ring
 from cubalg.fgl import fgl_from_curve, hasse_coefficients
@@ -55,3 +57,12 @@ def test_hasse_p3_sage_reproduction():
             v2_without_a2 += ring.poly({mono: c})
     assert v2_without_a2 == 2432 * ring.gen("a4") ** 2
     assert time.time() - t0 < 10.0
+
+
+@pytest.mark.parametrize("p, i_max, message", [
+    (4, 2, "4 is not a prime"), (1, 2, "1 is not a prime"),
+    (0, 1, "0 is not a prime"), (2, -1, "i_max must be >= 0"),
+])
+def test_hasse_rejects_bad_input(p, i_max, message):
+    with pytest.raises(ValueError, match=message):
+        hasse_coefficients(universal_curve(), p, i_max)

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+import elimination_reference as ref
 from cubalg import InvariantError, intlinalg
-from cubalg.intlinalg import (FieldOps, RowSpace, cokernel_structure,
-                              field_kernel, field_rank, homology,
-                              integer_kernel, invariant_factors, mat_mul,
-                              p_local_part, smith_normal_form, solve_integer)
+from cubalg.intlinalg import (BitSpan, RowSpace, cokernel_structure,
+                              f2_kernel, f2_solve, field_kernel, field_rank,
+                              homology, integer_kernel, invariant_factors,
+                              mat_mul, p_local_part, smith_normal_form,
+                              solve_integer)
 
 
 def test_snf_factorization():
@@ -350,21 +352,23 @@ def test_factors_and_kernel_skip_the_full_smith_form(monkeypatch):
 
 
 def test_field_ops_fp_and_q():
-    f2 = FieldOps(2)
-    rows = [[f2.of_int(1), f2.of_int(1)], [f2.of_int(1), f2.of_int(1)]]
-    assert field_rank(rows, 2, f2) == 1
-    ker = field_kernel(rows, 2, f2)
+    rows = [[1, 1], [1, 1]]
+    assert field_rank(rows, 2, 2) == 1
+    ker = field_kernel(_transpose(rows, 2), 2)
     assert len(ker) == 1
-    fq = FieldOps(None)
-    rows = [[fq.of_int(2), fq.of_int(4)]]
-    assert field_rank(rows, 2, fq) == 1
+    rows = [[2, 4]]
+    assert field_rank(rows, 2, None) == 1
 
 
 # ---------------------------------------------------------------------------
 # reference: RowSpace with dense list rows, and field_kernel/field_rank on it
 
 
-class _Ops(FieldOps):
+def _transpose(rows, width: int):
+    return [[r[j] for r in rows] for j in range(width)]
+
+
+class _Ops(ref.FieldOps):
     def is_zero(self, x) -> bool:
         return (x % self.p == 0) if self.p else x == 0
 
@@ -457,7 +461,7 @@ def _dense_field_rank(rows, width: int, ops) -> int:
 @given(data=hst.data())
 def test_rowspace_matches_dense_reference(data):
     p = data.draw(hst.sampled_from([2, 3, 7, None]), label="p")
-    ops = FieldOps(p)
+    ops = ref.FieldOps(p)
     width = data.draw(hst.integers(1, 8), label="width")
     if p is None:
         entry = hst.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -469,7 +473,7 @@ def test_rowspace_matches_dense_reference(data):
     rows += [[ops.of_int(0)] * width, rows[0]]
     probes = rows + data.draw(hst.lists(vector, max_size=3), label="probes")
 
-    sparse = RowSpace(ops, width)
+    sparse = RowSpace(p, width)
     dense = _DenseRowSpace(_Ops(p), width)
     for r in data.draw(hst.permutations(rows), label="order"):
         assert sparse.insert(r) == dense.insert(r)
@@ -479,7 +483,57 @@ def test_rowspace_matches_dense_reference(data):
     for v in probes:
         assert sparse.reduce(v) == dense.reduce(v)
         assert sparse.contains(v) == dense.contains(v)
-    assert field_rank(rows, width, ops) == \
+    assert field_rank(rows, width, p) == \
         _dense_field_rank(rows, width, _Ops(p))
-    assert field_kernel(rows, width, ops) == \
+    assert field_kernel(_transpose(rows, width), p) == \
         _dense_field_kernel(rows, width, _Ops(p))
+
+
+# ---------------------------------------------------------------------------
+# F_2 bitmask spans against the reduced echelon form they replace
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks=hst.lists(hst.integers(0, (1 << 12) - 1), max_size=14),
+       probes=hst.lists(hst.integers(0, (1 << 12) - 1), max_size=6))
+def test_bitspan_matches_reduced_reference(masks, probes):
+    span, reduced = BitSpan(), ref.ReducedBitSpan()
+    for v in masks:
+        before = dict(span.rows)
+        assert span.insert(v) == reduced.insert(v)
+        # echelon form, rows never back-substituted
+        assert all(span.rows[piv] == row for piv, row in before.items())
+        assert all(row.bit_length() - 1 == piv
+                   for piv, row in span.rows.items())
+    assert BitSpan(masks).rows == span.rows
+    assert set(span.rows) == set(reduced.rows)
+    assert span.rank == reduced.rank
+    for v in masks + probes:
+        assert span.contains(v) == reduced.contains(v)
+        res = span.residue(v)
+        assert res == ref.residue(v, reduced)
+        assert not any((res >> piv) & 1 for piv in span.rows)
+    assert f2_kernel(masks) == ref.f2_kernel(masks)
+    for v in probes + [0]:
+        assert f2_solve(masks, v) == ref.f2_solve(masks, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=hst.lists(hst.lists(hst.integers(-4, 4), min_size=5, max_size=5),
+                      min_size=1, max_size=6))
+def test_rowspace_over_q_takes_integer_vectors(rows):
+    # ints are exact: no entry becomes a float, and the rows are those the
+    # same vectors give as Fractions
+    ints, fracs = RowSpace(None, 5), RowSpace(None, 5)
+    for r in rows:
+        assert ints.insert(r) == fracs.insert([Fraction(c) for c in r])
+    assert ints.rows == fracs.rows
+    for r in rows + [[1, 0, 0, 0, 0]]:
+        red = ints.reduce(r)
+        assert red == fracs.reduce([Fraction(c) for c in r])
+        assert all(isinstance(c, (int, Fraction)) for c in red)
+    assert all(isinstance(c, Fraction)
+               for row in ints.rows.values() for c in row.values())
+    cols = _transpose(rows, 5)
+    assert field_kernel(cols, None) == \
+        field_kernel([[Fraction(c) for c in col] for col in cols], None)

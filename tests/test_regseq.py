@@ -88,3 +88,10 @@ def test_regularity_report_ideal_is_kept_out_of_repr_and_eq():
     assert a.ideal is not b.ideal and a == b
     assert "ideal" not in repr(a)
     assert a.ideal.contains(x * y) and not a.ideal.contains(ring.one())
+
+
+@pytest.mark.parametrize("prime", [0, 1, 4, 9])
+def test_regular_sequence_rejects_a_non_prime(prime):
+    ring = Ring(("x",), (1,))
+    with pytest.raises(ValueError, match="%d is not a prime" % prime):
+        graded_regular_sequence_check(ring, [ring.gen("x")], prime, 4)

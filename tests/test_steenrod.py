@@ -1,6 +1,6 @@
 import pytest
 
-from cubalg import InvariantError
+from cubalg import InvariantError, intlinalg
 from cubalg import steenrod as st
 from cubalg.poly import Polynomial
 
@@ -9,6 +9,12 @@ def test_ring_generators_follow_cutoff():
     assert st.xi_ring(6).names == ("xi1", "xi2")
     assert st.xi_ring(7).names == ("xi1", "xi2", "xi3")
     assert st.xi_ring(64).names == tuple("xi%d" % i for i in range(1, 7))
+
+
+def test_negative_cutoff_is_rejected():
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        st.xi_ring(-1)
+    assert st.xi_ring(0).names == ("xi1",)
 
 
 def test_conjugate_golden():
@@ -127,23 +133,23 @@ def test_bitspan():
 
 def test_f2_kernel():
     # columns (1,1), (1,1), (0,1): kernel = span{(1,1,0)}
-    ker = st._f2_kernel([0b11, 0b11, 0b10])
+    ker = intlinalg.f2_kernel([0b11, 0b11, 0b10])
     assert ker == [0b011]
 
 
 def test_f2_solve():
     cols = [0b011, 0b110, 0b101]       # the third is the sum of the first two
     for v in range(8):
-        sol = st._f2_solve(cols, v)
+        sol = intlinalg.f2_solve(cols, v)
         if v in (0b000, 0b011, 0b110, 0b101):
             acc = 0
-            for i in st._bits(sol):
+            for i in intlinalg.bits(sol):
                 acc ^= cols[i]
             assert acc == v
         else:
             assert sol is None
-    assert st._f2_solve([], 0) == 0
-    assert st._f2_solve([], 1) is None
+    assert intlinalg.f2_solve([], 0) == 0
+    assert intlinalg.f2_solve([], 1) is None
 
 
 # ---------------------------------------------------------------------------

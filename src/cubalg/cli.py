@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from . import chart as chartmod
@@ -56,11 +56,23 @@ def parse_range(text: str) -> List[int]:
     """"a..b" (inclusive, a <= b) or a comma list."""
     if ".." in text:
         lo, hi = (int(p) for p in text.split(".."))
-        if lo > hi:
-            raise ValueError("reversed range %r: %d exceeds %d"
-                             % (text, lo, hi))
+        _reject_reversed(text, lo, hi)
         return list(range(lo, hi + 1))
     return [int(p) for p in text.split(",") if p.strip() != ""]
+
+
+def parse_window(text: str) -> Tuple[int, int]:
+    """The first and last entry of `parse_range(text)`, first <= last."""
+    values = parse_range(text)
+    if not values:
+        raise ValueError("empty range %r" % text)
+    _reject_reversed(text, values[0], values[-1])
+    return values[0], values[-1]
+
+
+def _reject_reversed(text: str, lo: int, hi: int) -> None:
+    if lo > hi:
+        raise ValueError("reversed range %r: %d exceeds %d" % (text, lo, hi))
 
 
 def _finish(args, obj, rows=None, columns=None) -> int:
@@ -309,10 +321,8 @@ def cmd_chart_render(args) -> int:
     with open(emit.resolve_path(args.input)) as fh:
         obj = json.load(fh)
     ch = emit.chart_from_obj(obj)
-    x_range = tuple(parse_range(args.x_range)[i] for i in (0, -1)) \
-        if args.x_range else None
-    s_range = tuple(parse_range(args.s_range)[i] for i in (0, -1)) \
-        if args.s_range else None
+    x_range = parse_window(args.x_range) if args.x_range else None
+    s_range = parse_window(args.s_range) if args.s_range else None
     render = chartmod.render_window_for(ch, x_range, s_range)
     render.title = args.title
     for arrow in args.arrow or []:

@@ -15,11 +15,13 @@ where face_0 inserts a unit slot (turning the left coefficient into eta_R,
 by the middle relation), face_i applies Delta to slot i, and face_{s+1}
 applies the coaction to b.  Terms acquiring a constant slot are dropped
 (normalization).  Delta images and coactions must be free of A-generators
--- true for every built-in presentation, and asserted -- so no coefficient
-ever has to be moved across an interior slot.
+-- true for every built-in presentation; any other raises
+NotImplementedError -- so no coefficient ever has to be moved across an
+interior slot.
 
 Cohomology is computed over Z (Smith normal form: free rank plus torsion
-orders) or over F_p; d o d = 0 is asserted on every assembled bidegree.
+orders) or over F_p.  d o d = 0 is checked on every assembled bidegree, and
+a failure raises InvariantError.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import InvariantError
 from .hopf import HopfAlgebroidPresentation
 from .intlinalg import field_rank, invariant_factors, mat_mul, p_local_part
-from .poly import Polynomial, _is_prime
+from .poly import Polynomial, is_prime, monomial_text
 
 
 @dataclass
@@ -42,9 +44,9 @@ class Comodule:
     coaction: Dict[str, List[Tuple[Polynomial, str]]]  # label -> [(gamma, l')]
 
 
-def trivial_comodule(H: HopfAlgebroidPresentation, gen_weight: int = 0,
-                     name: str = "A") -> Comodule:
-    return Comodule(name=name, basis=[("1", gen_weight)],
+def trivial_comodule(H: HopfAlgebroidPresentation, gen_weight: int = 0
+                     ) -> Comodule:
+    return Comodule(name="A", basis=[("1", gen_weight)],
                     coaction={"1": [(H.gamma.one(), "1")]})
 
 
@@ -63,28 +65,16 @@ def extended_comodule(H: HopfAlgebroidPresentation, max_weight: int
     the gamma-monomial basis of weight <= max_weight."""
     basis: List[Tuple[str, int]] = []
     coaction: Dict[str, List[Tuple[Polynomial, str]]] = {}
-    monos: List[tuple] = []
+    names = H.gamma_names
     for w in range(max_weight + 1):
-        monos += H.gamma_monomials(w, nonconstant=(w != 0))
-    for m in sorted(set(monos)):
-        label = _mono_label(H, m)
-        basis.append((label, _mono_weight(H, m)))
-        terms = _delta_of_slot_monomial(H, m)
-        coaction[label] = [
-            (_gamma_poly(H, p, c), _mono_label(H, q)) for c, p, q in terms]
+        for m in H.gamma_monomials(w, nonconstant=(w != 0)):
+            label = monomial_text(names, m)
+            basis.append((label, w))
+            coaction[label] = [
+                (_gamma_poly(H, p, c), monomial_text(names, q))
+                for c, p, q in _delta_of_slot_monomial(H, m)]
     basis.sort(key=lambda bw: (bw[1], bw[0]))
     return Comodule(name="Gamma", basis=basis, coaction=coaction)
-
-
-def _mono_label(H, m: tuple) -> str:
-    if not any(m):
-        return "1"
-    return "*".join("%s^%d" % (n, e) if e > 1 else n
-                    for n, e in zip(H.gamma_names, m) if e)
-
-
-def _mono_weight(H, m: tuple) -> int:
-    return sum(e * w for e, w in zip(m, H.gamma_weights))
 
 
 def _gamma_poly(H, m: tuple, c: int) -> Polynomial:
@@ -95,7 +85,8 @@ def _gamma_poly(H, m: tuple, c: int) -> Polynomial:
 
 def _delta_of_slot_monomial(H, m: tuple) -> List[Tuple[int, tuple, tuple]]:
     """Delta of a pure gamma monomial, as (coefficient, left exponents,
-    right exponents) triples; asserts the image is free of A-generators."""
+    right exponents) triples; NotImplementedError unless the image is free
+    of A-generators."""
     gm = _gamma_poly(H, m, 1)
     d = H.delta_map(gm)
     na = len(H.A.names)
@@ -277,7 +268,7 @@ def cobar_cohomology(H: HopfAlgebroidPresentation, twists: Sequence[int],
     if s_max < 0:
         raise ValueError("s_max must be >= 0, got %d" % s_max)
     for opt, q in (("prime", prime), ("p_local", p_local)):
-        if q is not None and not _is_prime(q):
+        if q is not None and not is_prime(q):
             raise ValueError("%s must be a prime, got %d" % (opt, q))
     chart = BigradedChart(s_max=s_max,
                           t_values=tuple(2 * j for j in twists))

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, unit_inverse
 
 AI_NAMES = ("a1", "a2", "a3", "a4", "a6")
 AI_WEIGHTS = (2, 4, 6, 8, 12)
@@ -76,7 +76,7 @@ class CoordinateChange:
     def inverse(self) -> "CoordinateChange":
         u, r, s, t = self.u, self.r, self.s, self.t
         # solve compose(self, g) = identity for g
-        uinv = _unit_inverse(u, self.ring.modulus)
+        uinv = unit_inverse(u, self.ring.modulus)
         return CoordinateChange(uinv, -r * (uinv ** 2), -s * uinv,
                                 (-t + s * r) * (uinv ** 3))
 
@@ -100,14 +100,6 @@ def identity_change(ring: Ring) -> CoordinateChange:
     return CoordinateChange(1, ring.zero(), ring.zero(), ring.zero())
 
 
-def _unit_inverse(u: int, modulus: Optional[int]) -> int:
-    if modulus is not None:
-        return pow(u % modulus, -1, modulus)
-    if u in (1, -1):
-        return u
-    raise ValueError("%d is not a unit of Z" % u)
-
-
 def transform(curve: WeierstrassCurve, change: CoordinateChange
               ) -> WeierstrassCurve:
     """Coefficients of the curve in the new coordinates."""
@@ -123,7 +115,7 @@ def transform(curve: WeierstrassCurve, change: CoordinateChange
                                   (a1, a2, a3, a4, a6)]
         else:
             raise ValueError("curve and change live in incompatible rings")
-    uinv = _unit_inverse(u, ring.modulus)
+    uinv = unit_inverse(u, ring.modulus)
     b1 = a1 + 2 * s
     b2 = a2 - s * a1 + 3 * r - s * s
     b3 = a3 + r * a1 + 2 * t

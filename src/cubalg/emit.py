@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 OUTPUT_DIR_ENV = "CUBALG_OUTPUT_DIR"
 
@@ -43,21 +43,11 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def tsv_text(rows: Sequence[Dict], columns: Optional[Sequence[str]] = None
-             ) -> str:
-    """TSV with a header line; empty rows still emit the header when the
-    columns are known."""
-    if columns is None:
-        cols: List[str] = []
-        for row in rows:
-            for k in row:
-                if k not in cols:
-                    cols.append(k)
-    else:
-        cols = list(columns)
-    lines = ["\t".join(cols)]
+def tsv_text(rows: Sequence[Dict], columns: Sequence[str]) -> str:
+    """TSV with a header line of the given columns, also for no rows."""
+    lines = ["\t".join(columns)]
     for row in rows:
-        lines.append("\t".join(_cell_text(row.get(c, "")) for c in cols))
+        lines.append("\t".join(_cell_text(row.get(c, "")) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -67,21 +57,6 @@ def _cell_text(v) -> str:
     if isinstance(v, (list, tuple)):
         return ";".join(_cell_text(x) for x in v)
     return str(v)
-
-
-def emit_table(rows: Sequence[Dict], format: str, path: Optional[str] = None,
-               columns: Optional[Sequence[str]] = None) -> str:
-    """Rows as JSON or TSV; returns the text, and writes it when a path is
-    given."""
-    if format == "json":
-        text = json_text(list(rows))
-    elif format == "tsv":
-        text = tsv_text(rows, columns)
-    else:
-        raise ValueError("unknown table format %r" % format)
-    if path:
-        atomic_write_text(path, text)
-    return text
 
 
 def chart_to_obj(chart) -> dict:

@@ -10,18 +10,18 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from .curves import WeierstrassCurve
-from .poly import Polynomial, Ring, _is_prime
+from .poly import Polynomial, Ring, is_prime
 from .series import TruncatedSeries
 
 
-def branch_expansion(curve: WeierstrassCurve, order: int,
-                     var: str = "z") -> TruncatedSeries:
+def branch_expansion(curve: WeierstrassCurve, order: int
+                     ) -> TruncatedSeries:
     """w(z) = z^3 + ... with w = -1/y, z = -x/y: the unique series solution of
     w = z^3 + a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3."""
     base = curve.ring
-    ring = base.extend((var,), (0,))
+    ring = base.extend(("z",), (0,))
     a1, a2, a3, a4, a6 = [a.cast(ring) for a in curve.coefficients()]
-    z = TruncatedSeries(ring.gen(var), (var,), order)
+    z = TruncatedSeries(ring.gen("z"), ("z",), order)
     w = z ** 3
     while True:
         w2 = (z ** 3 + a1 * (z * w) + a2 * (z * z * w)
@@ -148,7 +148,7 @@ def hasse_coefficients(curve: WeierstrassCurve, p: int, i_max: int,
                        order: int = 0) -> List[Polynomial]:
     """[v_0, ..., v_imax]: v_i the literal coefficient of z^(p^i) in the
     p-series (v_0 = p as a constant of the coefficient ring)."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError("%d is not a prime" % p)
     if i_max < 0:
         raise ValueError("i_max must be >= 0")

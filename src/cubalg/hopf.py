@@ -102,37 +102,21 @@ class HopfAlgebroidPresentation:
         images.update({n: self.delta[n] for n in self.gamma_names})
         return self._reduce(x.map_gens(t2, images))
 
-    def to_slot(self, x: Polynomial, i: int, s: int) -> Polynomial:
-        """gamma-part of x into slot i of the s-fold tensor ring; the
-        A-coefficients of x stay on the left, so this is exact only for
-        i = 1 or for x free of A-generators."""
-        t = self.tensor_ring(s)
-        if i != 1:
-            for n, e in zip(self.gamma.names, _occurring(x)):
-                if n in self.A.names and e:
-                    raise ValueError("A-coefficient right of slot 1 needs "
-                                     "to_right/coefficient movement")
-        images: Dict[str, Polynomial] = {n: t.gen(n) for n in self.A.names}
-        for n in self.gamma_names:
-            images[n] = t.gen(slot_name(n, i))
-        return self._reduce(x.map_gens(t, images))
-
     def to_right(self, x: Polynomial) -> Polynomial:
         """1 (x) x in the tensor square: the A-coefficients of x act through
         eta_L on the right slot, which is the same as eta_R on the left slot
-        -- the middle relation, applied termwise."""
+        -- the middle relation, applied termwise.  The tensor square is
+        A[slot-1 gammas][slot-2 gammas], so padding a Gamma exponent vector
+        with zeros puts its gamma part into slot 1, and prefixing zeros puts
+        a pure gamma monomial into slot 2."""
         t2 = self.tensor_ring(2)
-        g = self.gamma
+        na, ng = len(self.A.names), len(self.gamma_names)
         out = t2.zero()
-        na = len(self.A.names)
         for mono, c in x.terms.items():
-            amono, gmono = mono[:na], mono[na:]
-            left = self.eta_R(self.A.poly({amono: 1}))
-            lt = self.to_slot(left, 1, 2)
-            rmono = [0] * len(t2.names)
-            for k, e in enumerate(gmono):
-                rmono[t2.names.index(slot_name(self.gamma_names[k], 2))] = e
-            out = out + c * lt * t2.poly({tuple(rmono): 1})
+            left = self.eta_R(self.A.poly({mono[:na]: 1}))
+            lt = Polynomial(t2, {m + (0,) * ng: e
+                                 for m, e in left.terms.items()})
+            out = out + c * lt * t2.poly({(0,) * (na + ng) + mono[na:]: 1})
         return self._reduce(out)
 
     def gamma_monomials(self, w: int, nonconstant: bool = True) -> list:
@@ -228,15 +212,6 @@ class HopfAlgebroidPresentation:
             raise InvariantError("presentation %r fails axioms: %s"
                                  % (self.name, ", ".join(bad)))
         return report
-
-
-def _occurring(x: Polynomial):
-    width = len(x.ring.names)
-    occ = [0] * width
-    for m in x.terms:
-        for i, e in enumerate(m):
-            occ[i] = max(occ[i], e)
-    return occ
 
 
 def _rename_slots(x: Polynomial, H: HopfAlgebroidPresentation,

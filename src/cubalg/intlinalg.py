@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import InvariantError
-from .poly import _is_prime
+from .poly import is_prime
 
 Matrix = List[List[int]]
 
@@ -248,7 +248,7 @@ def homology(a: Matrix, b: Matrix) -> Tuple[int, List[int]]:
 
 def p_local_part(free: int, torsion: List[int], p: int) -> Tuple[int, List[int]]:
     """Strip torsion prime to p (p-localization of a finitely generated group)."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError("p-localization needs a prime, got %d" % p)
     out = []
     for t in torsion:

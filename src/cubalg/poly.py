@@ -8,7 +8,10 @@ zero-padding the exponent vector.
 
 The monomial basis of each graded piece is enumerated once per (weights,
 degree): `monomials` and `monomial_index` are memoized and shared by every
-engine that works degree by degree in that basis.
+engine that works degree by degree in that basis.  The other conventions
+the engines share live here too: `monomial_text` prints a monomial,
+`Ring.weight_of_monomial` weighs it, `unit_inverse` inverts a constant and
+`is_prime` checks a prime.
 """
 
 from __future__ import annotations
@@ -301,15 +304,13 @@ class Polynomial:
         """Divide by an integer, exactly.
 
         Over Z every coefficient must be divisible by n; with a modulus p
-        the division is multiplication by the inverse of n mod p (n must be
-        invertible).
+        the division is multiplication by `unit_inverse(n, p)`.
         """
         p = self.ring.modulus
         if p is not None:
             if n % p == 0:
                 raise ZeroDivisionError("dividing by 0 mod %d" % p)
-            inv = pow(n % p, p - 2, p) if _is_prime(p) else pow(n % p, -1, p)
-            return self * inv
+            return self * unit_inverse(n, p)
         out = {}
         for m, c in self.terms.items():
             q, r = divmod(c, n)
@@ -349,13 +350,12 @@ class Polynomial:
             out[m[:n]] = c
         return Polynomial(target, out)
 
-    def map_gens(self, target: Ring, images: Mapping[str, "Polynomial"],
-                 coeff_map=None) -> "Polynomial":
+    def map_gens(self, target: Ring, images: Mapping[str, "Polynomial"]
+                 ) -> "Polynomial":
         """Apply the ring map sending each generator to its given image.
 
         Every generator occurring in this polynomial must have an image (a
-        Polynomial of the target ring or an int).  `coeff_map` optionally
-        transforms integer coefficients (e.g. reduction maps).
+        Polynomial of the target ring or an int).
         """
         imgs = {}
         for name, val in images.items():
@@ -364,8 +364,6 @@ class Polynomial:
         result = target.zero()
         pow_cache = {}
         for m, c in self.terms.items():
-            if coeff_map is not None:
-                c = coeff_map(c)
             term = target.const(c)
             for i, e in enumerate(m):
                 if not e:
@@ -392,20 +390,15 @@ class Polynomial:
     def text(self) -> str:
         if not self.terms:
             return "0"
+        names = self.ring.names
         parts = []
         for m, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.ring.names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
-            if not factors:
+            if not any(m):
                 parts.append(str(c))
             elif c == 1:
-                parts.append("*".join(factors))
+                parts.append(monomial_text(names, m))
             else:
-                parts.append("%d*%s" % (c, "*".join(factors)))
+                parts.append("%d*%s" % (c, monomial_text(names, m)))
         return " + ".join(parts)
 
     __str__ = text
@@ -465,7 +458,25 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
     return result
 
 
-def _is_prime(n: int) -> bool:
+def monomial_text(names: Sequence[str], exps: Sequence[int]) -> str:
+    """The canonical text of a monomial: factors `n` or `n^e` joined by `*`,
+    zero exponents skipped, "1" for the empty product.  A negative exponent
+    prints as a Laurent factor, `x1^-1`."""
+    return "*".join(n if e == 1 else "%s^%d" % (n, e)
+                    for n, e in zip(names, exps) if e) or "1"
+
+
+def unit_inverse(c: int, modulus: Optional[int]) -> int:
+    """The inverse of the constant c in Z/modulus, or in Z when modulus is
+    None; ValueError when c is not a unit there."""
+    if modulus is not None:
+        return pow(c % modulus, -1, modulus)
+    if c in (1, -1):
+        return c
+    raise ValueError("%d is not a unit of Z" % c)
+
+
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     d = 2

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 from .curves import WeierstrassCurve, invariants
 from .fgl import hasse_coefficients
 from .intlinalg import RowSpace, field_kernel
-from .poly import Polynomial, Ring, _is_prime, monomial_index, monomials
+from .poly import Polynomial, Ring, is_prime, monomial_index, monomials
 
 
 class GradedIdeal:
@@ -94,7 +94,7 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
     when `prime` is p: multiplication by p is injective on the free ambient
     ring, and the remaining elements are then checked on the mod-p reduction.
     """
-    if prime is not None and not _is_prime(prime):
+    if prime is not None and not is_prime(prime):
         raise ValueError("%d is not a prime" % prime)
     notes: List[str] = []
     elements = list(elements)
@@ -161,11 +161,12 @@ def _vec_to_poly(vec, monos, ring: Ring) -> Polynomial:
     return ring.poly({m: int(c * scale) for m, c in zip(monos, vec) if c})
 
 
-def landweber_report(curve: WeierstrassCurve, p: int, cutoff: int,
-                     power_max: int = 12) -> dict:
+def landweber_report(curve: WeierstrassCurve, p: int, cutoff: int
+                     ) -> dict:
     """Hasse coefficients v0=p, v1, v2 of the curve, regularity of the
-    sequence (p, v1, v2), and the least powers of c4 and the discriminant
-    lying in the ideal (p, v1, v2)."""
+    sequence (p, v1, v2), and the least powers (at most the 12th, and of
+    weight at most the cutoff) of c4 and the discriminant lying in the
+    ideal (p, v1, v2)."""
     ring = curve.ring
     vs = hasse_coefficients(curve, p, 2)
     v1 = vs[1].restrict(ring)
@@ -183,7 +184,7 @@ def landweber_report(curve: WeierstrassCurve, p: int, cutoff: int,
     for name in ("c4", "delta"):
         q = inv[name]
         found = None
-        for mexp in range(1, power_max + 1):
+        for mexp in range(1, 13):
             qm = q ** mexp
             if qm.max_weight() > cutoff:
                 break

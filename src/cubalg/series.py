@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from . import InvariantError
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, unit_inverse
 
 
 class TruncatedSeries:
@@ -146,14 +146,7 @@ class TruncatedSeries:
         c0 = _series_part(self.poly, idx, 0)
         if not c0.is_constant():
             raise ValueError("constant term is not a scalar")
-        c = c0.constant_term()
-        p = self.ring.modulus
-        if p is None:
-            if c not in (1, -1):
-                raise ValueError("constant term %d is not a unit" % c)
-            cinv = c
-        else:
-            cinv = pow(c, -1, p)
+        cinv = unit_inverse(c0.constant_term(), self.ring.modulus)
         # 1/f = cinv * sum_k (1 - cinv f)^k
         one = TruncatedSeries(self.ring.one(), self.series_vars, self.order)
         g = one - self * cinv
@@ -217,14 +210,7 @@ class TruncatedSeries:
         u_poly = self.coefficient(var, 1)
         if not u_poly.is_constant():
             raise ValueError("linear coefficient is not a scalar")
-        u = u_poly.constant_term()
-        p = ring.modulus
-        if p is None:
-            if u not in (1, -1):
-                raise ValueError("linear coefficient %d is not a unit" % u)
-            uinv = u
-        else:
-            uinv = pow(u, -1, p)
+        uinv = unit_inverse(u_poly.constant_term(), ring.modulus)
         z = TruncatedSeries(ring.gen(var), (var,), self.order)
         g = z * uinv
         for k in range(2, self.order + 1):

@@ -18,7 +18,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import InvariantError
 from .intlinalg import BitSpan, bits, f2_kernel, f2_solve
 from .poincare import poincare_series
-from .poly import Polynomial, Ring, monomial_index, monomials
+from .poly import (Polynomial, Ring, monomial_index, monomial_text,
+                   monomials)
 
 
 def gen_count(cutoff: int) -> int:
@@ -92,12 +93,9 @@ def _xi(ring: Ring, i: int) -> Polynomial:
     return ring.one() if i == 0 else ring.gen("xi%d" % i)
 
 
-def antipode_identity_holds(k_max: int, cutoff: Optional[int] = None
-                            ) -> bool:
+def antipode_identity_holds(k_max: int) -> bool:
     """sum_i xi_{k-i}^(2^i) chi(xi_i) = 0 for 1 <= k <= k_max."""
-    if cutoff is None:
-        cutoff = (1 << (k_max + 1)) - 1
-    ring = xi_ring(cutoff)
+    ring = xi_ring((1 << (k_max + 1)) - 1)
     images = _chi_images(ring)
     for k in range(1, k_max + 1):
         acc = ring.zero()
@@ -185,11 +183,6 @@ class SubalgebraSpec:
         return {d: list(expos) for d in range(self.cutoff + 1)
                 if (expos := monomials(degs, d))}
 
-    def expo_text(self, expo: tuple) -> str:
-        parts = ["%s^%d" % (n, e) if e > 1 else n
-                 for n, e in zip(self.gen_names, expo) if e]
-        return "*".join(parts) if parts else "1"
-
 
 def make_spec(name: str, rule: Sequence[Tuple[int, int]], cutoff: int,
               conjugated: bool = True) -> SubalgebraSpec:
@@ -216,9 +209,7 @@ def make_spec(name: str, rule: Sequence[Tuple[int, int]], cutoff: int,
         base = chi["xi%d" % i] if conjugated else ring.gen("xi%d" % i)
         gens.append(base ** power)
         label = ("xibar%d" % i) if conjugated else ("xi%d" % i)
-        if power > 1:
-            label += "^%d" % power
-        gen_names.append(label)
+        gen_names.append(monomial_text((label,), (power,)))
     return SubalgebraSpec(name=name, ring=ring, gen_names=gen_names,
                           gens=gens, cutoff=cutoff)
 
@@ -281,7 +272,7 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
         by_left: Dict[tuple, Dict[int, int]] = {}
         for mono, _ in dx.terms.items():
             left, right = _split_tensor_term(mono, k)
-            dr = sum(e * w for e, w in zip(right, ring.weights))
+            dr = ring.weight_of_monomial(right)
             slot = by_left.setdefault(left, {})
             slot[dr] = slot.get(dr, 0) ^ (1 << index.position(right, dr))
         for left, parts in by_left.items():
@@ -292,17 +283,13 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
                 if span is None or not span.contains(rmask):
                     return {"closed": False, "checked": checked,
                             "witness": {
-                                "element": spec.expo_text(expo),
-                                "left_leg": _mono_text(ring, left),
+                                "element": monomial_text(
+                                    spec.gen_names, expo),
+                                "left_leg": monomial_text(ring.names, left),
                                 "right_leg":
                                     index.poly(rmask, dr).text()}}
         checked += 1
     return {"closed": True, "checked": checked, "witness": None}
-
-
-def _mono_text(ring: Ring, mono: tuple) -> str:
-    p = Polynomial(ring, {mono: 1})
-    return p.text()
 
 
 def _ideal_rewrite(spec: SubalgebraSpec, index: DegreeIndex, d: int,
@@ -347,7 +334,7 @@ def primitives(window: Sequence[int], cutoff: int,
             v = 0
             for mono, _ in dx.terms.items():
                 left, right = _split_tensor_term(mono, k)
-                dl = sum(e * w for e, w in zip(left, ring.weights))
+                dl = ring.weight_of_monomial(left)
                 dr = d - dl
                 if dl == 0 or dr == 0:
                     continue
@@ -528,21 +515,23 @@ def a2_pattern_series(cutoff: int) -> List[int]:
     return quo
 
 
-def uniqueness_probe(case: str, cutoff: int = 16) -> dict:
+def uniqueness_probe(case: str) -> dict:
     """The forcing steps of the uniqueness arguments: the lowest-degree
     nonconstant element of a candidate subcomodule algebra with the target
     graded dimension must be primitive; the primitives of A at that degree
-    force the generator.  For the tmf case, additionally the degree-12
-    witness: xi1^6 xibar2^2 is not primitive modulo xi1^8."""
+    force the generator.  Primitives are listed through degree 16.  For
+    the tmf case, additionally the degree-12 witness: xi1^6 xibar2^2 is not
+    primitive modulo xi1^8."""
     if case not in ("ko", "tmf"):
         raise ValueError("case must be 'ko' or 'tmf'")
     lowest = 4 if case == "ko" else 8
-    prim = primitives(range(1, max(cutoff, lowest) + 1), max(cutoff, 16))
+    prim = primitives(range(1, 17), 16)
     at_lowest = prim[lowest]
-    forced = at_lowest == ["xi1^%d" % lowest]
+    generator = monomial_text(("xi1",), (lowest,))
+    forced = at_lowest == [generator]
     report = {"case": case, "lowest_degree": lowest,
               "primitives_at_lowest": at_lowest,
-              "forced_generator": "xi1^%d" % lowest if forced else None,
+              "forced_generator": generator if forced else None,
               "all_primitives": {d: prim[d] for d in prim if prim[d]}}
     if case == "tmf":
         ring = xi_ring(16)
@@ -553,15 +542,15 @@ def uniqueness_probe(case: str, cutoff: int = 16) -> dict:
         bad_terms = []
         for mono, _ in dx.terms.items():
             left, right = _split_tensor_term(mono, k)
-            dl = sum(e * w for e, w in zip(left, ring.weights))
+            dl = ring.weight_of_monomial(left)
             dr = 12 - dl
             if dl == 0 or dr == 0:
                 continue
             # membership in A (x) F2{xi1^8} requires every right leg to be
             # the monomial xi1^8
             if right != tuple(8 if i == 0 else 0 for i in range(k)):
-                bad_terms.append((_mono_text(ring, left),
-                                  _mono_text(ring, right)))
+                bad_terms.append((monomial_text(ring.names, left),
+                                  monomial_text(ring.names, right)))
         report["degree12_witness"] = {
             "element": "xi1^6*xibar2^2",
             "primitive_mod_xi1^8": not bad_terms,

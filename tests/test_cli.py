@@ -36,6 +36,13 @@ def test_parse_range():
     assert parse_range("1,5,9") == [1, 5, 9]
     with pytest.raises(ValueError, match="reversed range '5..2'"):
         parse_range("5..2")
+    assert cli.parse_window("-2..3") == (-2, 3)
+    assert cli.parse_window("1,4,9") == (1, 9)
+    assert cli.parse_window("5") == (5, 5)
+    with pytest.raises(ValueError, match="reversed range '3,1'"):
+        cli.parse_window("3,1")
+    with pytest.raises(ValueError, match="empty range ','"):
+        cli.parse_window(",")
 
 
 @pytest.mark.parametrize("argv", [
@@ -43,6 +50,8 @@ def test_parse_range():
     ["hopf", "h0", "--twists", "5..2"],
     ["descent", "--degrees", "12..0"],
     ["chart", "render", "--x-range=8..-8"],
+    ["chart", "render", "--x-range", "3,1"],
+    ["chart", "render", "--s-range", "4,0"],
 ])
 def test_reversed_range_is_rejected(argv, tmp_path, capsys):
     if argv[0] == "chart":
@@ -121,7 +130,7 @@ def test_invariant_failure_exit_code(monkeypatch, capsys):
 
 
 def test_emit_tsv_header_only():
-    text = emit.emit_table([], "tsv", columns=["a", "b"])
+    text = emit.tsv_text([], ["a", "b"])
     assert text == "a\tb\n"
 
 

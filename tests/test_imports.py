@@ -1,4 +1,5 @@
-"""Every name a cubalg module imports is used in that module.
+"""Every name a cubalg module imports is used in that module, and no
+module imports another module's private (`_`-prefixed) name.
 
 An AST scan in place of a linter: `__init__.py` re-exports names and is
 skipped, and so are `from __future__` imports, which bind no name.
@@ -35,3 +36,17 @@ def test_no_unused_imports():
     assert modules
     unused = [u for p in modules for u in unused_imports(p)]
     assert unused == []
+
+
+def private_imports(path):
+    tree = ast.parse(path.read_text())
+    return ["%s:%d %s" % (path.name, node.lineno, alias.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_private_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    private = [u for p in modules for u in private_imports(p)]
+    assert private == []

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from cubalg.poly import (Polynomial, Ring, _mul_terms_bounded,
-                         monomial_index, monomials, parse_polynomial)
+                         monomial_index, monomial_text, monomials,
+                         parse_polynomial, unit_inverse)
 
 
 @pytest.fixture
@@ -116,6 +117,40 @@ def test_divexact(R):
     assert p.divexact(3) == 2 * R.gen("a")
     with pytest.raises(ValueError):
         p.divexact(4)
+    F5 = Ring(("x",), (1,), 5)
+    assert (3 * F5.gen("x")).divexact(2) == 4 * F5.gen("x")
+    with pytest.raises(ZeroDivisionError):
+        F5.gen("x").divexact(10)
+    # a composite modulus divides by units only
+    Z6 = Ring(("x",), (1,), 6)
+    assert Z6.gen("x").divexact(5) == 5 * Z6.gen("x")
+    with pytest.raises(ValueError):
+        Z6.gen("x").divexact(2)
+
+
+def test_monomial_text():
+    assert monomial_text(("a", "b"), (0, 0)) == "1"
+    assert monomial_text((), ()) == "1"
+    assert monomial_text(("a", "b"), (1, 0)) == "a"
+    assert monomial_text(("a", "b"), (1, 1)) == "a*b"
+    assert monomial_text(("a", "b"), (0, 3)) == "b^3"
+    assert monomial_text(("x1", "x2"), (-1, 0)) == "x1^-1"
+    assert monomial_text(("x1", "x2"), (1, -2)) == "x1*x2^-2"
+
+
+def test_unit_inverse():
+    assert unit_inverse(1, None) == 1
+    assert unit_inverse(-1, None) == -1
+    with pytest.raises(ValueError, match="2 is not a unit of Z"):
+        unit_inverse(2, None)
+    with pytest.raises(ValueError):
+        unit_inverse(0, None)
+    assert unit_inverse(3, 7) == 5
+    assert unit_inverse(-1, 7) == 6
+    with pytest.raises(ValueError):
+        unit_inverse(0, 7)
+    with pytest.raises(ValueError):
+        unit_inverse(14, 7)
 
 
 def test_parse_round_trip(R):

@@ -2,7 +2,7 @@ import pytest
 
 from cubalg import InvariantError, intlinalg
 from cubalg import steenrod as st
-from cubalg.poly import Polynomial
+from cubalg.poly import Polynomial, monomial_text
 
 
 def test_ring_generators_follow_cutoff():
@@ -189,8 +189,9 @@ def _basis_closure_check(spec, cutoff):
                 if span is None or not span.contains(rmask):
                     return {"closed": False, "checked": checked,
                             "witness": {
-                                "element": spec.expo_text(expo),
-                                "left_leg": st._mono_text(ring, left),
+                                "element": monomial_text(
+                                    spec.gen_names, expo),
+                                "left_leg": monomial_text(ring.names, left),
                                 "right_leg":
                                     index.poly(rmask, dr).text()}}
         checked += 1

@@ -6,7 +6,10 @@ with a file in tests/golden/, byte for byte.  The corpus was written by
 the code before the compiled kernel backend was deleted; the two Q cover
 fibers were added from the code before `cover_fiber` moved onto
 `curves.transform` and `intlinalg.RowSpace`, and the `hopf h0` kernel
-basis from the code before `integer_kernel` stopped tracking U.  A change
+basis from the code before `integer_kernel` stopped tracking U.  The
+Steenrod coproduct, conjugate and primitives and the `mqd` and
+`z2_group` presentations were added from the code before the dual
+Steenrod algebra became a `hopf.HopfAlgebroidPresentation`.  A change
 that alters any of these bytes has to say so and why.
 
 Regenerate the corpus from the code on PYTHONPATH with
@@ -64,9 +67,20 @@ STDOUT_CASES = (
     ("hopf_cobar.tsv",
      ["hopf", "cobar", "--algebroid", "z2_group", "--twists=-4..4",
       "--smax", "6", "--format", "tsv"]),
+    ("hopf_synthesize_mqd.json",
+     ["hopf", "synthesize", "--algebroid", "mqd"]),
+    ("hopf_synthesize_z2_group.json",
+     ["hopf", "synthesize", "--algebroid", "z2_group"]),
     ("steenrod_verify.json", ["steenrod", "verify", "--cutoff", "32"]),
     ("steenrod_verify.tsv",
      ["steenrod", "verify", "--cutoff", "32", "--format", "tsv"]),
+    ("steenrod_coproduct.json",
+     ["steenrod", "coproduct", "--k", "3", "--cutoff", "16"]),
+    ("steenrod_conjugate.json",
+     ["steenrod", "conjugate", "--k", "4", "--cutoff", "32"]),
+    ("steenrod_primitives.json",
+     ["steenrod", "primitives", "--window", "1..16", "--cutoff", "16",
+      "--quotient", "squares"]),
 )
 
 # (golden file, argv, file the command writes).  Run in this order in one

@@ -259,21 +259,24 @@ def cmd_hopf_kucp2(args) -> int:
     return code if out["is_swap"] else EXIT_INVARIANT
 
 
-def cmd_steenrod_conjugate(args) -> int:
+def _xi_generator(args):
+    """xi_k through the cutoff, for 1 <= k <= the generator count there."""
     ring = st.xi_ring(args.cutoff)
-    if args.k > len(ring.names):
-        raise ValueError("xi%d exceeds cutoff %d" % (args.k, args.cutoff))
-    img = st.conjugate(ring.gen("xi%d" % args.k))
+    if not 1 <= args.k <= len(ring.names):
+        raise ValueError("k must be in 1..%d at cutoff %d, got %d"
+                         % (len(ring.names), args.cutoff, args.k))
+    return ring.gen("xi%d" % args.k)
+
+
+def cmd_steenrod_conjugate(args) -> int:
+    img = st.conjugate(_xi_generator(args))
     obj = {"element": "xi%d" % args.k, "conjugate": img.text(),
            "degree": (1 << args.k) - 1}
     return _finish(args, obj)
 
 
 def cmd_steenrod_coproduct(args) -> int:
-    ring = st.xi_ring(args.cutoff)
-    if args.k > len(ring.names):
-        raise ValueError("xi%d exceeds cutoff %d" % (args.k, args.cutoff))
-    img = st.coproduct(ring.gen("xi%d" % args.k), args.cutoff)
+    img = st.coproduct(_xi_generator(args), args.cutoff)
     obj = {"element": "xi%d" % args.k, "coproduct": img.text()}
     return _finish(args, obj)
 

@@ -63,6 +63,8 @@ def extended_comodule(H: HopfAlgebroidPresentation, max_weight: int
                       ) -> Comodule:
     """Gamma itself (an extended comodule, coaction Delta), truncated to
     the gamma-monomial basis of weight <= max_weight."""
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0, got %d" % max_weight)
     basis: List[Tuple[str, int]] = []
     coaction: Dict[str, List[Tuple[Polynomial, str]]] = {}
     names = H.gamma_names
@@ -71,33 +73,24 @@ def extended_comodule(H: HopfAlgebroidPresentation, max_weight: int
             label = monomial_text(names, m)
             basis.append((label, w))
             coaction[label] = [
-                (_gamma_poly(H, p, c), monomial_text(names, q))
+                (H.gamma.poly({H.join((p,)): c}), monomial_text(names, q))
                 for c, p, q in _delta_of_slot_monomial(H, m)]
     basis.sort(key=lambda bw: (bw[1], bw[0]))
     return Comodule(name="Gamma", basis=basis, coaction=coaction)
-
-
-def _gamma_poly(H, m: tuple, c: int) -> Polynomial:
-    g = H.gamma
-    na = len(H.A.names)
-    return g.poly({(0,) * na + tuple(m): c})
 
 
 def _delta_of_slot_monomial(H, m: tuple) -> List[Tuple[int, tuple, tuple]]:
     """Delta of a pure gamma monomial, as (coefficient, left exponents,
     right exponents) triples; NotImplementedError unless the image is free
     of A-generators."""
-    gm = _gamma_poly(H, m, 1)
-    d = H.delta_map(gm)
-    na = len(H.A.names)
-    ng = len(H.gamma_names)
     out = []
-    for mono, c in d.terms.items():
-        if any(mono[:na]):
+    for mono, c in H.delta_map(H.gamma.poly({H.join((m,)): 1})).terms.items():
+        a, p, q = H.split(mono)
+        if any(a):
             raise NotImplementedError(
                 "Delta image with A-coefficients: interior coefficient "
                 "movement not supported")
-        out.append((c, mono[na:na + ng], mono[na + ng:na + 2 * ng]))
+        out.append((c, p, q))
     return out
 
 
@@ -153,8 +146,6 @@ class CobarComplex:
         dst = self.bases[s + 1]
         index = {b: i for i, b in enumerate(dst)}
         mat = [[0] * len(src) for _ in dst]
-        na = len(H.A.names)
-        ng = len(H.gamma_names)
         for col, (amono, slots, label) in enumerate(src):
             acc: Dict[tuple, int] = {}
 
@@ -166,7 +157,7 @@ class CobarComplex:
             if amono not in self._eta_cache:
                 self._eta_cache[amono] = H.eta_R(H.A.poly({amono: 1}))
             for mono, c in self._eta_cache[amono].terms.items():
-                delta_a, eps = mono[:na], mono[na:na + ng]
+                delta_a, eps = H.split(mono)
                 if any(eps):
                     add((delta_a, (eps,) + slots, label), c)
             # faces 1..s: Delta on slot i
@@ -182,10 +173,10 @@ class CobarComplex:
             sign = -1 if (s + 1) % 2 else 1
             for gamma, label2 in self.M.coaction[label]:
                 for mono, c in gamma.terms.items():
-                    if any(mono[:na]):
+                    a, eps = H.split(mono)
+                    if any(a):
                         raise NotImplementedError(
                             "coaction with A-coefficients unsupported")
-                    eps = mono[na:na + ng]
                     if any(eps):
                         add((amono, slots + (eps,), label2), sign * c)
             for target, c in acc.items():

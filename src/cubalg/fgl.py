@@ -47,16 +47,14 @@ def fgl_from_curve(curve: WeierstrassCurve, order: int) -> "FormalGroupLaw":
     y = TruncatedSeries(ring.gen("y"), sv, pad)
 
     # divided difference (w(x) - w(y))/(x - y) via complete homogeneous
-    # symmetric polynomials: lam = sum_n A_n h_{n-1}(x, y)
-    lam = TruncatedSeries(ring.zero(), sv, pad)
+    # symmetric polynomials: lam = sum_n A_n h_{n-1}(x, y), term by term
+    # a x^i y^(n-1-i) for each term a of A_n; every term has degree < pad
+    lam_terms: Dict[tuple, int] = {}
     for n in range(3, pad + 1):
-        an = a_coeffs[n]
-        if an.is_zero():
-            continue
-        h = TruncatedSeries(ring.zero(), sv, pad)
-        for i in range(n):
-            h = h + (x ** i) * (y ** (n - 1 - i))
-        lam = lam + h * an.cast(ring)
+        for m, c in a_coeffs[n].terms.items():
+            for i in range(n):
+                lam_terms[m + (i, n - 1 - i)] = c
+    lam = TruncatedSeries(ring.poly(lam_terms), sv, pad)
     wx = w.substitute({"z": x})
     nu = wx - lam * x
 

@@ -3,9 +3,10 @@
 A presentation (A, Gamma) keeps Gamma as a free polynomial extension of the
 graded base ring A.  Tensor powers Gamma (x)_A ... (x)_A Gamma are realized
 as further free extensions with one generator copy per slot, coefficients
-normalized to the far left (the eta_L action); the middle relation
-gamma . eta_R(a) (x) gamma' = gamma (x) eta_L(a) gamma' is what moves a
-coefficient across a slot.
+normalized to the far left (the eta_L action), so an exponent vector is
+the A part, then slot 1, slot 2, ...; only `split` and `join` read or
+write that layout.  The middle relation gamma . eta_R(a) (x) gamma' =
+gamma (x) eta_L(a) gamma' is what moves a coefficient across a slot.
 
 `synthesize_weierstrass_algebroid` derives the coproduct of the Weierstrass
 algebroid symbolically by composing two generic coordinate changes; nothing
@@ -14,7 +15,9 @@ about Delta is transcribed from a source.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import InvariantError
@@ -50,19 +53,42 @@ class HopfAlgebroidPresentation:
     reduce_hook: Optional[Callable[[Polynomial], Polynomial]] = None
     notes: List[str] = field(default_factory=list)
 
-    # -- rings -------------------------------------------------------------
+    _tensor_rings: Dict[int, Ring] = field(default_factory=dict,
+                                           init=False, repr=False)
+    _splitters: Dict[int, Callable] = field(default_factory=dict,
+                                            init=False, repr=False)
 
-    @property
+    # -- rings and their exponent layout -----------------------------------
+
+    @functools.cached_property
     def gamma(self) -> Ring:
         return self.A.extend(self.gamma_names, self.gamma_weights)
 
     def tensor_ring(self, s: int) -> Ring:
-        names: List[str] = []
-        weights: List[int] = []
-        for i in range(1, s + 1):
-            names += [slot_name(n, i) for n in self.gamma_names]
-            weights += list(self.gamma_weights)
-        return self.A.extend(names, weights)
+        """Gamma^((x)_A s) = A[gammas@1]...[gammas@s], built once per s."""
+        if s not in self._tensor_rings:
+            self._tensor_rings[s] = self.A.extend(
+                [slot_name(n, i) for i in range(1, s + 1)
+                 for n in self.gamma_names], self.gamma_weights * s)
+        return self._tensor_rings[s]
+
+    def split(self, mono: tuple) -> tuple:
+        """A monomial of Gamma^((x)_A s), s >= 1, as the tuple (A part, slot
+        1, ..., slot s); a monomial of Gamma itself splits as s = 1."""
+        get = self._splitters.get(len(mono))
+        if get is None:
+            na, ng = len(self.A.names), len(self.gamma_names)
+            get = self._splitters[len(mono)] = itemgetter(
+                slice(0, na),
+                *(slice(i, i + ng) for i in range(na, len(mono), ng)))
+        return get(mono)
+
+    def join(self, slots: Sequence[tuple], a: Optional[tuple] = None
+             ) -> tuple:
+        """The inverse of `split`: the monomial a . slot_1 (x) ... (x)
+        slot_s, with a = 1 when not given."""
+        head = (0,) * len(self.A.names) if a is None else a
+        return head + tuple(e for m in slots for e in m)
 
     def _reduce(self, p: Polynomial) -> Polynomial:
         return self.reduce_hook(p) if self.reduce_hook else p
@@ -97,26 +123,24 @@ class HopfAlgebroidPresentation:
         t2 = self.tensor_ring(2)
         if self.gamma.extends(x.ring):
             x = x.cast(self.gamma)
-        images: Dict[str, Polynomial] = {
-            n: t2.gen(n) for n in self.A.names}
-        images.update({n: self.delta[n] for n in self.gamma_names})
+        images = {n: t2.gen(n) for n in self.A.names}
+        images.update(self.delta)
         return self._reduce(x.map_gens(t2, images))
 
     def to_right(self, x: Polynomial) -> Polynomial:
         """1 (x) x in the tensor square: the A-coefficients of x act through
         eta_L on the right slot, which is the same as eta_R on the left slot
-        -- the middle relation, applied termwise.  The tensor square is
-        A[slot-1 gammas][slot-2 gammas], so padding a Gamma exponent vector
-        with zeros puts its gamma part into slot 1, and prefixing zeros puts
-        a pure gamma monomial into slot 2."""
+        -- the middle relation, applied termwise."""
         t2 = self.tensor_ring(2)
-        na, ng = len(self.A.names), len(self.gamma_names)
+        unit = (0,) * len(self.gamma_names)
         out = t2.zero()
         for mono, c in x.terms.items():
-            left = self.eta_R(self.A.poly({mono[:na]: 1}))
-            lt = Polynomial(t2, {m + (0,) * ng: e
-                                 for m, e in left.terms.items()})
-            out = out + c * lt * t2.poly({(0,) * (na + ng) + mono[na:]: 1})
+            a, g = self.split(mono)
+            left: Dict[tuple, int] = {}
+            for m, e in self.eta_R(self.A.poly({a: 1})).terms.items():
+                a2, g2 = self.split(m)
+                left[self.join((g2, unit), a2)] = e
+            out = out + c * t2.poly(left) * t2.poly({self.join((unit, g)): 1})
         return self._reduce(out)
 
     def gamma_monomials(self, w: int, nonconstant: bool = True) -> list:

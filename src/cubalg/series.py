@@ -181,13 +181,14 @@ class TruncatedSeries:
         # powers[i][e] = s^e for the series s substituted at position i,
         # each power one product from the last
         powers = {i: [None, s] for i, s in sub_idx.items()}
+        # the base generators, shared with the target ring
+        images = {n: target.gen(n) for n in self.ring.names
+                  if n in target.names}
         result = TruncatedSeries(target.zero(), tvars, order)
         for m, c in self.poly.terms.items():
             base = tuple(0 if i in sub_idx else e for i, e in enumerate(m))
             term = TruncatedSeries(
-                Polynomial(self.ring, {base: c}).map_gens(
-                    target, {n: target.gen(n) for n in self.ring.names
-                             if n in target._index}),
+                Polynomial(self.ring, {base: c}).map_gens(target, images),
                 tvars, order)
             for i in sub_idx:
                 e = m[i]

@@ -3,6 +3,9 @@ closure, primitives, graded freeness, and the uniqueness probes.
 
 The algebra is Z/2[xi1, xi2, ...] with |xi_i| = 2^i - 1 (single grading);
 only the generators needed for a given degree cutoff are instantiated.
+Through xi_k it is the Hopf algebroid presentation `dual_steenrod(k)` over
+A = F_2, whose structure maps give the coproduct and conjugation and whose
+`split` reads the slots of a tensor-square monomial.
 Linear algebra over F_2 is done by `intlinalg.BitSpan` on bitmasks indexed
 by the monomial basis of each degree (`poly.monomials`), which keeps the
 degree-64 verifications fast.
@@ -16,6 +19,7 @@ from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import InvariantError
+from .hopf import HopfAlgebroidPresentation, slot_name
 from .intlinalg import BitSpan, bits, f2_kernel, f2_solve
 from .poincare import poincare_series
 from .poly import (Polynomial, Ring, monomial_index, monomial_text,
@@ -30,81 +34,64 @@ def gen_count(cutoff: int) -> int:
 
 
 def xi_ring(cutoff: int) -> Ring:
+    """Z/2[xi_1, ..., xi_k] with every generator of degree <= cutoff: the
+    Gamma of `dual_steenrod(k)`."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    k = gen_count(cutoff)
-    return Ring(tuple("xi%d" % i for i in range(1, k + 1)),
-                tuple((1 << i) - 1 for i in range(1, k + 1)), 2)
-
-
-def xi_tensor_ring(cutoff: int) -> Ring:
-    k = gen_count(cutoff)
-    names = tuple("xi%d@1" % i for i in range(1, k + 1)) \
-        + tuple("xi%d@2" % i for i in range(1, k + 1))
-    weights = tuple((1 << i) - 1 for i in range(1, k + 1)) * 2
-    return Ring(names, weights, 2)
-
-
-def coproduct(x: Polynomial, cutoff: int) -> Polynomial:
-    """Delta(xi_k) = sum_i xi_{k-i}^(2^i) (x) xi_i, extended
-    multiplicatively into the two-slot tensor ring."""
-    if x.max_weight() > cutoff:
-        raise ValueError("element degree exceeds cutoff")
-    t2, images = _coproduct_images(cutoff)
-    return x.map_gens(t2, dict(zip(x.ring.names, images)))
+    return dual_steenrod(gen_count(cutoff)).gamma
 
 
 @functools.lru_cache(maxsize=None)
-def _coproduct_images(cutoff: int) -> Tuple[Ring, Tuple[Polynomial, ...]]:
-    """The tensor ring and Delta(xi_1), ..., Delta(xi_k) through the
-    cutoff.  Shared by every call: `map_gens` only reads its images."""
-    t2 = xi_tensor_ring(cutoff)
-    images = []
-    for k in range(1, gen_count(cutoff) + 1):
-        img = t2.gen("xi%d@1" % k)
-        for i in range(1, k):
-            img = img + (t2.gen("xi%d@1" % (k - i)) ** (1 << i)) \
-                * t2.gen("xi%d@2" % i)
-        images.append(img + t2.gen("xi%d@2" % k))
-    return t2, tuple(images)
+def dual_steenrod(k: int) -> HopfAlgebroidPresentation:
+    """(F_2, A_*) through xi_k as a Hopf algebroid presentation (Milnor
+    1958): Delta(xi_n) = sum_i xi_{n-i}^(2^i) (x) xi_i, and chi from the
+    recursion sum_{i=0}^n xi_{n-i}^(2^i) chi(xi_i) = 0 (n >= 1).  eta_R =
+    eta_L, since A = F_2 has no generators.  Shared by every call, so
+    callers only read it."""
+    names = tuple("xi%d" % i for i in range(1, k + 1))
+    H = HopfAlgebroidPresentation(
+        name="dual_steenrod", A=Ring((), (), 2), gamma_names=names,
+        gamma_weights=tuple((1 << i) - 1 for i in range(1, k + 1)),
+        eta_r={}, delta={}, chi_gamma={})
+    t2, g = H.tensor_ring(2), H.gamma
+    left = [t2.one()] + [t2.gen(slot_name(n, 1)) for n in names]
+    right = [t2.one()] + [t2.gen(slot_name(n, 2)) for n in names]
+    xis = [g.one()] + g.gens()
+    chis = [g.one()]                            # chi(xi_0) = 1
+    for n in range(1, k + 1):
+        H.delta[names[n - 1]] = sum(
+            (left[n - i] ** (1 << i) * right[i] for i in range(n + 1)),
+            t2.zero())
+        # chi(xi_n) = -sum_{i<n} xi_{n-i}^(2^i) chi(xi_i), and -1 = 1 mod 2
+        chis.append(sum((xis[n - i] ** (1 << i) * chis[i] for i in range(n)),
+                        g.zero()))
+    H.chi_gamma.update(zip(names, chis[1:]))
+    return H
+
+
+def coproduct(x: Polynomial, cutoff: int) -> Polynomial:
+    """Delta(x) in the two-slot tensor ring of `dual_steenrod`, for x of
+    degree <= cutoff."""
+    if x.max_weight() > cutoff:
+        raise ValueError("element degree exceeds cutoff")
+    return dual_steenrod(gen_count(cutoff)).delta_map(x)
 
 
 def conjugate(x: Polynomial) -> Polynomial:
-    """Hopf conjugation chi, from the recursion
-    sum_{i=0}^k xi_{k-i}^(2^i) chi(xi_i) = 0 (k >= 1), as a ring map."""
-    ring = x.ring
-    images = _chi_images(ring)
-    return x.map_gens(ring, images)
-
-
-def _chi_images(ring: Ring) -> Dict[str, Polynomial]:
-    images: Dict[str, Polynomial] = {}
-    chis: List[Polynomial] = [ring.one()]          # chi(xi_0) = 1
-    for k in range(1, len(ring.names) + 1):
-        acc = ring.zero()
-        for i in range(k):
-            acc = acc + (_xi(ring, k - i) ** (1 << i)) * chis[i]
-        chis.append(acc)                            # mod 2: chi(xi_k) = acc
-        images["xi%d" % k] = chis[k]
-    return images
-
-
-def _xi(ring: Ring, i: int) -> Polynomial:
-    return ring.one() if i == 0 else ring.gen("xi%d" % i)
+    """Hopf conjugation chi, as a ring map."""
+    return dual_steenrod(len(x.ring.names)).chi(x)
 
 
 def antipode_identity_holds(k_max: int) -> bool:
     """sum_i xi_{k-i}^(2^i) chi(xi_i) = 0 for 1 <= k <= k_max."""
-    ring = xi_ring((1 << (k_max + 1)) - 1)
-    images = _chi_images(ring)
-    for k in range(1, k_max + 1):
-        acc = ring.zero()
-        for i in range(k + 1):
-            chi_i = ring.one() if i == 0 else images["xi%d" % i]
-            acc = acc + (_xi(ring, k - i) ** (1 << i)) * chi_i
-        if not acc.is_zero():
-            return False
-    return True
+    H = dual_steenrod(k_max)
+    g = H.gamma
+    xis = [g.one()] + g.gens()
+    chis = [g.one()] + [H.chi_gamma[n] for n in H.gamma_names]
+    return all(
+        sum((xis[k - i] ** (1 << i) * chis[i] for i in range(k + 1)),
+            g.zero()).is_zero()
+        for k in range(1, k_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +178,7 @@ def make_spec(name: str, rule: Sequence[Tuple[int, int]], cutoff: int,
     generators of degree <= cutoff are instantiated."""
     ring = xi_ring(cutoff)
     kmax = len(ring.names)
-    chi = _chi_images(ring) if conjugated else None
+    chi = dual_steenrod(kmax).chi_gamma
     gens: List[Polynomial] = []
     gen_names: List[str] = []
     covered = {i for i, _ in rule}
@@ -242,10 +229,6 @@ def bp_n_homology(n: int, cutoff: int,
 # closure, primitives, freeness
 
 
-def _split_tensor_term(mono: tuple, k: int) -> Tuple[tuple, tuple]:
-    return mono[:k], mono[k:]
-
-
 def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
     """Delta(S) in A (x) S, for S the subalgebra the spec generates, through
     the cutoff; first failure witnessed.
@@ -258,7 +241,7 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
     one the check over every basis element would give.  `checked` counts
     the generators that passed."""
     ring = spec.ring
-    k = len(ring.names)
+    H = dual_steenrod(len(ring.names))
     index = DegreeIndex(ring)
     by_deg = spec.basis_by_degree()
     spans = {d: BitSpan(index.mask(spec.basis_poly(e), d) for e in expos)
@@ -271,7 +254,7 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
         # group by left leg; right legs must lie in the spec span
         by_left: Dict[tuple, Dict[int, int]] = {}
         for mono, _ in dx.terms.items():
-            left, right = _split_tensor_term(mono, k)
+            _, left, right = H.split(mono)
             dr = ring.weight_of_monomial(right)
             slot = by_left.setdefault(left, {})
             slot[dr] = slot.get(dr, 0) ^ (1 << index.position(right, dr))
@@ -311,7 +294,7 @@ def primitives(window: Sequence[int], cutoff: int,
     quotient Hopf algebra A//C when `quotient_by` is given), as
     representative polynomials."""
     ring = xi_ring(cutoff)
-    k = len(ring.names)
+    H = dual_steenrod(len(ring.names))
     index = DegreeIndex(ring)
     ideal_cache: Dict[int, BitSpan] = {}
 
@@ -333,7 +316,7 @@ def primitives(window: Sequence[int], cutoff: int,
             dx = coproduct(Polynomial(ring, {m: 1}), cutoff)
             v = 0
             for mono, _ in dx.terms.items():
-                left, right = _split_tensor_term(mono, k)
+                _, left, right = H.split(mono)
                 dl = ring.weight_of_monomial(left)
                 dr = d - dl
                 if dl == 0 or dr == 0:
@@ -534,21 +517,20 @@ def uniqueness_probe(case: str) -> dict:
               "forced_generator": generator if forced else None,
               "all_primitives": {d: prim[d] for d in prim if prim[d]}}
     if case == "tmf":
-        ring = xi_ring(16)
-        k = len(ring.names)
-        chi2 = _chi_images(ring)["xi2"]
-        x = (ring.gen("xi1") ** 6) * (chi2 ** 2)
+        H = dual_steenrod(gen_count(16))
+        ring = H.gamma
+        x = (ring.gen("xi1") ** 6) * (H.chi_gamma["xi2"] ** 2)
         dx = coproduct(x, 16)
         bad_terms = []
-        for mono, _ in dx.terms.items():
-            left, right = _split_tensor_term(mono, k)
+        for mono in dx.terms:
+            _, left, right = H.split(mono)
             dl = ring.weight_of_monomial(left)
             dr = 12 - dl
             if dl == 0 or dr == 0:
                 continue
             # membership in A (x) F2{xi1^8} requires every right leg to be
             # the monomial xi1^8
-            if right != tuple(8 if i == 0 else 0 for i in range(k)):
+            if right != (8,) + (0,) * (len(ring.names) - 1):
                 bad_terms.append((monomial_text(ring.names, left),
                                   monomial_text(ring.names, right)))
         report["degree12_witness"] = {

@@ -272,7 +272,7 @@ def test_bad_prime_or_bound_exits_2(argv, capsys):
     ["--fp", "15"],
     ["--p-local", "0"], ["--p-local", "1"], ["--p-local", "4"],
     ["--p-local", "-2"],
-    ["--smax", "-1"],
+    ["--smax", "-1"], ["--extended", "-1"],
 ], ids="=".join)
 def test_hopf_cobar_rejects_bad_coefficients(flags, capsys):
     # eta gives Z/2 at (s, t) = (1, 2): --p-local 1 has torsion to strip
@@ -281,3 +281,13 @@ def test_hopf_cobar_rejects_bad_coefficients(flags, capsys):
     assert dispatch(argv) == cli.EXIT_ERROR
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("cubalg: error: ")
+
+
+@pytest.mark.parametrize("verb", ["coproduct", "conjugate"])
+@pytest.mark.parametrize("k", ["0", "-1", "7"])
+def test_steenrod_generator_out_of_range_exits_2(verb, k, capsys):
+    # cutoff 64 has generators xi1..xi6
+    assert dispatch(["steenrod", verb, "--k=" + k]) == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cubalg: error: k must be in 1..6 at cutoff 64, got %s\n" % k

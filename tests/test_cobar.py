@@ -64,6 +64,12 @@ def test_extended_comodule_acyclic(W):
     assert h[1] == (0, []) and h[2] == (0, [])
 
 
+def test_extended_comodule_rejects_a_negative_weight(W):
+    with pytest.raises(ValueError, match="max_weight must be >= 0"):
+        extended_comodule(W, -1)
+    assert [b for b in extended_comodule(W, 0).basis] == [("1", 0)]
+
+
 def test_extended_comodule_acyclic_mqd():
     H = builtin_algebroid("mqd")
     M = extended_comodule(H, 8)

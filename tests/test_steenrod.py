@@ -2,7 +2,7 @@ import pytest
 
 from cubalg import InvariantError, intlinalg
 from cubalg import steenrod as st
-from cubalg.poly import Polynomial, monomial_text
+from cubalg.poly import Polynomial, Ring, monomial_text
 
 
 def test_ring_generators_follow_cutoff():
@@ -46,6 +46,66 @@ def test_coproduct_multiplicative():
     x, y = R.gen("xi1"), R.gen("xi2")
     assert st.coproduct(x * y, 16) == \
         st.coproduct(x, 16) * st.coproduct(y, 16)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_dual_steenrod_is_a_hopf_algebroid(k):
+    # Milnor's Delta is coassociative and counital, and chi is a two-sided
+    # antipode and an involution
+    checks = st.dual_steenrod(k).verify()
+    assert len(checks) == 8 and all(checks.values()), checks
+
+
+def test_dual_steenrod_builds_its_rings_once():
+    H = st.dual_steenrod(5)
+    assert st.dual_steenrod(5) is H and st.xi_ring(31) is H.gamma
+    assert H.tensor_ring(2) is H.tensor_ring(2)
+    assert H.tensor_ring(2).names == tuple(
+        "xi%d@%d" % (i, s) for s in (1, 2) for i in range(1, 6))
+
+
+# the coproduct and conjugation as written before A_* became a Hopf
+# algebroid presentation: Milnor's formulas, each in its own ring
+
+
+def _reference_coproduct_images(cutoff):
+    """The tensor ring and Delta(xi_1), ..., Delta(xi_k)."""
+    k = st.gen_count(cutoff)
+    weights = tuple((1 << i) - 1 for i in range(1, k + 1))
+    t2 = Ring(tuple("xi%d@1" % i for i in range(1, k + 1))
+              + tuple("xi%d@2" % i for i in range(1, k + 1)), weights * 2, 2)
+    images = []
+    for n in range(1, k + 1):
+        img = t2.gen("xi%d@1" % n)
+        for i in range(1, n):
+            img = img + (t2.gen("xi%d@1" % (n - i)) ** (1 << i)) \
+                * t2.gen("xi%d@2" % i)
+        images.append(img + t2.gen("xi%d@2" % n))
+    return t2, images
+
+
+def _reference_chi_images(ring):
+    """chi(xi_1), ..., chi(xi_k) from sum_i xi_{n-i}^(2^i) chi(xi_i) = 0."""
+    chis = [ring.one()]
+    for n in range(1, len(ring.names) + 1):
+        acc = ring.zero()
+        for i in range(n):
+            acc = acc + (ring.gen("xi%d" % (n - i)) ** (1 << i)) * chis[i]
+        chis.append(acc)
+    return chis[1:]
+
+
+def test_coproduct_and_conjugate_match_milnor_reference():
+    ring = st.xi_ring(32)
+    t2, delta = _reference_coproduct_images(32)
+    delta = dict(zip(ring.names, delta))
+    chi = dict(zip(ring.names, _reference_chi_images(ring)))
+    monos = [m for d in range(1, 33) for m in ring.monomials_of_weight(d)]
+    assert len(monos) == 529
+    for m in monos:
+        x = ring.poly({m: 1})
+        assert st.coproduct(x, 32) == x.map_gens(t2, delta)
+        assert st.conjugate(x) == x.map_gens(ring, chi)
 
 
 def test_primitives_of_A():
@@ -176,7 +236,7 @@ def _basis_closure_check(spec, cutoff):
         dx = st.coproduct(x, cutoff)
         by_left = {}
         for mono in dx.terms:
-            left, right = st._split_tensor_term(mono, k)
+            left, right = mono[:k], mono[k:]
             dr = sum(e * w for e, w in zip(right, ring.weights))
             ri = index.position(right, dr)
             slot = by_left.setdefault(left, {})

@@ -59,9 +59,9 @@ def fgl_from_curve(curve: WeierstrassCurve, order: int) -> "FormalGroupLaw":
     nu = wx - lam * x
 
     # third intersection of the chord w = lam*z + nu with the cubic
-    c3 = 1 + a2 * lam + a4 * (lam * lam) + a6 * (lam ** 3)
-    c2 = (a1 * lam + a2 * nu + a3 * (lam * lam) + 2 * a4 * (lam * nu)
-          + 3 * a6 * (lam * lam * nu))
+    lam2 = lam * lam
+    c3 = 1 + a2 * lam + a4 * lam2 + a6 * (lam2 * lam)
+    c2 = a1 * lam + a3 * lam2 + nu * (a2 + 2 * a4 * lam + 3 * a6 * lam2)
     z3 = -x - y - c2 * c3.unit_inverse()
 
     # formal inverse: i(z) = -z / (1 - a1 z - a3 w(z))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Dict, List, Optional, Sequence
 
@@ -44,11 +45,25 @@ class GradedIdeal:
 
     def add_generator(self, x: Polynomial):
         d = x.weight()
+        self.adjoin(x, [[_sparse(self.vector(
+            Polynomial(self.ring, {m: 1}) * x, w + d))
+            for m in monomials(self.ring.weights, w)]
+            for w in range(0, self.cutoff - d + 1)])
+
+    def adjoin(self, x: Polynomial, multiples: List[list]):
+        """Add the generator x, given multiples[w] = the nonzero coordinates
+        {column: coefficient} of m*x for the monomials m of weight w, each
+        reduced modulo the ideal or not: a reduced echelon form depends
+        only on the span."""
+        d = x.weight()
         self.generators.append(x)
-        for w in range(0, self.cutoff - d + 1):
-            for m in monomials(self.ring.weights, w):
-                prod = Polynomial(self.ring, {m: 1}) * x
-                self.spans[w + d].insert(self.vector(prod, w + d))
+        for w, rows in enumerate(multiples):
+            span = self.spans[w + d]
+            for row in rows:
+                vec = [0] * span.width
+                for j, c in row.items():
+                    vec[j] = c
+                span.insert(vec)
 
     def quotient_rank(self, w: int) -> int:
         return len(monomials(self.ring.weights, w)) - self.spans[w].rank
@@ -118,11 +133,14 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
         if d == 0 or d > cutoff:
             raise ValueError("element weight out of range")
         # kernel of multiplication on the current quotient, weight by weight
+        multiples = []
         for w in range(0, cutoff - d + 1):
             monos = monomials(ring.weights, w)
             # the images of the monomials in the quotient's weight w + d
             images = [ideal.spans[w + d].reduce(ideal.vector(
                 Polynomial(ring, {m: 1}) * x, w + d)) for m in monos]
+            # kept sparse until x is adjoined: the images are mostly zero
+            multiples.append([_sparse(v) for v in images])
             for kv in field_kernel(images, prime):
                 if not ideal.spans[w].contains(kv):
                     failure = {"element": x.text(), "weight": w,
@@ -132,7 +150,8 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
                 break
         if failure:
             break
-        ideal.add_generator(x)
+        # the images span the same as the products m*x modulo the ideal
+        ideal.adjoin(x, multiples)
     quotient_ranks = [ideal.quotient_rank(w) for w in range(cutoff + 1)]
     certified = False
     if failure is None and ring.names \
@@ -153,6 +172,11 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
         regular_through_cutoff=failure is None,
         certified=certified, failure=failure,
         quotient_ranks=quotient_ranks, notes=notes, ideal=ideal)
+
+
+def _sparse(vec) -> dict:
+    """{column: entry} of the nonzero entries of a dense vector."""
+    return {j: vec[j] for j in compress(range(len(vec)), vec)}
 
 
 def _vec_to_poly(vec, monos, ring: Ring) -> Polynomial:

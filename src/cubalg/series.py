@@ -141,65 +141,106 @@ class TruncatedSeries:
 
     def unit_inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse of a series whose series-degree-0 part is an
-        invertible constant."""
+        invertible constant, by Newton iteration g <- g*(2 - f*g): each step
+        doubles the precision, so it takes O(log order) products (Brent &
+        Kung, J. ACM 1978)."""
         idx = self._indices(self.ring)
         c0 = _series_part(self.poly, idx, 0)
         if not c0.is_constant():
             raise ValueError("constant term is not a scalar")
         cinv = unit_inverse(c0.constant_term(), self.ring.modulus)
-        # 1/f = cinv * sum_k (1 - cinv f)^k
-        one = TruncatedSeries(self.ring.one(), self.series_vars, self.order)
-        g = one - self * cinv
-        result = one
-        power = one
-        for _ in range(self.order):
-            power = power * g
-            if power.poly.is_zero():
-                break
-            result = result + power
-        return result * cinv
+        sv = self.series_vars
+        # if g inverts f through series degree n, then f*g = 1 - e with e
+        # of degree > n, and f*g*(2 - f*g) = 1 - e^2 with e^2 of degree
+        # > 2n + 1
+        g = TruncatedSeries._truncated(self.ring.const(cinv), sv, 0)
+        n = 0
+        while n < self.order:
+            n = min(2 * n + 1, self.order)
+            g = TruncatedSeries._truncated(g.poly, sv, n)
+            g = g * (2 - TruncatedSeries(self.poly, sv, n) * g)
+        return g
 
     def substitute(self, assignments: Mapping[str, "TruncatedSeries"]
                    ) -> "TruncatedSeries":
         """Substitute series (with zero constant term) for series variables.
 
-        Result truncation order is the minimum of all orders involved.
+        Result truncation order is the minimum of all orders involved.  The
+        terms of this series are grouped by their exponents e at the
+        substituted positions: each group's base part c_e is carried into
+        the target ring by generator position, and c_e * prod s_i^e_i costs
+        one bounded product per substituted variable with e_i > 0.
         """
+        if not assignments:
+            raise ValueError("no substitution given")
+        first = next(iter(assignments.values()))
+        target, tvars = first.ring, first.series_vars
         order = self.order
         for s in assignments.values():
             order = min(order, s.order)
+            if set(s.series_vars) != set(tvars):
+                raise ValueError("series variable mismatch")
             if s.series_degree_min() < 1:
                 raise ValueError("substituted series must have no constant term")
-        target = next(iter(assignments.values())).ring
-        tvars = next(iter(assignments.values())).series_vars
-        idx = self._indices(self.ring)
-        sub_idx = {self.ring.index(v): s for v, s in assignments.items()}
-        for i in idx:
+        ring = self.ring
+        sub_idx = {ring.index(v): s for v, s in assignments.items()}
+        for i in self._indices(ring):
             if i not in sub_idx:
-                raise ValueError("missing substitution for %r"
-                                 % self.ring.names[i])
-        # powers[i][e] = s^e for the series s substituted at position i,
-        # each power one product from the last
-        powers = {i: [None, s] for i, s in sub_idx.items()}
-        # the base generators, shared with the target ring
-        images = {n: target.gen(n) for n in self.ring.names
-                  if n in target.names}
-        result = TruncatedSeries(target.zero(), tvars, order)
+                raise ValueError("missing substitution for %r" % ring.names[i])
+        # each base generator goes to the target position of its name
+        carry, missing = [], []
+        for i, n in enumerate(ring.names):
+            if i in sub_idx:
+                continue
+            if n in target.names:
+                carry.append((i, target.index(n)))
+            else:
+                missing.append(i)
+        width = len(target.names)
+        modulus = target.modulus
+        groups: dict = {}
         for m, c in self.poly.terms.items():
-            base = tuple(0 if i in sub_idx else e for i, e in enumerate(m))
-            term = TruncatedSeries(
-                Polynomial(self.ring, {base: c}).map_gens(target, images),
-                tvars, order)
-            for i in sub_idx:
-                e = m[i]
-                if not e:
+            for i in missing:
+                if m[i]:
+                    raise KeyError("no image for generator %r" % ring.names[i])
+            if modulus:
+                c %= modulus
+                if not c:
                     continue
-                table = powers[i]
-                while len(table) <= e:
-                    table.append(table[-1] * sub_idx[i])
-                term = term * table[e]
-            result = result + term
-        return result
+            base = [0] * width
+            for i, j in carry:
+                base[j] = m[i]
+            # distinct terms of one group differ in their base part
+            groups.setdefault(tuple(m[i] for i in sub_idx), {})[
+                tuple(base)] = c
+        tidx = tuple(target.index(v) for v in tvars)
+        # powers[k][e] = s^e for the k-th substituted series s, each power
+        # one product from the last
+        powers = [[None, s] for s in sub_idx.values()]
+        acc: dict = {}
+        get = acc.get
+        for es, c_e in groups.items():
+            term = Polynomial(target, c_e)
+            factors = []
+            for table, e in zip(powers, es):
+                if e:
+                    while len(table) <= e:
+                        table.append(table[-1] * table[1])
+                    factors.append(table[e].poly)
+            # the power with fewest terms first: it raises the series degree
+            # of c_e, so the bound prunes the larger products
+            factors.sort(key=lambda p: len(p.terms))
+            for s_e in factors:
+                term = term.mul_bounded(s_e, tidx, order)
+            if not factors:
+                term = _drop_above(term, tidx, order)
+            for m, c in term.terms.items():
+                acc[m] = get(m, 0) + c
+        if modulus:
+            acc = {m: c % modulus for m, c in acc.items() if c % modulus}
+        else:
+            acc = {m: c for m, c in acc.items() if c}
+        return TruncatedSeries._truncated(Polynomial(target, acc), tvars, order)
 
     def functional_inverse(self, var: str) -> "TruncatedSeries":
         """Compositional inverse of f = u*var + O(var^2), u an invertible

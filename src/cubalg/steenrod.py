@@ -239,8 +239,14 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
     basis element is a product of lower-degree generators, so the first
     failing basis element is always a generator, and the witness is the
     one the check over every basis element would give.  `checked` counts
-    the generators that passed."""
+    the generators that passed.  The cutoff must need as many xi generators
+    as the spec's own cutoff, since Delta is split in the spec's ring."""
     ring = spec.ring
+    if gen_count(cutoff) != len(ring.names):
+        raise ValueError("cutoff %d needs %d xi generators, but the spec was "
+                         "built at cutoff %d with %d"
+                         % (cutoff, gen_count(cutoff), spec.cutoff,
+                            len(ring.names)))
     H = dual_steenrod(len(ring.names))
     index = DegreeIndex(ring)
     by_deg = spec.basis_by_degree()

@@ -80,6 +80,46 @@ def test_landweber_report_builds_one_ideal(monkeypatch):
     assert len(rep["regularity"].ideal.generators) == 2
 
 
+def _landweber_sequence_at_3():
+    ring = universal_curve_ring()
+    vs = hasse_coefficients(universal_curve(), 3, 2)
+    return ring, [v.restrict(ring) for v in vs[1:]]
+
+
+def _invariant_sequence():
+    ring = universal_curve_ring()
+    inv = invariants(universal_curve())
+    return ring, [inv["c4"], inv["delta"], ring.gen("a2"), ring.gen("a4")]
+
+
+def _failing_sequence():
+    ring = Ring(("x", "y"), (1, 1))
+    x, y = ring.gen("x"), ring.gen("y")
+    return ring, [x * y, x * x]
+
+
+@pytest.mark.parametrize("build, prime, cutoff, regular", [
+    (_invariant_sequence, 2, 24, True),
+    (_invariant_sequence, None, 28, True),
+    (_landweber_sequence_at_3, 3, 36, True),
+    (_failing_sequence, None, 8, False),
+])
+def test_check_builds_the_spans_add_generator_builds(build, prime, cutoff,
+                                                     regular):
+    # the check inserts the reduced images m*x of its kernel test; a
+    # reduced echelon form depends only on its span, so the rows agree
+    ring, seq = build()
+    rep = graded_regular_sequence_check(ring, seq, prime, cutoff)
+    assert rep.regular_through_cutoff is regular
+    passed = seq if regular else seq[:1]
+    assert rep.ideal.generators == passed
+    ideal = regseq.GradedIdeal(ring, prime, cutoff)
+    for x in passed:
+        ideal.add_generator(x)
+    for w in range(cutoff + 1):
+        assert rep.ideal.spans[w].rows == ideal.spans[w].rows
+
+
 def test_regularity_report_ideal_is_kept_out_of_repr_and_eq():
     ring = Ring(("x", "y"), (1, 1))
     x, y = ring.gen("x"), ring.gen("y")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from cubalg.poly import Polynomial, Ring
+from cubalg.poly import Polynomial, Ring, unit_inverse
 from cubalg.series import TruncatedSeries
 
 
@@ -91,6 +91,59 @@ def _substitute_reference(f, assignments):
     return result
 
 
+def _substitute_per_term(f, assignments):
+    """`TruncatedSeries.substitute` as it was before the exponent groups:
+    power tables, but each term carried by `map_gens` and multiplied by its
+    powers on its own, one or two bounded products per term."""
+    order = f.order
+    for s in assignments.values():
+        order = min(order, s.order)
+        if s.series_degree_min() < 1:
+            raise ValueError("substituted series must have no constant term")
+    target = next(iter(assignments.values())).ring
+    tvars = next(iter(assignments.values())).series_vars
+    sub_idx = {f.ring.index(v): s for v, s in assignments.items()}
+    powers = {i: [None, s] for i, s in sub_idx.items()}
+    images = {n: target.gen(n) for n in f.ring.names if n in target.names}
+    result = TruncatedSeries(target.zero(), tvars, order)
+    for m, c in f.poly.terms.items():
+        base = tuple(0 if i in sub_idx else e for i, e in enumerate(m))
+        term = TruncatedSeries(
+            Polynomial(f.ring, {base: c}).map_gens(target, images),
+            tvars, order)
+        for i in sub_idx:
+            e = m[i]
+            if not e:
+                continue
+            table = powers[i]
+            while len(table) <= e:
+                table.append(table[-1] * sub_idx[i])
+            term = term * table[e]
+        result = result + term
+    return result
+
+
+def _unit_inverse_reference(f):
+    """`TruncatedSeries.unit_inverse` as it was before Newton iteration:
+    1/f = cinv * sum_k (1 - cinv*f)^k, one product per order."""
+    idx = [f.ring.index(v) for v in f.series_vars]
+    c0 = f.poly.ring.poly({m: c for m, c in f.poly.terms.items()
+                           if not sum(m[i] for i in idx)})
+    if not c0.is_constant():
+        raise ValueError("constant term is not a scalar")
+    cinv = unit_inverse(c0.constant_term(), f.ring.modulus)
+    one = TruncatedSeries(f.ring.one(), f.series_vars, f.order)
+    g = one - f * cinv
+    result = one
+    power = one
+    for _ in range(f.order):
+        power = power * g
+        if power.poly.is_zero():
+            break
+        result = result + power
+    return result * cinv
+
+
 def _series(data, ring, svars, order, min_degree=0):
     """A random series in `ring` with at most 6 terms, none of series
     degree below `min_degree`."""
@@ -100,6 +153,18 @@ def _series(data, ring, svars, order, min_degree=0):
     terms = data.draw(hst.dictionaries(mono, hst.integers(-5, 5),
                                        max_size=6))
     return TruncatedSeries(ring.poly(terms), svars, order)
+
+
+def _grouped_series(data, ring, order):
+    """A random series sum_e (sum_i a_ie c^i) z^e in ring (c, z): several
+    terms share each exponent e of z."""
+    terms = {}
+    for e in data.draw(hst.lists(hst.integers(0, 4), max_size=4,
+                                 unique=True)):
+        for i in data.draw(hst.lists(hst.integers(0, 3), min_size=2,
+                                     max_size=4, unique=True)):
+            terms[(i, e)] = data.draw(hst.integers(-5, 5))
+    return TruncatedSeries(ring.poly(terms), ("z",), order)
 
 
 def _degrees(s):
@@ -148,6 +213,84 @@ def test_substitute_matches_reference_into_other_ring(data, modulus):
     assert got == want and got.poly.terms == want.poly.terms
 
 
+def _check_substitute(f, assignments):
+    got = f.substitute(assignments)
+    for reference in (_substitute_reference, _substitute_per_term):
+        want = reference(f, assignments)
+        assert got == want and got.poly.terms == want.poly.terms
+        assert got.series_vars == want.series_vars
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hst.data(), modulus=moduli)
+def test_substitute_matches_references_on_shared_exponents(data, modulus):
+    # several terms c^i z^e in each exponent group e, substituted both
+    # within the ring and into a ring of two series variables
+    R = Ring(("c", "z"), (2, 0), modulus)
+    T = Ring(("c", "x", "y"), (2, 0, 0), modulus)
+    f = _grouped_series(data, R, data.draw(orders))
+    _check_substitute(f, {"z": _series(data, R, ("z",), data.draw(orders),
+                                       min_degree=1)})
+    _check_substitute(f, {"z": _series(data, T, ("x", "y"),
+                                       data.draw(orders), min_degree=1)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), modulus=moduli)
+def test_substitute_carries_base_generators_by_name(data, modulus):
+    # c sits at position 0 in the source ring and elsewhere in the target
+    R = Ring(("c", "z"), (2, 0), modulus)
+    T = Ring(("x", "d", "c"), (0, 4, 2), modulus)
+    f = _grouped_series(data, R, data.draw(orders))
+    s = _series(data, T, ("x",), data.draw(orders), min_degree=1)
+    _check_substitute(f, {"z": s})
+    # a base generator that is a series variable of the target ring
+    U = Ring(("y", "c"), (0, 2), modulus)
+    s = _series(data, U, ("y", "c"), data.draw(orders), min_degree=1)
+    _check_substitute(f, {"z": s})
+
+
+def test_substitute_without_an_image_raises_the_same_key_error():
+    R = Ring(("c", "d", "z"), (2, 4, 0))
+    T = Ring(("c", "x"), (2, 0))
+    z = TruncatedSeries(R.gen("z"), ("z",), 4)
+    f = z + R.gen("c") * z * z + R.gen("d") * z ** 3
+    s = TruncatedSeries(T.gen("x"), ("x",), 4)
+    errors = []
+    for sub in (TruncatedSeries.substitute, _substitute_reference,
+                _substitute_per_term):
+        with pytest.raises(KeyError) as err:
+            sub(f, {"z": s})
+        errors.append(str(err.value))
+    assert errors == ["\"no image for generator 'd'\""] * 3
+    # without the d term every generator that occurs has an image
+    g = z + R.gen("c") * z * z
+    assert g.substitute({"z": s}) == _substitute_per_term(g, {"z": s})
+
+
+def test_substitute_needs_an_assignment(R):
+    with pytest.raises(ValueError, match="no substitution given"):
+        zs(R).substitute({})
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=hst.data(), modulus=moduli, bivariate=hst.booleans(),
+       order=hst.integers(0, 8))
+def test_unit_inverse_matches_geometric_series(data, modulus, bivariate,
+                                               order):
+    if bivariate:
+        R, sv = Ring(("c", "x", "y"), (2, 0, 0), modulus), ("x", "y")
+    else:
+        R, sv = Ring(("c", "z"), (2, 0), modulus), ("z",)
+    units = [1, -1] if modulus is None else list(range(1, modulus))
+    c0 = data.draw(hst.sampled_from(units))
+    f = _series(data, R, sv, order, min_degree=1) + c0
+    g = f.unit_inverse()
+    want = _unit_inverse_reference(f)
+    assert g == want and g.poly.terms == want.poly.terms
+    assert (f * g - 1).poly.is_zero()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=hst.data(), modulus=moduli, equal=hst.booleans())
 def test_arithmetic_stores_no_term_above_order(data, modulus, equal):
@@ -175,10 +318,43 @@ def test_substitute_builds_each_power_from_the_last(R, monkeypatch):
 
     monkeypatch.setattr(Polynomial, "mul_bounded", counting)
     got = f.substitute({"z": s})
-    # k - 1 products for s^2 .. s^k, then one for each of the k terms
+    # k - 1 products for s^2 .. s^k, then one for each of the k exponent
+    # groups z^1 .. z^k, one term each
     assert len(calls) == 2 * k - 1
     monkeypatch.undo()
     assert got == _substitute_reference(f, {"z": s})
+
+
+def test_substitute_makes_one_product_per_exponent_group(monkeypatch):
+    R = Ring(("c", "d", "z"), (2, 4, 0))
+    c, d = R.gen("c"), R.gen("d")
+    z = TruncatedSeries(R.gen("z"), ("z",), 8)
+    # 9 terms in 4 exponent groups z^0, z^2, z^3, z^5; three of them need a
+    # product, and the power table s^2 .. s^5 takes four
+    f = (c + d + (1 + c + c * c) * z ** 2 + (d + c * d) * z ** 3
+         + (3 + d * d) * z ** 5)
+    s = z + c * z * z
+    groups = {m[2] for m in f.poly.terms}
+    assert len(f.poly.terms) == 9 and len(groups) == 4
+    calls, mapped = [], []
+    mul_bounded = Polynomial.mul_bounded
+    map_gens = Polynomial.map_gens
+
+    def counting(self, *args):
+        calls.append(1)
+        return mul_bounded(self, *args)
+
+    def counting_map(self, *args):
+        mapped.append(1)
+        return map_gens(self, *args)
+
+    monkeypatch.setattr(Polynomial, "mul_bounded", counting)
+    monkeypatch.setattr(Polynomial, "map_gens", counting_map)
+    got = f.substitute({"z": s})
+    assert len(calls) == (len(groups) - 1) + (max(groups) - 1)
+    assert mapped == []
+    monkeypatch.undo()
+    assert got.poly.terms == _substitute_per_term(f, {"z": s}).poly.terms
 
 
 @pytest.mark.parametrize("op", [

@@ -141,6 +141,15 @@ def test_tmf_and_ko_specs_closed():
     assert st.comodule_closure_check(st.ko_spec(32), 32)["closed"]
 
 
+@pytest.mark.parametrize("built, cutoff", [(16, 32), (32, 16)])
+def test_closure_rejects_a_cutoff_of_another_generator_count(built, cutoff):
+    # Delta at the cutoff is split in the spec's ring: the xi generator
+    # counts of the two cutoffs must agree
+    with pytest.raises(ValueError, match="cutoff %d needs .* built at cutoff "
+                       "%d" % (cutoff, built)):
+        st.comodule_closure_check(st.tmf_spec(built), cutoff)
+
+
 def test_ku_free_over_ko():
     ku = st.bp_n_homology(1, 32, check_closure=False)
     rep = st.freeness_rank_check(ku, st.ko_spec(32), [0, 2], 32)

@@ -26,6 +26,7 @@ from .covers import (cech_weighted_projective, cover_fiber,
 from .curves import WeierstrassCurve, invariants, universal_curve_ring
 from .fgl import fgl_from_curve, hasse_coefficients
 from .hopf import builtin_algebroid, invariants_h0, ku_cp2_involution
+from .poly import is_prime
 from .regseq import landweber_report
 from . import steenrod as st
 
@@ -36,10 +37,12 @@ EXIT_ERROR = 2
 
 def parse_curve(text: str, prime: Optional[int] = None) -> WeierstrassCurve:
     """Comma list for (a1, a2, a3, a4, a6); entries are integers or the
-    symbolic names a1..a6 (in any slot)."""
+    symbolic names a1..a6 (in any slot); a given `prime` must be a prime."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 5:
         raise ValueError("--curve wants 5 entries a1,a2,a3,a4,a6")
+    if prime is not None and not is_prime(prime):
+        raise ValueError("%d is not a prime" % prime)
     ring = universal_curve_ring(prime)
     coeffs = []
     for p in parts:

@@ -2,13 +2,17 @@
 
 The group law is computed by the chord construction on the branch at the
 origin, entirely over the coefficient ring: no denominators ever appear.
+One construction adds any two series without constant term; F(x, y), the
+[n]-series and `FormalGroupLaw.add` are three uses of it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List
 
+from . import InvariantError
 from .curves import WeierstrassCurve
 from .poly import Polynomial, Ring, is_prime
 from .series import TruncatedSeries
@@ -17,77 +21,117 @@ from .series import TruncatedSeries
 def branch_expansion(curve: WeierstrassCurve, order: int
                      ) -> TruncatedSeries:
     """w(z) = z^3 + ... with w = -1/y, z = -x/y: the unique series solution of
-    w = z^3 + a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3."""
+    w = z^3 + a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3.
+
+    Every term on the right but z^3 has a factor z or w^2, so its degree-n
+    part depends on w through degree n - 1 only: round n, at precision n,
+    turns a solution through degree n - 1 into one through degree n.  A last
+    round at full precision must leave w as it is."""
     base = curve.ring
     ring = base.extend(("z",), (0,))
     a1, a2, a3, a4, a6 = [a.cast(ring) for a in curve.coefficients()]
-    z = TruncatedSeries(ring.gen("z"), ("z",), order)
-    w = z ** 3
-    while True:
-        w2 = (z ** 3 + a1 * (z * w) + a2 * (z * z * w)
-              + a3 * (w * w) + a4 * (z * w * w) + a6 * (w ** 3))
-        if w2 == w:
-            return w
-        w = w2
+    sv = ("z",)
+
+    def step(w: TruncatedSeries, n: int) -> TruncatedSeries:
+        z = TruncatedSeries(ring.gen("z"), sv, n)
+        w = TruncatedSeries(w.poly, sv, n)
+        return (z ** 3 + a1 * (z * w) + a2 * (z * z * w)
+                + a3 * (w * w) + a4 * (z * w * w) + a6 * (w ** 3))
+
+    w = TruncatedSeries(ring.zero(), sv, 0)
+    for n in range(1, order + 1):
+        w = step(w, n)
+    if step(w, order) != w:
+        raise InvariantError("branch expansion is not a fixed point")
+    return w
 
 
 def fgl_from_curve(curve: WeierstrassCurve, order: int) -> "FormalGroupLaw":
     """Chord-construction formal group law, truncated past total order `order`
-    in the two series variables."""
+    in the two series variables.  Only the branch w(z) and the formal
+    inverse i(z) are built here, both at order + 2; F(x, y) is built on
+    first use of `sum_series`."""
     pad = order + 2
-    base = curve.ring
     w = branch_expansion(curve, pad)
-    a_coeffs: List[Polynomial] = [w.coefficient("z", n).restrict(base)
-                                  for n in range(pad + 1)]
-
-    ring = base.extend(("x", "y"), (0, 0))
-    sv = ("x", "y")
-    a1, a2, a3, a4, a6 = [a.cast(ring) for a in curve.coefficients()]
-    x = TruncatedSeries(ring.gen("x"), sv, pad)
-    y = TruncatedSeries(ring.gen("y"), sv, pad)
-
-    # divided difference (w(x) - w(y))/(x - y) via complete homogeneous
-    # symmetric polynomials: lam = sum_n A_n h_{n-1}(x, y), term by term
-    # a x^i y^(n-1-i) for each term a of A_n; every term has degree < pad
-    lam_terms: Dict[tuple, int] = {}
-    for n in range(3, pad + 1):
-        for m, c in a_coeffs[n].terms.items():
-            for i in range(n):
-                lam_terms[m + (i, n - 1 - i)] = c
-    lam = TruncatedSeries(ring.poly(lam_terms), sv, pad)
-    wx = w.substitute({"z": x})
-    nu = wx - lam * x
-
-    # third intersection of the chord w = lam*z + nu with the cubic
-    lam2 = lam * lam
-    c3 = 1 + a2 * lam + a4 * lam2 + a6 * (lam2 * lam)
-    c2 = a1 * lam + a3 * lam2 + nu * (a2 + 2 * a4 * lam + 3 * a6 * lam2)
-    z3 = -x - y - c2 * c3.unit_inverse()
-
     # formal inverse: i(z) = -z / (1 - a1 z - a3 w(z))
-    zring = base.extend(("z",), (0,))
+    zring = curve.ring.extend(("z",), (0,))
     zs = TruncatedSeries(zring.gen("z"), ("z",), pad)
     a1z, a3z = curve.a1.cast(zring), curve.a3.cast(zring)
     inv_series = (-zs) * (1 - a1z * zs - a3z * w).unit_inverse()
-
-    f = inv_series.substitute({"z": z3})
-    f = TruncatedSeries(f.poly, sv, order)
-    return FormalGroupLaw(curve, f, inv_series, order)
+    return FormalGroupLaw(curve, w, inv_series, order)
 
 
 @dataclass
 class FormalGroupLaw:
     curve: WeierstrassCurve
-    sum_series: TruncatedSeries      # F(x, y), series vars ("x", "y")
-    inverse_series: TruncatedSeries  # i(z), series var ("z",)
+    branch: TruncatedSeries          # w(z), series var ("z",), order + 2
+    inverse_series: TruncatedSeries  # i(z), series var ("z",), order + 2
     order: int
 
     @property
     def ring(self) -> Ring:
-        return self.sum_series.ring
+        """The ring of `sum_series`: the curve's ring with x and y."""
+        return self.curve.ring.extend(("x", "y"), (0, 0))
+
+    @functools.cached_property
+    def sum_series(self) -> TruncatedSeries:
+        """F(x, y), series vars ("x", "y"), truncated at `order`."""
+        ring = self.ring
+        x = TruncatedSeries(ring.gen("x"), ("x", "y"), self.order)
+        y = TruncatedSeries(ring.gen("y"), ("x", "y"), self.order)
+        return self.add(x, y)
+
+    @functools.cached_property
+    def _slopes(self) -> List[Polynomial]:
+        """A_n, the coefficient of z^n in w(z), for n = 0 .. order + 2."""
+        return [self.branch.coefficient("z", n).restrict(self.curve.ring)
+                for n in range(self.branch.order + 1)]
 
     def add(self, u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
-        return self.sum_series.substitute({"x": u, "y": v})
+        """F(u, v) for series u, v without constant term, whose ring extends
+        the curve's, truncated at min(order, u.order, v.order).
+
+        The chord through (u, w(u)) and (v, w(v)) has slope
+        lam = (w(u) - w(v))/(u - v) = sum_n A_n h_(n-1)(u, v), with
+        h_k = u h_(k-1) + v^k the complete homogeneous polynomials (u = v
+        gives the tangent).  It meets the cubic a third time at z3, and
+        F(u, v) = i(z3).  Each step is a ring operation or a substitution
+        of a series without constant term, so the terms through degree n
+        depend on u and v through degree n only."""
+        for s in (u, v):
+            if set(s.series_vars) != set(u.series_vars):
+                raise ValueError("series variable mismatch")
+            if s.series_degree_min() < 1:
+                raise ValueError(
+                    "substituted series must have no constant term")
+        n = min(self.order, u.order, v.order)
+        sv = u.series_vars
+        u = TruncatedSeries(u.poly, sv, n)
+        v = TruncatedSeries(v.poly, sv, n)
+        ring = u.ring
+        a1, a2, a3, a4, a6 = [a.cast(ring) for a in self.curve.coefficients()]
+
+        # a term A_k h_(k-1) has degree >= k - 1, so A_k counts for k <= n + 1
+        slopes = self._slopes
+        one = TruncatedSeries(ring.one(), sv, n)
+        lam = TruncatedSeries(ring.zero(), sv, n)
+        h = vk = one
+        for k in range(1, n + 1):
+            vk = vk * v
+            h = u * h + vk
+            if not slopes[k + 1].is_zero():
+                lam = lam + h * slopes[k + 1]
+        nu = self.branch.substitute({"z": u}) - lam * u
+
+        # third intersection of the chord w = lam*z + nu with the cubic
+        lam2 = lam * lam
+        c3 = 1 + a2 * lam + a4 * lam2 + a6 * (lam2 * lam)
+        c2 = a1 * lam + a3 * lam2 + nu * (a2 + 2 * a4 * lam + 3 * a6 * lam2)
+        z3 = -u - v - c2 * c3.unit_inverse()
+        # (z3, lam*z3 + nu) is on the branch, so i(z3) = -z3 / (1 - a1 z3 -
+        # a3 w(z3)) with w(z3) read off the chord
+        w3 = lam * z3 + nu
+        return -z3 * (1 - a1 * z3 - a3 * w3).unit_inverse()
 
     def formal_inverse(self, u: TruncatedSeries) -> TruncatedSeries:
         tr = TruncatedSeries(self.inverse_series.poly,
@@ -95,7 +139,10 @@ class FormalGroupLaw:
         return tr.substitute({"z": u})
 
     def n_series(self, n: int) -> TruncatedSeries:
-        """[n](z), computed by the recursion [n+1] = F([n](z), z)."""
+        """[n](z), computed by the recursion [n+1](z) = F(z, [n](z)).
+
+        With z first, w(z) in the chord is the branch itself, and not a
+        substitution of [n](z) into it."""
         base = self.curve.ring
         zring = base.extend(("z",), (0,))
         z = TruncatedSeries(zring.gen("z"), ("z",), self.order)
@@ -105,7 +152,7 @@ class FormalGroupLaw:
         n = abs(n)
         cur = z
         for _ in range(n - 1):
-            cur = self.add(cur, z)
+            cur = self.add(z, cur)
         if neg:
             cur = self.formal_inverse(cur)
         return cur

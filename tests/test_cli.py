@@ -247,6 +247,12 @@ def test_prime_is_taken_where_it_is_read(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["curve", "invariants", "--prime", "4"],
+    ["curve", "invariants", "--prime", "1"],
+    ["curve", "invariants", "--prime", "0"],
+    ["curve", "fgl", "--order", "2", "--prime", "6"],
+    ["curve", "fgl", "--prime", "1"],
+    ["curve", "nseries", "--n", "2", "--prime", "6"],
     ["curve", "hasse", "--prime", "4"],
     ["curve", "hasse", "--prime", "1"],
     ["curve", "hasse", "--prime", "0"],

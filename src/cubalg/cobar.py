@@ -19,19 +19,22 @@ applies the coaction to b.  Terms acquiring a constant slot are dropped
 NotImplementedError -- so no coefficient ever has to be moved across an
 interior slot.
 
-Cohomology is computed over Z (Smith normal form: free rank plus torsion
-orders) or over F_p.  d o d = 0 is checked on every assembled bidegree, and
-a failure raises InvariantError.
+Each differential is kept as sparse columns, {row: coefficient}, reduced
+mod the modulus of Gamma when it has one.  Cohomology is computed over Z
+(Smith normal form, unit pivots eliminated sparsely first: free rank plus
+torsion orders) or over F_p.  d o d = 0 is checked on every assembled
+bidegree by sparse composition, and a failure raises InvariantError.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .hopf import HopfAlgebroidPresentation
-from .intlinalg import field_rank, invariant_factors, mat_mul, p_local_part
+from .intlinalg import field_rank, p_local_part, sparse_invariant_factors
 from .poly import Polynomial, is_prime, monomial_text
 
 
@@ -105,15 +108,26 @@ class CobarComplex:
         self.M = M
         self.strand = strand
         self.s_max = s_max
-        self._eta_cache: Dict[tuple, Polynomial] = {}
         self._delta_cache: Dict[tuple, list] = {}
         self.bases: List[List[tuple]] = []   # per s: (amono, slots, label)
         for s in range(s_max + 2):
             self.bases.append(self._enumerate(s))
-        self.matrices: List[List[List[int]]] = []
-        for s in range(s_max + 1):
-            self.matrices.append(self._differential(s))
+        # per s: d_s as its columns, {row: nonzero coefficient}
+        self.columns: List[List[Dict[int, int]]] = [
+            self._differential(s) for s in range(s_max + 1)]
         self._check_d_squared()
+
+    @functools.cached_property
+    def matrices(self) -> List[List[List[int]]]:
+        """Dense view of the differentials, d_s as a list of rows."""
+        out = []
+        for s, cols in enumerate(self.columns):
+            mat = [[0] * len(cols) for _ in self.bases[s + 1]]
+            for j, col in enumerate(cols):
+                for i, c in col.items():
+                    mat[i][j] = c
+            out.append(mat)
+        return out
 
     # -- basis -------------------------------------------------------------
 
@@ -140,13 +154,12 @@ class CobarComplex:
 
     # -- differential ------------------------------------------------------
 
-    def _differential(self, s: int) -> List[List[int]]:
+    def _differential(self, s: int) -> List[Dict[int, int]]:
         H = self.H
-        src = self.bases[s]
-        dst = self.bases[s + 1]
-        index = {b: i for i, b in enumerate(dst)}
-        mat = [[0] * len(src) for _ in dst]
-        for col, (amono, slots, label) in enumerate(src):
+        mod = H.gamma.modulus
+        index = {b: i for i, b in enumerate(self.bases[s + 1])}
+        cols: List[Dict[int, int]] = []
+        for amono, slots, label in self.bases[s]:
             acc: Dict[tuple, int] = {}
 
             def add(target: tuple, c: int):
@@ -154,9 +167,7 @@ class CobarComplex:
                     acc[target] = acc.get(target, 0) + c
 
             # face 0: left coefficient through eta_R into a fresh slot
-            if amono not in self._eta_cache:
-                self._eta_cache[amono] = H.eta_R(H.A.poly({amono: 1}))
-            for mono, c in self._eta_cache[amono].terms.items():
+            for mono, c in H.eta_R_monomial(amono).terms.items():
                 delta_a, eps = H.split(mono)
                 if any(eps):
                     add((delta_a, (eps,) + slots, label), c)
@@ -179,25 +190,34 @@ class CobarComplex:
                             "coaction with A-coefficients unsupported")
                     if any(eps):
                         add((amono, slots + (eps,), label2), sign * c)
-            for target, c in acc.items():
-                if c:
-                    mat[index[target]][col] = c
-        return mat
+            if mod:
+                acc = {t: c % mod for t, c in acc.items()}
+            cols.append({index[t]: c for t, c in acc.items() if c})
+        return cols
 
     def _check_d_squared(self):
+        """d_{s+1} d_s = 0 by sparse composition, mod the modulus of Gamma
+        when it has one."""
+        mod = self.H.gamma.modulus
         for s in range(self.s_max):
-            if any(map(any, mat_mul(self.matrices[s + 1],
-                                    self.matrices[s]))):
-                raise InvariantError(
-                    "d^2 != 0 at cochain degree %d, strand %d"
-                    % (s, self.strand))
+            outer = self.columns[s + 1]
+            for col in self.columns[s]:
+                acc: Dict[int, int] = {}
+                for k, c in col.items():
+                    for i, x in outer[k].items():
+                        acc[i] = acc.get(i, 0) + c * x
+                if any(y % mod if mod else y for y in acc.values()):
+                    raise InvariantError(
+                        "d^2 != 0 at cochain degree %d, strand %d"
+                        % (s, self.strand))
 
     # -- cohomology --------------------------------------------------------
 
     def cohomology(self, prime: Optional[int] = None
                    ) -> List[Tuple[int, List[int]]]:
         """Per s in 0..s_max: (free rank, torsion orders) over Z, or
-        (dimension, []) over F_p when `prime` is given.
+        (dimension, []) over F_p when `prime` is given; a Gamma with a
+        modulus p needs prime = p.
 
         Each differential is eliminated once.  Over Z, Z^n / ker d_s is
         torsion-free, so ker d_s is a direct summand of Z^n and H^s has
@@ -205,15 +225,19 @@ class CobarComplex:
         Z^n / im d_{s-1}: the invariant factors of d_{s-1} above 1.
         d^2 = 0 was checked when the complex was assembled.
         """
+        mod = self.H.gamma.modulus
+        if mod and prime != mod:
+            raise ValueError("Gamma has modulus %d: cohomology needs "
+                             "prime=%d" % (mod, mod))
         # entry s + 1 is d_s; entry 0 is the zero map into degree 0
         if prime is None:
-            facs = [[]] + [invariant_factors(m) if m and m[0] else []
-                           for m in self.matrices]
+            facs = [[]] + [sparse_invariant_factors(cols)
+                           for cols in self.columns]
             ranks = [len(f) for f in facs]
         else:
-            ranks = [0] + [field_rank([[c % prime for c in row] for row in m],
-                                      len(m[0]), prime) if m and m[0] else 0
-                           for m in self.matrices]
+            ranks = [0] + [field_rank(
+                ({i: c % prime for i, c in col.items() if c % prime}
+                 for col in cols), prime) for cols in self.columns]
             facs = [[]] * len(ranks)
         return [(len(self.bases[s]) - ranks[s + 1] - ranks[s],
                  [f for f in facs[s] if f != 1])

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import InvariantError
 from .curves import (CoordinateChange, WeierstrassCurve, invariants,
                      transform, universal_curve)
-from .intlinalg import RowSpace, invariant_factors
+from .intlinalg import RowSpace, sparse_invariant_factors
 from .poincare import poincare_series
 from .poly import Polynomial, Ring, is_prime, monomial_text
 
@@ -102,21 +102,16 @@ def cover_fiber(curve_coeffs: Sequence[int], p: int, field: str = None
     cols = [m for ms in reversed(by_weight) for m in reversed(ms)]
     col = {m: j for j, m in enumerate(cols)}
 
-    def vector(terms):
-        vec = [0] * len(cols)
-        for m, c in terms.items():
-            vec[col[m]] = c         # reduced mod q by the ring
-        return vec
-
     multiples = [Polynomial(ring, {m: 1}) * rel for rel in rels
                  for ms in by_weight[:bound - rel.max_weight() + 1]
                  for m in ms]
     # least leading monomial first: a new pivot then mostly lies left of
     # every stored row, which leaves little to back-substitute
     multiples.sort(key=lambda f: -min(col[m] for m in f.terms))
-    space = RowSpace(q, len(cols))
+    space = RowSpace(q)
     for f in multiples:
-        space.insert(vector(f.terms))
+        # the ring reduced the coefficients mod q
+        space.insert({col[m]: c for m, c in f.terms.items()})
 
     # Nakayama-style finiteness: scan for a full window of weights with no
     # irreducible monomial; everything above such a window is reducible too
@@ -135,8 +130,8 @@ def cover_fiber(curve_coeffs: Sequence[int], p: int, field: str = None
     for i, mi in enumerate(basis):
         for j, mj in enumerate(basis):
             prod = tuple(x + y for x, y in zip(mi, mj))
-            red = space.reduce(vector({prod: 1}))
-            table[(i, j)] = {index[k]: c for k, c in enumerate(red) if c}
+            red = space.reduce({col[prod]: 1})
+            table[(i, j)] = {index[k]: c for k, c in red.items()}
     return FiberAlgebra(prime=p, field=name, var_names=ring.names,
                         var_weights=ring.weights, basis=basis,
                         mult_table=table, rank=len(basis))
@@ -204,13 +199,9 @@ def _cech_snf_ranks(w1, w2, j):
     c1 = [(i, k) for i, k in _lattice_solutions(w1, w2, j, span)]
     c0a = [(i, k) for i, k in c1 if k >= 0]      # x2-exponent nonnegative
     c0b = [(i, k) for i, k in c1 if i >= 0]
-    cols = [("a", m) for m in c0a] + [("b", m) for m in c0b]
     rows = {m: r for r, m in enumerate(c1)}
-    mat = [[0] * len(cols) for _ in c1]
-    for cidx, (side, m) in enumerate(cols):
-        sign = 1 if side == "a" else -1
-        mat[rows[m]][cidx] = sign
-    rank = len(invariant_factors(mat))
+    cols = [{rows[m]: 1} for m in c0a] + [{rows[m]: -1} for m in c0b]
+    rank = len(sparse_invariant_factors(cols))
     # kernel = (m, m) pairs of monomials regular on both patches
     h0 = len(cols) - rank
     h1 = len(c1) - rank

@@ -57,6 +57,8 @@ class HopfAlgebroidPresentation:
                                            init=False, repr=False)
     _splitters: Dict[int, Callable] = field(default_factory=dict,
                                             init=False, repr=False)
+    _eta_memo: Dict[tuple, Polynomial] = field(default_factory=dict,
+                                               init=False, repr=False)
 
     # -- rings and their exponent layout -----------------------------------
 
@@ -103,6 +105,22 @@ class HopfAlgebroidPresentation:
         images = {n: self.eta_r[n] for n in self.A.names}
         return self._reduce(a.map_gens(g, images))
 
+    def eta_R_monomial(self, m: tuple) -> Polynomial:
+        """eta_R of the A-monomial with exponents m, memoized
+        multiplicatively: eta_R(m) = eta_R(m - e_k) . eta_R(x_k), with x_k
+        the last generator that m uses."""
+        out = self._eta_memo.get(m)
+        if out is None:
+            k = max((i for i, e in enumerate(m) if e), default=None)
+            if k is None:
+                out = self.gamma.one()
+            else:
+                rest = m[:k] + (m[k] - 1,) + m[k + 1:]
+                out = self._reduce(self.eta_R_monomial(rest)
+                                   * self.eta_r[self.A.names[k]])
+            self._eta_memo[m] = out
+        return out
+
     def epsilon(self, x: Polynomial) -> Polynomial:
         images: Dict[str, object] = {n: self.A.gen(n) for n in self.A.names}
         for n in self.gamma_names:
@@ -137,7 +155,7 @@ class HopfAlgebroidPresentation:
         for mono, c in x.terms.items():
             a, g = self.split(mono)
             left: Dict[tuple, int] = {}
-            for m, e in self.eta_R(self.A.poly({a: 1})).terms.items():
+            for m, e in self.eta_R_monomial(a).terms.items():
                 a2, g2 = self.split(m)
                 left[self.join((g2, unit), a2)] = e
             out = out + c * t2.poly(left) * t2.poly({self.join((unit, g)): 1})
@@ -374,7 +392,7 @@ def invariants_h0(H: HopfAlgebroidPresentation, twists: Sequence[int]
         if not monos:
             out[j] = []
             continue
-        diffs = [H.eta_R(H.A.poly({m: 1})) - H.eta_L(H.A.poly({m: 1}))
+        diffs = [H.eta_R_monomial(m) - H.eta_L(H.A.poly({m: 1}))
                  for m in monos]
         tmonos = sorted(set().union(*[set(d.terms) for d in diffs]))
         tindex = {m: i for i, m in enumerate(tmonos)}

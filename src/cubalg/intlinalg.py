@@ -184,6 +184,61 @@ def invariant_factors(a: Matrix) -> List[int]:
     return [x for x in diagonal_of(d) if x]
 
 
+def sparse_invariant_factors(cols: Sequence[Dict[int, int]]) -> List[int]:
+    """`invariant_factors` of the integer matrix with the given sparse
+    columns {row: nonzero entry}.
+
+    Unit pivots are eliminated on the sparse columns first.  Each clears
+    its row by column operations, leaving its column and row to
+    contribute one invariant factor 1, so the Smith form is diag(1, ..., 1,
+    D) with D that of the residual, which alone is made dense.  Of the
+    units left, the next pivot minimises (column nnz - 1) * (row nnz - 1),
+    the most entries its elimination can fill in (Markowitz's rule).
+    """
+    cols = [dict(c) for c in cols]
+    where: Dict[int, set] = {}          # row -> columns holding it
+    for k, col in enumerate(cols):
+        for r in col:
+            where.setdefault(r, set()).add(k)
+    units = 0
+    while True:
+        best = None
+        for k, col in enumerate(cols):
+            fill = len(col) - 1
+            for r, c in col.items():
+                if c == 1 or c == -1:
+                    cost = fill * (len(where[r]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, k, r)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, k, r = best
+        pivot = cols[k]
+        cols[k] = {}
+        for i in pivot:
+            where[i].discard(k)
+        u = pivot.pop(r)
+        # column j -= (a_rj / u) * column k, where 1 / u = u
+        for j in where.pop(r):
+            col = cols[j]
+            f = col.pop(r) * u
+            for i, x in pivot.items():
+                y = col.get(i, 0) - f * x
+                if y:
+                    if i not in col:
+                        where[i].add(j)
+                    col[i] = y
+                else:
+                    del col[i]
+                    where[i].discard(j)
+        units += 1
+    rows = sorted(r for r, ks in where.items() if ks)
+    residual = [[col.get(r, 0) for col in cols if col] for r in rows]
+    return [1] * units + (invariant_factors(residual) if rows else [])
+
+
 def integer_kernel(a: Matrix) -> List[List[int]]:
     """Basis (list of column vectors) of the integer kernel of A: the
     columns of the Smith form's V at zero diagonal entries.  Tracks V only,
@@ -355,50 +410,50 @@ def f2_solve(cols: Sequence[int], v: int) -> Optional[int]:
 # F_p and Q linear algebra
 #
 # `p` is a prime for F_p, whose elements are the residues 0..p-1, or None
-# for Q, whose elements are ints and Fractions.  Either way an element is
-# zero exactly when it is falsy.  Vectors come in with their entries so
-# reduced, and elimination reduces mod p only the entries a row touches.
+# for Q, whose elements are ints and Fractions.  A vector is a dict
+# {column: nonzero element}; columns are ints, and a row's pivot is its
+# least column.  Elimination reduces mod p only the entries a row touches.
 
 
 class RowSpace:
     """Reduced row space over F_p or Q, supporting incremental insertion
-    and reduction of vectors.
+    and reduction of sparse vectors.
 
-    Vectors are dense lists of field elements in a fixed basis of `width`
-    columns.  Each stored row keeps only its nonzero entries, {column:
-    coefficient}: its pivot is its first nonzero column, with coefficient
-    1, and it is zero in every other row's pivot column.  So `reduce` and
-    back-substitution cost grows with the nonzeros, not with the width,
-    and the rows do not depend on the order of insertion.
+    Each stored row has coefficient 1 at its pivot and is zero in every
+    other row's pivot column.  So reducing a vector subtracts exactly the
+    rows whose pivots it meets, each once, and cost grows with the
+    nonzeros, never with a width; the rows do not depend on the order of
+    insertion.
     """
 
-    def __init__(self, p: Optional[int], width: int):
+    def __init__(self, p: Optional[int]):
         self.p = p
-        self.width = width
-        self.rows = {}  # pivot index -> {column: nonzero coefficient}
+        self.rows: Dict[int, Dict[int, object]] = {}   # pivot -> row
 
-    def reduce(self, vec):
+    def reduce(self, vec: Dict[int, object]) -> Dict[int, object]:
         p = self.p
-        v = list(vec)
-        # each row vanishes at the other pivots, so the order is immaterial
-        for piv, row in self.rows.items():
+        rows = self.rows
+        v = dict(vec)
+        # subtracting a row leaves the other pivot columns as they were
+        for piv in [j for j in vec if j in rows]:
             c = v[piv]
-            if c:
+            for j, x in rows[piv].items():
+                y = v.get(j, 0) - c * x
                 if p:
-                    for j, x in row.items():
-                        v[j] = (v[j] - c * x) % p
+                    y %= p
+                if y:
+                    v[j] = y
                 else:
-                    for j, x in row.items():
-                        v[j] -= c * x
+                    del v[j]
         return v
 
-    def insert(self, vec) -> bool:
+    def insert(self, vec: Dict[int, object]) -> bool:
         """Insert a vector; returns True if it enlarged the space."""
         p = self.p
-        new = {j: x for j, x in enumerate(self.reduce(vec)) if x}
+        new = self.reduce(vec)
         if not new:
             return False
-        piv = next(iter(new))       # the first nonzero column
+        piv = min(new)
         inv = pow(new[piv], -1, p) if p else 1 / Fraction(new[piv])
         new = {j: inv * x % p if p else inv * x for j, x in new.items()}
         # back-substitute into existing rows
@@ -416,39 +471,40 @@ class RowSpace:
         self.rows[piv] = new
         return True
 
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+    def contains(self, vec: Dict[int, object]) -> bool:
+        return not self.reduce(vec)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
 
-def field_kernel(cols: Sequence[list], p: Optional[int]) -> List[list]:
+def field_kernel(cols: Sequence[Dict[int, object]], p: Optional[int]
+                 ) -> List[Dict[int, object]]:
     """Kernel basis of the linear map sending the i-th unit vector to
-    cols[i], over F_p (p prime) or Q (p None); returns vectors of length
-    len(cols)."""
-    n = len(cols)
-    m = len(cols[0]) if cols else 0
-    # augment each image with its unit vector; kernel vectors are those
-    # whose image part reduces to zero
-    space = RowSpace(p, m + n)
+    cols[i], over F_p (p prime) or Q (p None), as sparse vectors over the
+    indices of `cols`."""
+    # augment each image with its unit vector at m + i, past every image
+    # row; kernel vectors are those whose image part reduces to zero
+    m = 1 + max((max(col) for col in cols if col), default=-1)
+    space = RowSpace(p)
     kernel = []
     for i, col in enumerate(cols):
-        aug = list(col) + [0] * n
+        aug = dict(col)
         aug[m + i] = 1
         red = space.reduce(aug)
-        if not any(red[:m]):
-            kernel.append(red[m:])
+        if min(red) >= m:
+            kernel.append({j - m: x for j, x in red.items()})
         else:
-            # pivot lands in the leading block, so tails stay consistent
+            # pivot lands in the image part, so tails stay consistent
             space.insert(red)
     return kernel
 
 
-def field_rank(rows: Sequence[list], width: int, p: Optional[int]) -> int:
-    """Rank of the rows (each of length `width`) over F_p or Q."""
-    space = RowSpace(p, width)
-    for r in rows:
-        space.insert(r)
+def field_rank(vectors: Iterable[Dict[int, object]], p: Optional[int]
+               ) -> int:
+    """Rank of the sparse vectors over F_p or Q."""
+    space = RowSpace(p)
+    for v in vectors:
+        space.insert(v)
     return space.rank

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from math import lcm
 from typing import Dict, List, Optional, Sequence
 
@@ -31,39 +30,33 @@ class GradedIdeal:
         self.p = p
         self.cutoff = cutoff
         self.spans: Dict[int, RowSpace] = {
-            w: RowSpace(p, len(monomials(ring.weights, w)))
-            for w in range(cutoff + 1)}
+            w: RowSpace(p) for w in range(cutoff + 1)}
         self.generators: List[Polynomial] = []
 
-    def vector(self, poly: Polynomial, w: int):
+    def vector(self, poly: Polynomial, w: int) -> dict:
+        """{column: coefficient} of poly in the weight-w monomial basis."""
         p = self.p
         idx = monomial_index(self.ring.weights, w)
-        vec = [0] * len(idx)
-        for m, c in poly.terms.items():
-            vec[idx[m]] = c % p if p else c
-        return vec
+        if p:
+            return {idx[m]: c % p for m, c in poly.terms.items() if c % p}
+        return {idx[m]: c for m, c in poly.terms.items()}
 
     def add_generator(self, x: Polynomial):
         d = x.weight()
-        self.adjoin(x, [[_sparse(self.vector(
-            Polynomial(self.ring, {m: 1}) * x, w + d))
-            for m in monomials(self.ring.weights, w)]
-            for w in range(0, self.cutoff - d + 1)])
+        self.adjoin(x, [[self.vector(Polynomial(self.ring, {m: 1}) * x, w + d)
+                         for m in monomials(self.ring.weights, w)]
+                        for w in range(0, self.cutoff - d + 1)])
 
     def adjoin(self, x: Polynomial, multiples: List[list]):
-        """Add the generator x, given multiples[w] = the nonzero coordinates
-        {column: coefficient} of m*x for the monomials m of weight w, each
-        reduced modulo the ideal or not: a reduced echelon form depends
-        only on the span."""
+        """Add the generator x, given multiples[w] = the vectors of m*x for
+        the monomials m of weight w, each reduced modulo the ideal or not:
+        a reduced echelon form depends only on the span."""
         d = x.weight()
         self.generators.append(x)
         for w, rows in enumerate(multiples):
             span = self.spans[w + d]
             for row in rows:
-                vec = [0] * span.width
-                for j, c in row.items():
-                    vec[j] = c
-                span.insert(vec)
+                span.insert(row)
 
     def quotient_rank(self, w: int) -> int:
         return len(monomials(self.ring.weights, w)) - self.spans[w].rank
@@ -139,8 +132,7 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
             # the images of the monomials in the quotient's weight w + d
             images = [ideal.spans[w + d].reduce(ideal.vector(
                 Polynomial(ring, {m: 1}) * x, w + d)) for m in monos]
-            # kept sparse until x is adjoined: the images are mostly zero
-            multiples.append([_sparse(v) for v in images])
+            multiples.append(images)
             for kv in field_kernel(images, prime):
                 if not ideal.spans[w].contains(kv):
                     failure = {"element": x.text(), "weight": w,
@@ -174,15 +166,10 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
         quotient_ranks=quotient_ranks, notes=notes, ideal=ideal)
 
 
-def _sparse(vec) -> dict:
-    """{column: entry} of the nonzero entries of a dense vector."""
-    return {j: vec[j] for j in compress(range(len(vec)), vec)}
-
-
-def _vec_to_poly(vec, monos, ring: Ring) -> Polynomial:
+def _vec_to_poly(vec: dict, monos, ring: Ring) -> Polynomial:
     """The vector as a polynomial, cleared of denominators over Q."""
-    scale = lcm(*(Fraction(c).denominator for c in vec))
-    return ring.poly({m: int(c * scale) for m, c in zip(monos, vec) if c})
+    scale = lcm(*(Fraction(c).denominator for c in vec.values()))
+    return ring.poly({monos[j]: int(c * scale) for j, c in vec.items()})
 
 
 def landweber_report(curve: WeierstrassCurve, p: int, cutoff: int
@@ -191,6 +178,10 @@ def landweber_report(curve: WeierstrassCurve, p: int, cutoff: int
     sequence (p, v1, v2), and the least powers (at most the 12th, and of
     weight at most the cutoff) of c4 and the discriminant lying in the
     ideal (p, v1, v2)."""
+    w2 = 2 * (p * p - 1)
+    if w2 > cutoff:
+        raise ValueError("v2 has weight 2(p^2 - 1) = %d, above the cutoff "
+                         "%d" % (w2, cutoff))
     ring = curve.ring
     vs = hasse_coefficients(curve, p, 2)
     v1 = vs[1].restrict(ring)

@@ -2,7 +2,8 @@
 for differential tests:
 
 - `FieldOps`, the field abstraction `RowSpace`, `field_kernel` and
-  `field_rank` used to take;
+  `field_rank` used to take, and the dense row space and its kernel and
+  rank loops, which took dense vectors of a fixed width;
 - the F_2 bitmask span in *reduced* echelon form, its canonical residue
   and the augmented kernel loop, as `cubalg.steenrod` kept them privately.
 """
@@ -34,6 +35,83 @@ class FieldOps:
 
     def inv(self, x):
         return pow(x, -1, self.p) if self.p else 1 / x
+
+    def is_zero(self, x) -> bool:
+        return (x % self.p == 0) if self.p else x == 0
+
+
+class DenseRowSpace:
+    """Reduced row space with dense rows (lists of `width` entries)."""
+
+    def __init__(self, ops: FieldOps, width: int):
+        self.ops = ops
+        self.width = width
+        self.rows = {}  # pivot index -> reduced row (pivot coefficient 1)
+
+    def reduce(self, vec):
+        ops = self.ops
+        v = list(vec)
+        for piv in sorted(self.rows):
+            c = v[piv]
+            if not ops.is_zero(c):
+                row = self.rows[piv]
+                nc = ops.neg(c)
+                for j in range(piv, self.width):
+                    v[j] = ops.add(v[j], ops.mul(nc, row[j]))
+        return v
+
+    def insert(self, vec) -> bool:
+        """Insert a vector; returns True if it enlarged the space."""
+        ops = self.ops
+        v = self.reduce(vec)
+        piv = next((j for j in range(self.width)
+                    if not ops.is_zero(v[j])), None)
+        if piv is None:
+            return False
+        inv = ops.inv(v[piv])
+        v = [ops.mul(inv, x) for x in v]
+        # back-substitute into existing rows
+        for p2, row in list(self.rows.items()):
+            c = row[piv]
+            if not ops.is_zero(c):
+                nc = ops.neg(c)
+                self.rows[p2] = [ops.add(row[j], ops.mul(nc, v[j]))
+                                 for j in range(self.width)]
+        self.rows[piv] = v
+        return True
+
+    def contains(self, vec) -> bool:
+        return all(self.ops.is_zero(x) for x in self.reduce(vec))
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def dense_field_kernel(rows, width: int, ops: FieldOps):
+    """Kernel basis of x -> M x, where `rows` are the rows of M (each of
+    length `width`), as dense vectors of length `width`: augmented
+    elimination on the transpose."""
+    m = len(rows)
+    space = DenseRowSpace(ops, m + width)
+    kernel = []
+    for j in range(width):
+        aug = [r[j] for r in rows] + [ops.of_int(0)] * width
+        aug[m + j] = ops.of_int(1)
+        red = space.reduce(aug)
+        if all(ops.is_zero(x) for x in red[:m]):
+            kernel.append(red[m:])
+        else:
+            # pivot lands in the leading block, so tails stay consistent
+            space.insert(red)
+    return kernel
+
+
+def dense_field_rank(rows, width: int, ops: FieldOps) -> int:
+    space = DenseRowSpace(ops, width)
+    for r in rows:
+        space.insert(r)
+    return space.rank
 
 
 class ReducedBitSpan:

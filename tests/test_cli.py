@@ -7,7 +7,7 @@ import pytest
 
 from cubalg import InvariantError
 from cubalg import chart as chartmod
-from cubalg import emit
+from cubalg import emit, regseq
 from cubalg import cli
 from cubalg.cli import dispatch, parse_curve, parse_range
 from cubalg.cobar import BigradedChart, cobar_cohomology
@@ -271,6 +271,28 @@ def test_bad_prime_or_bound_exits_2(argv, capsys):
     assert dispatch(argv) == cli.EXIT_ERROR
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("cubalg: error: ")
+
+
+@pytest.mark.parametrize("prime, cutoff", [(5, 30), (3, 15), (2, 4)])
+def test_landweber_rejects_a_cutoff_below_v2_first(prime, cutoff, capsys,
+                                                   monkeypatch):
+    # the weight of v2 is known from p: no series is built to find it
+    def unbuilt(*args):
+        raise AssertionError("hasse_coefficients called")
+
+    monkeypatch.setattr(regseq, "hasse_coefficients", unbuilt)
+    argv = ["curve", "landweber", "--prime", str(prime), "--cutoff",
+            str(cutoff)]
+    assert dispatch(argv) == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("cubalg: error: v2 has weight 2(p^2 - 1) = %d, above "
+                   "the cutoff %d\n" % (2 * (prime ** 2 - 1), cutoff))
+
+
+def test_landweber_runs_at_a_cutoff_equal_to_the_weight_of_v2():
+    rc, out = run(["curve", "landweber", "--prime", "2", "--cutoff", "6"])
+    assert rc == 0 and json.loads(out)["v"][2]
 
 
 @pytest.mark.parametrize("flags", [

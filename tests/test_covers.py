@@ -105,11 +105,6 @@ def test_tmf_mu_rejects_a_non_prime(prime):
 # `intlinalg.RowSpace`
 
 
-class _Ops(FieldOps):
-    def is_zero(self, x) -> bool:
-        return (x % self.p == 0) if self.p else x == 0
-
-
 class _FieldElt:
     """Coefficient helpers for a named base field."""
 
@@ -122,7 +117,7 @@ class _FieldElt:
         else:
             raise ValueError("unknown field %r (use Q or F<p>)" % spec)
         self.name = spec
-        self.ops = _Ops(self.p)
+        self.ops = FieldOps(self.p)
 
     def of(self, c) -> object:
         return self.ops.of_int(int(c))

@@ -30,6 +30,16 @@ def test_all_axioms(name):
     assert all(checks.values()), checks
 
 
+@pytest.mark.parametrize("name", ["weierstrass", "mqd", "z2_group"])
+def test_eta_r_monomial_matches_eta_r(name):
+    # the multiplicative memo against the ring map on each A-monomial
+    H = builtin_algebroid(name)
+    for w in range(25):
+        for m in H.A.monomials_of_weight(w):
+            assert H.eta_R_monomial(m) == H.eta_R(H.A.poly({m: 1})), m
+    assert H.eta_R_monomial((0,) * len(H.A.names)) == H.gamma.one()
+
+
 def test_synthesis_is_deterministic():
     a = synthesize_weierstrass_algebroid()
     b = synthesize_weierstrass_algebroid()

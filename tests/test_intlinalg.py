@@ -10,7 +10,7 @@ from cubalg.intlinalg import (BitSpan, RowSpace, cokernel_structure,
                               f2_kernel, f2_solve, field_kernel, field_rank,
                               homology, integer_kernel, invariant_factors,
                               mat_mul, p_local_part, smith_normal_form,
-                              solve_integer)
+                              solve_integer, sparse_invariant_factors)
 
 
 def test_snf_factorization():
@@ -340,6 +340,47 @@ def test_elimination_matches_reference(data):
         if j >= len(diag) or diag[j] == 0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=hst.data())
+def test_sparse_invariant_factors_match_dense(data):
+    # empty matrices, zero columns and columns with and without units
+    rows = data.draw(hst.integers(0, 7), label="rows")
+    cols = data.draw(hst.integers(0, 7), label="cols")
+    a = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        kind = data.draw(hst.sampled_from(["unit", "no unit", "zero"]))
+        if kind == "zero":
+            continue
+        entries = hst.sampled_from(_WITH_UNIT if kind == "unit"
+                                   else _WITHOUT_UNIT)
+        for i in range(rows):
+            a[i][j] = data.draw(entries)
+    sparse = [{i: a[i][j] for i in range(rows) if a[i][j]}
+              for j in range(cols)]
+    before = [dict(c) for c in sparse]
+    assert sparse_invariant_factors(sparse) == invariant_factors(a)
+    assert sparse == before
+
+
+def test_sparse_invariant_factors_leave_no_unit_to_the_dense_residual(
+        monkeypatch):
+    seen = []
+
+    def residual(a):
+        seen.append(a)
+        return invariant_factors(a)
+
+    monkeypatch.setattr(intlinalg, "invariant_factors", residual)
+    # two units, then a 2 x 2 block without one: Smith form diag(1, 1, 2, 6)
+    cols = [{0: 1, 1: 5}, {1: -1, 2: 3}, {2: 2, 3: 2}, {3: 6}]
+    assert sparse_invariant_factors(cols) == [1, 1, 2, 6]
+    assert seen == [[[2, 0], [2, 6]]]
+    # a unimodular matrix never reaches the dense path
+    seen.clear()
+    assert sparse_invariant_factors([{0: 1, 1: 1}, {0: 1, 1: 2}]) == [1, 1]
+    assert seen == []
+
+
 def test_factors_and_kernel_skip_the_full_smith_form(monkeypatch):
     def unread_transforms(a):
         raise AssertionError("smith_normal_form called")
@@ -352,109 +393,26 @@ def test_factors_and_kernel_skip_the_full_smith_form(monkeypatch):
 
 
 def test_field_ops_fp_and_q():
-    rows = [[1, 1], [1, 1]]
-    assert field_rank(rows, 2, 2) == 1
-    ker = field_kernel(_transpose(rows, 2), 2)
-    assert len(ker) == 1
-    rows = [[2, 4]]
-    assert field_rank(rows, 2, None) == 1
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1}]
+    assert field_rank(rows, 2) == 1
+    ker = field_kernel(rows, 2)     # the matrix is symmetric
+    assert ker == [{0: 1, 1: 1}]
+    assert field_rank([{0: 2, 1: 4}], None) == 1
+    assert field_rank([], 3) == 0 and field_kernel([], 3) == []
+    assert field_kernel([{}, {1: 2}, {}], 3) == [{0: 1}, {2: 1}]
 
 
 # ---------------------------------------------------------------------------
-# reference: RowSpace with dense list rows, and field_kernel/field_rank on it
+# sparse RowSpace, field_kernel and field_rank against the dense reference
 
 
-def _transpose(rows, width: int):
-    return [[r[j] for r in rows] for j in range(width)]
+def _sparse(vec) -> dict:
+    return {j: x for j, x in enumerate(vec) if x}
 
 
-class _Ops(ref.FieldOps):
-    def is_zero(self, x) -> bool:
-        return (x % self.p == 0) if self.p else x == 0
-
-
-class _DenseRowSpace:
-    """Reduced row space with dense rows (lists of `width` entries)."""
-
-    def __init__(self, ops, width: int):
-        self.ops = ops
-        self.width = width
-        self.rows = {}  # pivot index -> reduced row (pivot coefficient 1)
-
-    def reduce(self, vec):
-        ops = self.ops
-        v = list(vec)
-        for piv in sorted(self.rows):
-            c = v[piv]
-            if not ops.is_zero(c):
-                row = self.rows[piv]
-                nc = ops.neg(c)
-                for j in range(piv, self.width):
-                    v[j] = ops.add(v[j], ops.mul(nc, row[j]))
-        return v
-
-    def insert(self, vec) -> bool:
-        """Insert a vector; returns True if it enlarged the space."""
-        ops = self.ops
-        v = self.reduce(vec)
-        piv = None
-        for j in range(self.width):
-            if not ops.is_zero(v[j]):
-                piv = j
-                break
-        if piv is None:
-            return False
-        inv = ops.inv(v[piv])
-        v = [ops.mul(inv, x) for x in v]
-        # back-substitute into existing rows
-        for p2, row in list(self.rows.items()):
-            c = row[piv]
-            if not ops.is_zero(c):
-                nc = ops.neg(c)
-                self.rows[p2] = [ops.add(row[j], ops.mul(nc, v[j]))
-                                 for j in range(self.width)]
-        self.rows[piv] = v
-        return True
-
-    def contains(self, vec) -> bool:
-        v = self.reduce(vec)
-        return all(self.ops.is_zero(x) for x in v)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def _dense_field_kernel(rows, width: int, ops):
-    """Kernel basis of the linear map x -> M x where `rows` are the rows of M
-    (length `width` each); returns column vectors of length width."""
-    # eliminate on the transpose-augmented system
-    aug = []
-    for j in range(width):
-        col = [ops.of_int(0)] * len(rows) + [ops.of_int(0)] * width
-        for i, r in enumerate(rows):
-            col[i] = r[j]
-        col[len(rows) + j] = ops.of_int(1)
-        aug.append(col)
-    # row reduce the `aug` vectors; kernel vectors are those whose first part
-    # reduces to zero
-    space = _DenseRowSpace(ops, len(rows) + width)
-    kernel = []
-    for v in aug:
-        red = space.reduce(v)
-        if all(ops.is_zero(x) for x in red[:len(rows)]):
-            kernel.append(red[len(rows):])
-        else:
-            # pivot lands in the leading block, so tails stay consistent
-            space.insert(red)
-    return kernel
-
-
-def _dense_field_rank(rows, width: int, ops) -> int:
-    space = _DenseRowSpace(ops, width)
-    for r in rows:
-        space.insert(r)
-    return space.rank
+def _sparse_columns(rows, width: int):
+    return [{i: r[j] for i, r in enumerate(rows) if r[j]}
+            for j in range(width)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -473,20 +431,20 @@ def test_rowspace_matches_dense_reference(data):
     rows += [[ops.of_int(0)] * width, rows[0]]
     probes = rows + data.draw(hst.lists(vector, max_size=3), label="probes")
 
-    sparse = RowSpace(p, width)
-    dense = _DenseRowSpace(_Ops(p), width)
+    sparse = RowSpace(p)
+    dense = ref.DenseRowSpace(ops, width)
     for r in data.draw(hst.permutations(rows), label="order"):
-        assert sparse.insert(r) == dense.insert(r)
+        assert sparse.insert(_sparse(r)) == dense.insert(r)
         assert sparse.rank == dense.rank
-    assert sparse.rows == {piv: {j: x for j, x in enumerate(row) if x}
+    assert sparse.rows == {piv: _sparse(row)
                            for piv, row in dense.rows.items()}
     for v in probes:
-        assert sparse.reduce(v) == dense.reduce(v)
-        assert sparse.contains(v) == dense.contains(v)
-    assert field_rank(rows, width, p) == \
-        _dense_field_rank(rows, width, _Ops(p))
-    assert field_kernel(_transpose(rows, width), p) == \
-        _dense_field_kernel(rows, width, _Ops(p))
+        assert sparse.reduce(_sparse(v)) == _sparse(dense.reduce(v))
+        assert sparse.contains(_sparse(v)) == dense.contains(v)
+    assert field_rank(map(_sparse, rows), p) == \
+        ref.dense_field_rank(rows, width, ops)
+    assert field_kernel(_sparse_columns(rows, width), p) == \
+        [_sparse(k) for k in ref.dense_field_kernel(rows, width, ops)]
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +482,16 @@ def test_bitspan_matches_reduced_reference(masks, probes):
 def test_rowspace_over_q_takes_integer_vectors(rows):
     # ints are exact: no entry becomes a float, and the rows are those the
     # same vectors give as Fractions
-    ints, fracs = RowSpace(None, 5), RowSpace(None, 5)
-    for r in rows:
-        assert ints.insert(r) == fracs.insert([Fraction(c) for c in r])
+    rows = [_sparse(r) for r in rows]
+    as_fractions = [{j: Fraction(c) for j, c in r.items()} for r in rows]
+    ints, fracs = RowSpace(None), RowSpace(None)
+    for r, f in zip(rows, as_fractions):
+        assert ints.insert(r) == fracs.insert(f)
     assert ints.rows == fracs.rows
-    for r in rows + [[1, 0, 0, 0, 0]]:
+    for r, f in zip(rows + [{0: 1}], as_fractions + [{0: Fraction(1)}]):
         red = ints.reduce(r)
-        assert red == fracs.reduce([Fraction(c) for c in r])
-        assert all(isinstance(c, (int, Fraction)) for c in red)
+        assert red == fracs.reduce(f)
+        assert all(isinstance(c, (int, Fraction)) for c in red.values())
     assert all(isinstance(c, Fraction)
                for row in ints.rows.values() for c in row.values())
-    cols = _transpose(rows, 5)
-    assert field_kernel(cols, None) == \
-        field_kernel([[Fraction(c) for c in col] for col in cols], None)
+    assert field_kernel(rows, None) == field_kernel(as_fractions, None)

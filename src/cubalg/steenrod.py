@@ -298,24 +298,103 @@ def primitives(window: Sequence[int], cutoff: int,
                ) -> Dict[int, List[str]]:
     """Per degree in `window`, a basis of the primitives of A (or of the
     quotient Hopf algebra A//C when `quotient_by` is given), as
-    representative polynomials."""
+    representative polynomials.  Degrees <= 0 have none; a degree above
+    the cutoff is rejected.
+
+    x in A_d is primitive iff it pairs to zero with the decomposables
+    A+ . A+ of the dual algebra A, the Steenrod algebra.  The Sq^(2^k)
+    generate A, so A+ . A+ = sum_k A+ . Sq^(2^k), and Sq^j is dual to
+    the monomial xi1^j (Milnor 1958): x is primitive iff, for every
+    2^k < d, the terms L (x) xi1^(2^k) of Delta(x) cancel.  Those terms
+    are read off the exponents (`_left_legs`), with no coproduct formed.
+    The algebra generators of the dual of A//C are not known in closed
+    form, so a quotient takes the reduced coproduct of each
+    representative monomial instead (`_quotient_primitives`)."""
+    ring = xi_ring(cutoff)
+    for d in window:
+        if d > cutoff:
+            raise ValueError("degree %d of the window exceeds the cutoff %d"
+                             % (d, cutoff))
+    if quotient_by is not None:
+        return _quotient_primitives(window, cutoff, quotient_by)
+    index = DegreeIndex(ring)
+    out: Dict[int, List[str]] = {}
+    for d in window:
+        if d <= 0:
+            out[d] = []
+            continue
+        monos = index.monomials(d)
+        # one column bit per (2^k, L): the coefficient of L (x) xi1^(2^k)
+        tindex: Dict[Tuple[int, tuple], int] = {}
+        vecs: List[int] = []
+        for m in monos:
+            v = 0
+            j = 1
+            while j < d:
+                for left in _left_legs(m, j):
+                    v ^= 1 << tindex.setdefault((j, left), len(tindex))
+                j <<= 1
+            vecs.append(v)
+        out[d] = [ring.poly({monos[i]: 1 for i in bits(mask)}).text()
+                  for mask in f2_kernel(vecs)]
+    return out
+
+
+def _left_legs(expo: tuple, j: int) -> List[tuple]:
+    """The left legs L of the terms L (x) xi1^j of Delta(xi^expo), each
+    once.
+
+    Of Delta(xi_n) = sum_i xi_{n-i}^(2^i) (x) xi_i only xi_n (x) 1 and
+    xi_{n-1}^2 (x) xi1 have a right leg in F_2[xi1].  So the terms come
+    from splits j = sum_n j_n, taking xi_n^(r_n - j_n) xi_{n-1}^(2 j_n)
+    (x) xi1^(j_n) from Delta(xi_n)^(r_n) with coefficient C(r_n, j_n),
+    which is odd iff j_n is a bitwise subset of r_n (Lucas).  Hence
+    L_n = r_n - j_n + 2 j_{n+1} (xi_0 = 1 absorbs 2 j_1), and L fixes the
+    split from the top down, so no two splits cancel."""
+    # below[n - 1] = r_1 + ... + r_{n-1} bounds j_1 + ... + j_{n-1}
+    below = [0]
+    for r in expo:
+        below.append(below[-1] + r)
+    # over n = top, ..., 2 (expo[n - 1] = r_n): the legs (L_{n+1}, ...),
+    # the part of j left to split over j_1, ..., j_n, and 2 j_{n+1}
+    states = [((), j, 0)]
+    for i in range(len(expo) - 1, 0, -1):
+        r, cap = expo[i], below[i]
+        nxt = []
+        for legs, rem, shift in states:
+            s = r
+            while True:             # the bitwise subsets s of r, descending
+                if s <= rem and rem - s <= cap:
+                    nxt.append(((r - s + shift,) + legs, rem - s, s << 1))
+                if not s:
+                    break
+                s = (s - 1) & r
+        states = nxt
+    r = expo[0]
+    return [(r - rem + shift,) + legs for legs, rem, shift in states
+            if not rem & ~r]
+
+
+def _quotient_primitives(window: Sequence[int], cutoff: int,
+                         quotient_by: SubalgebraSpec
+                         ) -> Dict[int, List[str]]:
+    """`primitives` of A//C, C = `quotient_by`: the kernel of the reduced
+    coproduct on the representative monomials, both legs reduced mod the
+    ideal A . C+."""
     ring = xi_ring(cutoff)
     H = dual_steenrod(len(ring.names))
     index = DegreeIndex(ring)
     ideal_cache: Dict[int, BitSpan] = {}
 
-    def ideal(d: int) -> Optional[BitSpan]:
-        if quotient_by is None:
-            return None
+    def ideal(d: int) -> BitSpan:
         return _ideal_rewrite(quotient_by, index, d, ideal_cache)
 
     out: Dict[int, List[str]] = {}
     for d in window:
-        if d <= 0 or d > cutoff:
+        if d <= 0:
             out[d] = []
             continue
         reps = _representatives(index.monomials(d), ideal(d))
-        # reduced-coproduct vectors, both legs reduced mod the ideal
         tindex: Dict[Tuple[int, int, int, int], int] = {}
         vecs: List[int] = []
         for m in reps:
@@ -353,13 +432,10 @@ def _representatives(monos: Sequence[tuple], span: Optional[BitSpan]
 
 
 def _reduced_parts(mono: tuple, d: int, index: DegreeIndex,
-                   span: Optional[BitSpan]) -> List[int]:
+                   span: BitSpan) -> List[int]:
     """Indices of the monomials in the canonical residue of `mono` mod the
-    ideal span (mono's own index when there is no ideal)."""
-    i = index.position(mono, d)
-    if span is None:
-        return [i]
-    return list(bits(span.residue(1 << i)))
+    ideal span."""
+    return list(bits(span.residue(1 << index.position(mono, d))))
 
 
 def _product_mask(masks: Dict[tuple, int], b: tuple,
@@ -401,7 +477,8 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
     """(a) Poincare-series identity PS(big) = PS(small) * sum_d q^d over
     the cells, coefficientwise through the cutoff; (b) basis lifting:
     degreewise, cell lifts times the small basis span big (Nakayama
-    surjectivity), with matching dimension, hence a free basis.
+    surjectivity), with matching dimension, hence a free basis.  A cell
+    below 0 or above the cutoff could never be found, so it is rejected.
 
     The small generators must lie in big: the embedding check writes each
     as a sum of big basis elements, g = sum_e big.basis_poly(e).  Every
@@ -416,8 +493,12 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
     ps_small = poincare_series(small.gen_degrees(), cutoff)
     ps_cells = [0] * (cutoff + 1)
     for d in cells:
-        if d <= cutoff:
-            ps_cells[d] += 1
+        if d < 0:
+            raise ValueError("cell in negative degree %d" % d)
+        if d > cutoff:
+            raise ValueError("cell in degree %d exceeds the cutoff %d"
+                             % (d, cutoff))
+        ps_cells[d] += 1
     conv = [sum(ps_small[i] * ps_cells[d - i] for i in range(d + 1))
             for d in range(cutoff + 1)]
     ps_ok = conv == list(ps_big)

@@ -263,7 +263,10 @@ def test_prime_is_taken_where_it_is_read(argv):
     ["tmf-mu", "--prime", "4", "--validate"],
     ["tmf-mu", "--prime", "0"],
     ["steenrod", "verify", "--cutoff", "-5"],
+    # bp2 over tmf has a cell in degree 12, which cutoff 11 cannot see
+    ["steenrod", "verify", "--cutoff", "11"],
     ["steenrod", "primitives", "--cutoff", "-1"],
+    ["steenrod", "primitives", "--window", "64..64", "--cutoff", "32"],
     ["steenrod", "conjugate", "--k", "1", "--cutoff", "-1"],
 ], ids=" ".join)
 def test_bad_prime_or_bound_exits_2(argv, capsys):

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from cubalg import InvariantError, intlinalg
 from cubalg import steenrod as st
-from cubalg.poly import Polynomial, Ring, monomial_text
+from cubalg.poly import Polynomial, Ring, monomial_text, monomials
 
 
 def test_ring_generators_follow_cutoff():
@@ -115,6 +116,17 @@ def test_primitives_of_A():
                      8: ["xi1^8"], 16: ["xi1^16"]}
 
 
+def test_primitives_reject_a_degree_above_the_cutoff():
+    # xi1^64 is primitive, but no basis of degree 64 exists at cutoff 32
+    with pytest.raises(ValueError, match="degree 64 of the window exceeds "
+                       "the cutoff 32"):
+        st.primitives([64], 32)
+    squares = st.make_spec("C", [(1, 2)], 16, conjugated=False)
+    with pytest.raises(ValueError, match="degree 17 .* cutoff 16"):
+        st.primitives(range(1, 18), 16, quotient_by=squares)
+    assert st.primitives(range(-2, 1), 0) == {-2: [], -1: [], 0: []}
+
+
 def test_primitives_of_quotient_by_squares():
     C = st.make_spec("C", [(1, 2)], 31, conjugated=False)
     pr = st.primitives(range(1, 32), 31, quotient_by=C)
@@ -161,6 +173,18 @@ def test_bp2_free_over_tmf():
     rep = st.freeness_rank_check(bp2, st.tmf_spec(32),
                                  [0, 2, 4, 6, 6, 8, 10, 12], 32)
     assert rep["free"] and rep["rank"] == 8
+
+
+def test_freeness_rejects_a_cell_outside_the_cutoff():
+    bp2 = st.bp_n_homology(2, 11, check_closure=False)
+    with pytest.raises(ValueError, match="cell in degree 12 exceeds the "
+                       "cutoff 11"):
+        st.freeness_rank_check(bp2, st.tmf_spec(11),
+                               [0, 2, 4, 6, 6, 8, 10, 12], 11)
+    # a negative cell must not index the cell series from its end
+    ku = st.bp_n_homology(1, 16, check_closure=False)
+    with pytest.raises(ValueError, match="cell in negative degree -15"):
+        st.freeness_rank_check(ku, st.ko_spec(16), [0, -15], 16)
 
 
 def test_freeness_wrong_cells_fails():
@@ -636,3 +660,92 @@ def test_degree_index_positions_follow_the_shared_basis():
             assert index.position(m, d) == i
             assert index.mask(Polynomial(ring, {m: 1}), d) == 1 << i
             assert index.poly(1 << i, d) == Polynomial(ring, {m: 1})
+
+
+# ---------------------------------------------------------------------------
+# primitives from the dual Sq^(2^k) action against the full coproduct
+
+
+def _coproduct_primitives(window, cutoff):
+    """Primitives of A as the kernel of the reduced coproduct of every
+    monomial of each degree."""
+    ring = st.xi_ring(cutoff)
+    H = st.dual_steenrod(len(ring.names))
+    index = st.DegreeIndex(ring)
+    out = {}
+    for d in window:
+        if d <= 0 or d > cutoff:
+            out[d] = []
+            continue
+        monos = index.monomials(d)
+        tindex = {}
+        vecs = []
+        for m in monos:
+            dx = st.coproduct(Polynomial(ring, {m: 1}), cutoff)
+            v = 0
+            for mono in dx.terms:
+                _, left, right = H.split(mono)
+                dl = ring.weight_of_monomial(left)
+                dr = d - dl
+                if dl == 0 or dr == 0:
+                    continue
+                key = (dl, index.position(left, dl), dr,
+                       index.position(right, dr))
+                v ^= 1 << tindex.setdefault(key, len(tindex))
+            vecs.append(v)
+        out[d] = [ring.poly({monos[i]: 1 for i in intlinalg.bits(mask)}
+                            ).text() for mask in intlinalg.f2_kernel(vecs)]
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [16, 31, 48])
+def test_primitives_match_coproduct_kernel(cutoff):
+    window = range(-1, cutoff + 1)
+    fast = st.primitives(window, cutoff)
+    assert fast == _coproduct_primitives(window, cutoff)
+    assert {d: v for d, v in fast.items() if v} == {
+        1 << k: ["xi1" if k == 0 else "xi1^%d" % (1 << k)]
+        for k in range(cutoff.bit_length())}
+
+
+_XI40 = st.xi_ring(40)
+_MONOMIALS_40 = [m for d in range(1, 41)
+                 for m in monomials(_XI40.weights, d)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(expo=hst.sampled_from(_MONOMIALS_40))
+def test_left_legs_are_the_xi1_power_terms_of_the_coproduct(expo):
+    H = st.dual_steenrod(len(_XI40.names))
+    d = _XI40.weight_of_monomial(expo)
+    by_power = {}
+    for mono in st.coproduct(Polynomial(_XI40, {expo: 1}), 40).terms:
+        _, left, right = H.split(mono)
+        if not any(right[1:]):
+            by_power.setdefault(right[0], []).append(left)
+    for j in range(d + 2):
+        legs = st._left_legs(expo, j)
+        assert len(set(legs)) == len(legs)
+        assert sorted(legs) == sorted(by_power.get(j, []))
+
+
+def test_primitives_form_no_coproduct(monkeypatch):
+    # only the dual actions of Sq^(2^k), 2^k < d, are read
+    ring = st.xi_ring(32)
+    calls, asked = [], []
+    coproduct, left_legs = st.coproduct, st._left_legs
+
+    def counting(x, cutoff):
+        calls.append(x)
+        return coproduct(x, cutoff)
+
+    def recording(expo, j):
+        asked.append((ring.weight_of_monomial(expo), j))
+        return left_legs(expo, j)
+
+    monkeypatch.setattr(st, "coproduct", counting)
+    monkeypatch.setattr(st, "_left_legs", recording)
+    assert st.primitives(range(1, 33), 32)[32] == ["xi1^32"]
+    assert calls == []
+    assert {j for _, j in asked} == {1, 2, 4, 8, 16}
+    assert all(j < d for d, j in asked)

@@ -6,9 +6,11 @@ only the generators needed for a given degree cutoff are instantiated.
 Through xi_k it is the Hopf algebroid presentation `dual_steenrod(k)` over
 A = F_2, whose structure maps give the coproduct and conjugation and whose
 `split` reads the slots of a tensor-square monomial.
-Linear algebra over F_2 is done by `intlinalg.BitSpan` on bitmasks indexed
-by the monomial basis of each degree (`poly.monomials`), which keeps the
-degree-64 verifications fast.
+Membership in a subalgebra spec is leading-term reduction in its triangular
+basis (`SubalgebraSpec.coordinates`); other linear algebra over F_2 is done
+by `intlinalg.BitSpan` on bitmasks, indexed by the monomial basis of each
+degree (`poly.monomials`) or, in the freeness check, by the big spec's
+basis.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .hopf import HopfAlgebroidPresentation, slot_name
-from .intlinalg import BitSpan, bits, f2_kernel, f2_solve
+from .intlinalg import BitSpan, bits, f2_kernel
 from .poincare import poincare_series
 from .poly import (Polynomial, Ring, monomial_index, monomial_text,
                    monomials)
@@ -128,11 +130,27 @@ class DegreeIndex:
 # subalgebra specs
 
 
+def _lex_key(mono: tuple) -> tuple:
+    """Sort key of the lex order that compares the exponent of xi_k first,
+    then xi_{k-1}, ..., xi_1."""
+    return mono[::-1]
+
+
 @dataclass
 class SubalgebraSpec:
     """Polynomial subalgebra of the dual Steenrod algebra, given by
     generator elements (with an instantiation rule already applied through
-    the cutoff)."""
+    the cutoff).
+
+    The generators must meet the lead condition: in the lex order of
+    `_lex_key`, each leads with a power xi_n^p of one xi_n, and no two
+    lead with the same xi_n.  xibar_n is xi_n plus a polynomial in xi_1,
+    ..., xi_{n-1} (Milnor 1958), so xibar_n^p and xi_n^p both lead with
+    xi_n^p, and every spec `make_spec` builds meets it.  Leading terms
+    multiply, so basis_poly(e) leads with prod_i xi_{n_i}^(p_i e_i), one
+    monomial per e: the basis is triangular, hence independent, and
+    `coordinates` reads an element in it by leading-term reduction.  The
+    condition is checked once, on the first call to `coordinates`."""
     name: str
     ring: Ring
     gen_names: List[str]                 # descriptive, e.g. "xibar2^4"
@@ -140,6 +158,10 @@ class SubalgebraSpec:
     cutoff: int
     _basis: Dict[tuple, Polynomial] = field(default_factory=dict)
     _degrees: Tuple[int, ...] = field(init=False, repr=False)
+    # xi position n -> (generator index, p) for the generator leading with
+    # xi_{n+1}^p; None until the lead condition is checked
+    _leads: Optional[Dict[int, Tuple[int, int]]] = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._degrees = tuple(g.weight() for g in self.gens)
@@ -169,6 +191,60 @@ class SubalgebraSpec:
         degs = tuple(self.gen_degrees())
         return {d: list(expos) for d in range(self.cutoff + 1)
                 if (expos := monomials(degs, d))}
+
+    def _lead_variables(self) -> Dict[int, Tuple[int, int]]:
+        """The lead of every generator, checked against the lead condition;
+        a generator that fails it raises ValueError."""
+        if self._leads is None:
+            names = self.ring.names
+            leads: Dict[int, Tuple[int, int]] = {}
+            for i, (label, g) in enumerate(zip(self.gen_names, self.gens)):
+                lead = max(g.terms, key=_lex_key)
+                hit = [(n, p) for n, p in enumerate(lead) if p]
+                if len(hit) != 1:
+                    raise ValueError(
+                        "generator %s leads with %s, not with a power of "
+                        "one xi" % (label, monomial_text(names, lead)))
+                n, p = hit[0]
+                if n in leads:
+                    raise ValueError(
+                        "generators %s and %s both lead with a power of %s"
+                        % (self.gen_names[leads[n][0]], label, names[n]))
+                leads[n] = (i, p)
+            self._leads = leads
+        return self._leads
+
+    def coordinates(self, x: Polynomial) -> Optional[List[tuple]]:
+        """The exponents e, each once, with x = sum_e basis_poly(e), or
+        None when x does not lie in the span of the basis through the
+        cutoff.
+
+        Leading-term reduction: the lead of x must be the lead of some
+        basis_poly(e), a product of the generators' leads of degree <= the
+        cutoff; adding basis_poly(e) to x removes it and leaves lower
+        terms only.  Distinct basis elements have distinct leads, so a sum
+        of them leads with the highest of theirs, and a lead of no basis
+        element proves x outside the span.  Only the basis elements the
+        reduction meets are formed."""
+        leads = self._lead_variables()
+        weight = self.ring.weight_of_monomial
+        terms = {m for m, c in x.terms.items() if c % 2}
+        coords: List[tuple] = []
+        while terms:
+            lead = max(terms, key=_lex_key)
+            if weight(lead) > self.cutoff:
+                return None
+            expo = [0] * len(self.gens)
+            for n, e in enumerate(lead):
+                if e:
+                    hit = leads.get(n)
+                    if hit is None or e % hit[1]:
+                        return None
+                    expo[hit[0]] = e // hit[1]
+            coords.append(tuple(expo))
+            terms.symmetric_difference_update(
+                self.basis_poly(coords[-1]).terms)
+        return coords
 
 
 def make_spec(name: str, rule: Sequence[Tuple[int, int]], cutoff: int,
@@ -240,7 +316,13 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
     failing basis element is always a generator, and the witness is the
     one the check over every basis element would give.  `checked` counts
     the generators that passed.  The cutoff must need as many xi generators
-    as the spec's own cutoff, since Delta is split in the spec's ring."""
+    as the spec's own cutoff, since Delta is split in the spec's ring.
+
+    Delta(g) lies in A (x) S iff, for each left-leg monomial L and right
+    degree, the sum of the right legs beside L lies in S; that is tested
+    by `SubalgebraSpec.coordinates`, so the spec's generators must meet
+    its lead condition, and only the basis elements the reductions meet
+    are formed."""
     ring = spec.ring
     if gen_count(cutoff) != len(ring.names):
         raise ValueError("cutoff %d needs %d xi generators, but the spec was "
@@ -248,35 +330,32 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
                          % (cutoff, gen_count(cutoff), spec.cutoff,
                             len(ring.names)))
     H = dual_steenrod(len(ring.names))
-    index = DegreeIndex(ring)
-    by_deg = spec.basis_by_degree()
-    spans = {d: BitSpan(index.mask(spec.basis_poly(e), d) for e in expos)
-             for d, expos in by_deg.items()}
-    gen_expos = [e for d, expos in by_deg.items() if d <= cutoff
-                 for e in expos if sum(e) == 1]
+    ngens = len(spec.gens)
+    # the generators' exponents as `basis_exponents` orders them
+    gen_expos = [e for _, e in sorted(
+        (dg, tuple(int(j == i) for j in range(ngens)))
+        for i, dg in enumerate(spec.gen_degrees()) if dg <= cutoff)]
     checked = 0
     for expo in gen_expos:
         dx = coproduct(spec.basis_poly(expo), cutoff)
-        # group by left leg; right legs must lie in the spec span
-        by_left: Dict[tuple, Dict[int, int]] = {}
-        for mono, _ in dx.terms.items():
+        # group by left leg, then by right degree: each (left leg, degree)
+        # sum of right legs must lie in the spec
+        by_left: Dict[tuple, Dict[int, List[tuple]]] = {}
+        for mono in dx.terms:
             _, left, right = H.split(mono)
             dr = ring.weight_of_monomial(right)
-            slot = by_left.setdefault(left, {})
-            slot[dr] = slot.get(dr, 0) ^ (1 << index.position(right, dr))
+            if dr:
+                by_left.setdefault(left, {}).setdefault(dr, []).append(right)
         for left, parts in by_left.items():
-            for dr, rmask in parts.items():
-                if not rmask or dr == 0:
-                    continue
-                span = spans.get(dr)
-                if span is None or not span.contains(rmask):
+            for rights in parts.values():
+                leg = Polynomial(ring, dict.fromkeys(rights, 1))
+                if spec.coordinates(leg) is None:
                     return {"closed": False, "checked": checked,
                             "witness": {
                                 "element": monomial_text(
                                     spec.gen_names, expo),
                                 "left_leg": monomial_text(ring.names, left),
-                                "right_leg":
-                                    index.poly(rmask, dr).text()}}
+                                "right_leg": leg.text()}}
         checked += 1
     return {"closed": True, "checked": checked, "witness": None}
 
@@ -421,13 +500,10 @@ def _quotient_primitives(window: Sequence[int], cutoff: int,
     return out
 
 
-def _representatives(monos: Sequence[tuple], span: Optional[BitSpan]
-                     ) -> List[tuple]:
-    """The monomials of one degree that are not pivots of the ideal span
-    (all of them when there is no ideal): e_i lies in span(ideal, e_0,
-    ..., e_{i-1}) exactly when some ideal element has highest bit i."""
-    if span is None:
-        return list(monos)
+def _representatives(monos: Sequence[tuple], span: BitSpan) -> List[tuple]:
+    """The monomials of one degree that are not pivots of the ideal span:
+    e_i lies in span(ideal, e_0, ..., e_{i-1}) exactly when some ideal
+    element has highest bit i."""
     return [m for i, m in enumerate(monos) if i not in span.rows]
 
 
@@ -442,7 +518,7 @@ def _product_mask(masks: Dict[tuple, int], b: tuple,
                   coords: Iterable[tuple]) -> int:
     """Mask of big.basis_poly(b) times the element whose big-basis
     coordinates are `coords`: basis_poly(b) . basis_poly(e) is
-    basis_poly(b + e)."""
+    basis_poly(b + e), whose mask is masks[b + e]."""
     v = 0
     for e in coords:
         v ^= masks[tuple(map(add, b, e))]
@@ -478,17 +554,27 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
     the cells, coefficientwise through the cutoff; (b) basis lifting:
     degreewise, cell lifts times the small basis span big (Nakayama
     surjectivity), with matching dimension, hence a free basis.  A cell
-    below 0 or above the cutoff could never be found, so it is rejected.
+    below 0 or above the cutoff could never be found, and two specs built
+    with different numbers of xi generators live in different rings; both
+    are rejected.
 
-    The small generators must lie in big: the embedding check writes each
-    as a sum of big basis elements, g = sum_e big.basis_poly(e).  Every
-    product is then formed in big's own basis, g . basis_poly(b) =
-    sum_e basis_poly(b + e), as the XOR of the xi-masks of big's basis
-    elements, each computed once.  Since big is a subalgebra, small . big
-    lies in big, and the cell lifts are taken modulo the products of the
-    small generators with big's basis (`_cell_lifts`); the surjectivity
-    check multiplies the lifts by every small basis element, whose
-    coordinates come from those of the generators."""
+    All linear algebra is in big's own basis, which the lead condition
+    (see `SubalgebraSpec`) makes independent: bit i of a degree-d vector
+    is the i-th exponent of `big.basis_by_degree()[d]`, so a basis element
+    is a unit vector.  The small generators must lie in big, and
+    `big.coordinates` writes each as g = sum_e big.basis_poly(e); every
+    product is then an exponent add, g . basis_poly(b) = sum_e
+    basis_poly(b + e), with no polynomial formed.  Since big is a
+    subalgebra, small . big lies in big, and the cell lifts are taken
+    modulo the products of the small generators with big's basis
+    (`_cell_lifts`); the surjectivity check multiplies the lifts by every
+    small basis element, whose coordinates come from those of the
+    generators, and compares ranks with big's degreewise dimensions."""
+    if len(big.ring.names) != len(small.ring.names):
+        raise ValueError("big spec built at cutoff %d with %d xi generators, "
+                         "small spec at cutoff %d with %d"
+                         % (big.cutoff, len(big.ring.names), small.cutoff,
+                            len(small.ring.names)))
     ps_big = poincare_series(big.gen_degrees(), cutoff)
     ps_small = poincare_series(small.gen_degrees(), cutoff)
     ps_cells = [0] * (cutoff + 1)
@@ -503,22 +589,20 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
             for d in range(cutoff + 1)]
     ps_ok = conv == list(ps_big)
 
-    index = DegreeIndex(big.ring)
     big_by_deg = big.basis_by_degree()
-    masks = {e: index.mask(big.basis_poly(e), d)
-             for d, expos in big_by_deg.items() for e in expos}
+    units = {e: 1 << i for expos in big_by_deg.values()
+             for i, e in enumerate(expos)}
     # small must embed in big: coordinates of every small generator
     gen_coords: List[Tuple[int, List[tuple]]] = []
     for g, d in zip(small.gens, small.gen_degrees()):
-        expos = big_by_deg.get(d, [])
-        sol = f2_solve([masks[e] for e in expos], index.mask(g, d))
-        if sol is None:
+        coords = big.coordinates(g)
+        if coords is None:
             return {"free": False, "ps_identity": ps_ok,
                     "failure": "small generator of degree %d not in big"
                                % d, "cells": sorted(cells)}
-        gen_coords.append((d, [expos[i] for i in bits(sol)]))
+        gen_coords.append((d, coords))
 
-    lifts = _cell_lifts(big_by_deg, masks, gen_coords, cutoff)
+    lifts = _cell_lifts(big_by_deg, units, gen_coords, cutoff)
     got = sorted(d for d, _ in lifts)
     cell_multiset = sorted(cells)
     cells_ok = got == cell_multiset
@@ -537,10 +621,10 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
                 break
             span = span_by_deg.setdefault(dd, BitSpan())
             for se in expos:
-                span.insert(_product_mask(masks, be, small_coords[se]))
-    surj = all(span_by_deg.get(d, BitSpan()).contains(masks[be])
-               for d, expos in big_by_deg.items() if d <= cutoff
-               for be in expos)
+                span.insert(_product_mask(units, be, small_coords[se]))
+    # the spans lie in big_d, so they span it iff their rank is its dimension
+    surj = all(d in span_by_deg and span_by_deg[d].rank == len(expos)
+               for d, expos in big_by_deg.items() if d <= cutoff)
     rank_free = ps_ok and cells_ok and surj
     return {"free": rank_free, "ps_identity": ps_ok,
             "cells_found": got, "cells": cell_multiset,
@@ -552,10 +636,11 @@ def _cell_lifts(big_by_deg: Dict[int, List[tuple]], masks: Dict[tuple, int],
                 gen_coords: List[Tuple[int, List[tuple]]], cutoff: int
                 ) -> List[Tuple[int, tuple]]:
     """A basis of big_d modulo (small^+ . big)_d, degreewise, chosen from
-    big's basis, as (degree, big exponent) pairs.  (small^+ . big)_d is
-    spanned by g . big_{d-|g|} over the small generators g, given by
-    their degree and big-basis coordinates, because small . big lies in
-    big once the small generators do."""
+    big's basis, as (degree, big exponent) pairs; `masks` gives each big
+    exponent's vector.  (small^+ . big)_d is spanned by g . big_{d-|g|}
+    over the small generators g, given by their degree and big-basis
+    coordinates, because small . big lies in big once the small
+    generators do."""
     lifts: List[Tuple[int, tuple]] = []
     for d in sorted(set(big_by_deg) | {0}):
         if d > cutoff:

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -187,6 +189,20 @@ def test_freeness_rejects_a_cell_outside_the_cutoff():
         st.freeness_rank_check(ku, st.ko_spec(16), [0, -15], 16)
 
 
+@pytest.mark.parametrize("big_cutoff, small_cutoff",
+                         [(64, 32), (64, 16), (16, 64)])
+def test_freeness_rejects_specs_of_other_generator_counts(big_cutoff,
+                                                          small_cutoff):
+    # the two specs' generators live in different xi rings
+    ku = st.bp_n_homology(1, big_cutoff, check_closure=False)
+    ko = st.ko_spec(small_cutoff)
+    with pytest.raises(ValueError, match="big spec built at cutoff %d with "
+                       "%d xi generators, small spec at cutoff %d with %d$"
+                       % (big_cutoff, st.gen_count(big_cutoff), small_cutoff,
+                          st.gen_count(small_cutoff))):
+        st.freeness_rank_check(ku, ko, [0, 2], min(big_cutoff, small_cutoff))
+
+
 def test_freeness_wrong_cells_fails():
     ku = st.bp_n_homology(1, 24, check_closure=False)
     rep = st.freeness_rank_check(ku, st.ko_spec(24), [0, 4], 24)
@@ -358,6 +374,134 @@ def test_closure_matches_basis_check(name, cutoff):
     assert fast["witness"] == slow["witness"]
 
 
+# ---------------------------------------------------------------------------
+# coordinates by leading-term reduction against the whole-basis span
+
+
+class _DegreeSpans:
+    """Coordinates in a spec's basis as they were found before the lead
+    condition: `f2_solve` over the xi-masks of the whole degree basis."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.index = st.DegreeIndex(spec.ring)
+        self.by_deg = spec.basis_by_degree()
+        self.masks = {d: [self.index.mask(spec.basis_poly(e), d)
+                          for e in expos]
+                      for d, expos in self.by_deg.items()}
+
+    def coordinates(self, x, d):
+        expos = self.by_deg.get(d, [])
+        sol = intlinalg.f2_solve(self.masks.get(d, []), self.index.mask(x, d))
+        return None if sol is None else \
+            sorted(expos[i] for i in intlinalg.bits(sol))
+
+
+def _sorted_coordinates(spec, x):
+    coords = spec.coordinates(x)
+    if coords is not None:
+        assert len(set(coords)) == len(coords)
+        coords = sorted(coords)
+    return coords
+
+
+@functools.lru_cache(maxsize=None)
+def _degree_spans(name, cutoff):
+    return _DegreeSpans(CLOSURE_SPECS[name](cutoff))
+
+
+@pytest.mark.parametrize("cutoff", [16, 24, 32])
+@pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+def test_coordinates_of_every_basis_element(name, cutoff):
+    ref = _degree_spans(name, cutoff)
+    spec = ref.spec
+    for d, expos in ref.by_deg.items():
+        for e in expos:
+            x = spec.basis_poly(e)
+            assert spec.coordinates(x) == [e] == ref.coordinates(x, d)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=hst.data())
+@pytest.mark.parametrize("cutoff", [16, 24, 32])
+@pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+def test_coordinates_of_random_sums_match_span(name, cutoff, data):
+    # a random sum of basis elements of one degree, and with a random
+    # monomial of A added, mostly not in the spec
+    ref = _degree_spans(name, cutoff)
+    spec = ref.spec
+    d = data.draw(hst.sampled_from(sorted(ref.by_deg)), label="degree")
+    expos = ref.by_deg[d]
+    picked = data.draw(hst.integers(0, (1 << len(expos)) - 1), label="sum")
+    x = spec.ring.zero()
+    for i in intlinalg.bits(picked):
+        x = x + spec.basis_poly(expos[i])
+    assert _sorted_coordinates(spec, x) == ref.coordinates(x, d) == \
+        sorted(expos[i] for i in intlinalg.bits(picked))
+    monos = ref.index.monomials(d)
+    if monos:
+        m = data.draw(hst.sampled_from(monos), label="monomial")
+        y = x + Polynomial(spec.ring, {m: 1})
+        assert _sorted_coordinates(spec, y) == ref.coordinates(y, d)
+
+
+@pytest.mark.parametrize("cutoff", [16, 24, 32])
+def test_xibar3_is_no_element_of_bp2(cutoff):
+    # H(BP<2>) has xibar3^2 but not xibar3
+    ref = _degree_spans("bp2", cutoff)
+    xibar3 = st.conjugate(ref.spec.ring.gen("xi3"))
+    assert ref.spec.coordinates(xibar3) is None
+    assert ref.coordinates(xibar3, 7) is None
+    assert ref.spec.coordinates(xibar3 * xibar3) == \
+        [tuple(int(n == "xibar3^2") for n in ref.spec.gen_names)]
+
+
+def test_coordinates_stop_at_the_cutoff():
+    # the basis runs through the cutoff only, though xibar1^18 lies in the
+    # subalgebra
+    bp2 = st.bp_n_homology(2, 16, check_closure=False)
+    xibar1_sq = bp2.gens[0]
+    assert bp2.coordinates(xibar1_sq ** 8) == [(8,) + (0,) * 3]
+    assert bp2.coordinates(xibar1_sq ** 9) is None
+    # so a small generator above big's cutoff is not in big
+    ku = st.bp_n_homology(1, 20, check_closure=False)
+    squares = st.make_spec("C", [(1, 2)], 30, conjugated=False)
+    assert st.freeness_rank_check(ku, squares, [0], 20)["failure"] == \
+        "small generator of degree 30 not in big"
+
+
+def _spec_of(gens, cutoff=16):
+    ring = st.xi_ring(cutoff)
+    return st.SubalgebraSpec(name="S", ring=ring,
+                             gen_names=["g%d" % i for i in range(len(gens))],
+                             gens=[g(ring) for g in gens], cutoff=cutoff)
+
+
+def test_lead_condition_rejects_a_lead_of_two_xis():
+    # xi1^3 + xi1 xi2 is not even homogeneous (degrees 3 and 4);
+    # xi1^4 + xi1 xi2 is, and leads with xi1 xi2, as xi2's exponent is
+    # compared first
+    with pytest.raises(ValueError, match="not homogeneous"):
+        _spec_of([lambda r: r.gen("xi1") ** 3 + r.gen("xi1") * r.gen("xi2")])
+    spec = _spec_of([lambda r: r.gen("xi1") ** 4
+                     + r.gen("xi1") * r.gen("xi2")])
+    with pytest.raises(ValueError, match="generator g0 leads with xi1\\*xi2, "
+                       "not with a power of one xi"):
+        spec.coordinates(spec.ring.gen("xi1") ** 4)
+    with pytest.raises(ValueError, match="generator g0 leads with xi1\\*xi2"):
+        st.comodule_closure_check(spec, 16)
+
+
+def test_lead_condition_rejects_two_generators_leading_with_xi1():
+    spec = _spec_of([lambda r: r.gen("xi1") ** 2,
+                     lambda r: r.gen("xi1") ** 3])
+    with pytest.raises(ValueError, match="generators g0 and g1 both lead "
+                       "with a power of xi1"):
+        spec.coordinates(spec.ring.gen("xi1") ** 6)
+    with pytest.raises(ValueError, match="generators g0 and g1 both lead"):
+        st.freeness_rank_check(spec, st.ko_spec(16), [0], 16)
+
+
 def _polynomial_freeness_check(big, small, cells, cutoff):
     """Freeness with every product formed as a polynomial in
     xi-coordinates: the embedding by span membership, the cell lifts by
@@ -455,8 +599,9 @@ def test_freeness_matches_cell_lift_loop(name, cutoff, monkeypatch):
     index = st.DegreeIndex(big.ring)
 
     def reference_lifts(big_by_deg, masks, gen_coords, cutoff):
-        expo_of = {(d, masks[e]): e for d, expos in big_by_deg.items()
-                   for e in expos}
+        # the xi-masks of big's basis, to read the lifts back as exponents
+        expo_of = {(d, index.mask(big.basis_poly(e), d)): e
+                   for d, expos in big_by_deg.items() for e in expos}
         return [(d, expo_of[d, index.mask(lift, d)]) for d, lift in
                 _basis_cell_lifts(big, small, big_by_deg, index, cutoff)]
 
@@ -499,7 +644,13 @@ def test_freeness_matches_cell_lift_loop(name, cutoff, monkeypatch):
     assert st.freeness_rank_check(big, small, cells, cutoff) == fast
 
 
-@pytest.mark.parametrize("name", ["ku_ko", "bp2_tmf", "ku_ko_xi2_squared"])
+# one product per nonconstant big basis element that the reductions of the
+# small generators form: `basis_poly` builds each from its prefix, so a
+# generator g costs the product 1 . g
+FREENESS_PRODUCTS = {"ku_ko": 6, "bp2_tmf": 9, "ku_ko_xi2_squared": 7}
+
+
+@pytest.mark.parametrize("name", sorted(FREENESS_PRODUCTS))
 def test_freeness_forms_one_product_per_big_basis_element(name,
                                                          monkeypatch):
     make_big, make_small, cells, _ = FREENESS_CASES[name]
@@ -515,7 +666,8 @@ def test_freeness_forms_one_product_per_big_basis_element(name,
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     assert st.freeness_rank_check(big, small, cells, 32)["free"]
     monkeypatch.undo()
-    assert 0 < len(products) <= len(big.basis_exponents())
+    assert len(products) == FREENESS_PRODUCTS[name]
+    assert len(products) <= len(big.basis_exponents())
 
 
 @pytest.mark.parametrize("cutoff", [16, 24, 32])
@@ -640,10 +792,13 @@ def test_primitive_representatives_match_span_loop(name, cutoff,
     index = st.DegreeIndex(st.xi_ring(cutoff))
     cache = {}
     for d in range(1, cutoff + 1):
-        span = None if spec is None else \
+        # no ideal: the reference keeps every monomial, as the empty span
+        # must
+        span = st.BitSpan() if spec is None else \
             st._ideal_rewrite(spec, index, d, cache)
         assert st._representatives(index.monomials(d), span) == \
-            _representatives_reference(index.monomials(d), span)
+            _representatives_reference(index.monomials(d),
+                                       None if spec is None else span)
     window = range(1, cutoff + 1)
     fast = st.primitives(window, cutoff, quotient_by=spec)
     monkeypatch.setattr(st, "_representatives", _representatives_reference)

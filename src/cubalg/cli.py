@@ -298,11 +298,12 @@ def cmd_steenrod_verify(args) -> int:
             ku, ko, [0, 2], cutoff)["free"],
         "bp2_over_tmf_free": st.freeness_rank_check(
             bp2, tmf, [0, 2, 4, 6, 6, 8, 10, 12], cutoff)["free"],
-        "ko_generator_forced": st.uniqueness_probe(
-            "ko")["forced_generator"] == "xi1^4",
-        "tmf_generator_forced": st.uniqueness_probe(
-            "tmf")["forced_generator"] == "xi1^8",
     }
+    # both uniqueness probes read the primitives through degree 16
+    prim = st.primitives(range(1, 17), 16)
+    for case, generator in (("ko", "xi1^4"), ("tmf", "xi1^8")):
+        results[case + "_generator_forced"] = st.uniqueness_probe(
+            case, prim)["forced_generator"] == generator
     obj = {"cutoff": cutoff, "checks": results,
            "ok": all(results.values())}
     rows = [{"check": k, "ok": v} for k, v in sorted(results.items())]

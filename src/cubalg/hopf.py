@@ -394,25 +394,14 @@ def invariants_h0(H: HopfAlgebroidPresentation, twists: Sequence[int]
             continue
         diffs = [H.eta_R_monomial(m) - H.eta_L(H.A.poly({m: 1}))
                  for m in monos]
-        tmonos = sorted(set().union(*[set(d.terms) for d in diffs]))
-        tindex = {m: i for i, m in enumerate(tmonos)}
-        cols = []
-        for d in diffs:
-            col = [0] * len(tmonos)
+        # one sparse row per monomial of Gamma, in sorted order
+        rows: Dict[tuple, Dict[int, int]] = {}
+        for k, d in enumerate(diffs):
             for mm, c in d.terms.items():
-                col[tindex[mm]] = c
-            cols.append(col)
-        mat = [[cols[k][i] for k in range(len(monos))]
-               for i in range(len(tmonos))]
-        if not mat:
-            kern = [[1 if i == k else 0 for i in range(len(monos))]
-                    for k in range(len(monos))]
-        else:
-            kern = integer_kernel(mat)
-        basis = []
-        for vec in kern:
-            basis.append(H.A.poly({m: c for m, c in zip(monos, vec) if c}))
-        out[j] = basis
+                rows.setdefault(mm, {})[k] = c
+        kern = integer_kernel([rows[mm] for mm in sorted(rows)], len(monos))
+        out[j] = [H.A.poly({m: c for m, c in zip(monos, vec) if c})
+                  for vec in kern]
     return out
 
 

@@ -4,16 +4,14 @@ homology of chain maps, and Gaussian elimination over F_p and Q."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .poly import is_prime
 
 Matrix = List[List[int]]
-
-
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+Row = Dict[int, int]            # sparse vector {index: nonzero entry}
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -35,127 +33,215 @@ def mat_vec(a: Matrix, v: Sequence[int]) -> List[int]:
     return [sum(aij * vj for aij, vj in zip(row, v)) for row in a]
 
 
-def _pivot(d: Matrix, t: int, m: int, n: int) -> Optional[Tuple[int, int]]:
-    """The first nonzero entry of least magnitude in the block d[t:, t:],
-    in row-major order; a unit is least, so the scan stops at the first."""
-    piv = None
-    best = None
-    for i in range(t, m):
-        row = d[i]
-        for j in range(t, n):
-            x = row[j]
-            if x and (best is None or abs(x) < best):
-                best = abs(x)
-                piv = (i, j)
-                if best == 1:
-                    return piv
-    return piv
+def _sparse_rows(a: Matrix) -> List[Row]:
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
-def _diagonalize(d: Matrix, u: Optional[Matrix] = None,
-                 v: Optional[Matrix] = None) -> None:
-    """Bring d to Smith normal form in place by unimodular row and column
-    operations.  The row operations are applied to u and the column
-    operations to v, each only when given.  The pivots depend on d alone,
-    so d and v come out the same whichever transforms are tracked.
+def _residue(x: int, mod: int) -> int:
+    """The symmetric residue of x mod `mod`, in (-mod/2, mod/2]."""
+    x %= mod
+    return x - mod if x > mod >> 1 else x
+
+
+def _axpy(dst: Row, src: Row, c: int, mod: int = 0) -> None:
+    """dst += c * src, keeping only nonzero entries; with a modulus, every
+    entry touched becomes its symmetric residue."""
+    get = dst.get
+    if mod:
+        half = mod >> 1
+        for k, x in src.items():
+            y = (get(k, 0) + c * x) % mod
+            if y > half:
+                y -= mod
+            if y:
+                dst[k] = y
+            else:
+                dst.pop(k, None)
+    else:
+        for k, x in src.items():
+            y = get(k, 0) + c * x
+            if y:
+                dst[k] = y
+            else:
+                del dst[k]
+
+
+def _pivot(rows: List[Row], t: int, pos: List[int], unitless: List[bool]
+           ) -> Optional[Tuple[int, int]]:
+    """The first nonzero entry of least magnitude in rows[t:], in
+    row-major order of logical columns (pos[k] is the logical column of
+    key k).  A unit is least, so the first row holding one has it; rows
+    flagged in `unitless` are known to hold none, and the rows the scan
+    passes are flagged."""
+    best = at = None
+    for i in range(t, len(rows)):
+        if unitless[i]:
+            continue
+        vals = rows[i].values()
+        if 1 in vals or -1 in vals:
+            best, at = 1, i
+            break
+        unitless[i] = True
+    else:
+        for i in range(t, len(rows)):
+            if rows[i]:
+                x = min(map(abs, rows[i].values()))
+                if at is None or x < best:
+                    best, at = x, i
+        if at is None:
+            return None
+    return at, min(pos[k] for k, x in rows[at].items() if abs(x) == best)
+
+
+def _diagonalize(rows: List[Row], n: int, u: Optional[List[Row]] = None,
+                 v: Optional[List[Row]] = None, mod: int = 0) -> List[int]:
+    """Bring the m x n matrix with sparse rows `rows` to Smith normal form
+    in place by unimodular row and column operations, and return `col`:
+    logical column j of the result is stored under key col[j], so a column
+    swap moves no entry.
+
+    The row operations are applied to u (the rows of U) and the column
+    operations to v (the columns of V, keyed like the rows' entries), each
+    only when given.  The pivots depend on the matrix alone, so it and v
+    come out the same whichever transforms are tracked.  Each step pivots
+    on the first entry of least magnitude, clears its column and row by
+    Euclid's algorithm, and a last pass makes the diagonal a divisibility
+    chain.
+
+    With a modulus (and no transform), entries are symmetric residues and
+    the divisibility pass is skipped: the diagonal is then a Smith form of
+    the matrix mod `mod` up to the order of its entries.
+
+    Before step t, every row from t down holds entries in logical columns
+    t and beyond only, so the pivot scan reads whole rows; below the
+    diagonal of a row pass, and right of it in a column pass, no entry is
+    touched before the pass reaches it, so each pass lists its targets
+    once.
     """
-    m = len(d)
-    n = len(d[0]) if d else 0
+    m = len(rows)
+    col = list(range(n))
+    pos = list(range(n))
+    unitless = [False] * m          # rows known to hold no unit
 
     def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
+        rows[i], rows[j] = rows[j], rows[i]
+        unitless[i], unitless[j] = unitless[j], unitless[i]
         if u is not None:
             u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+        col[i], col[j] = col[j], col[i]
+        pos[col[i]], pos[col[j]] = i, j
 
     def add_row(dst, src, c):
-        drow, srow = d[dst], d[src]
-        for j in range(n):
-            drow[j] += c * srow[j]
-        if u is not None:
-            urow, usrow = u[dst], u[src]
-            for j in range(m):
-                urow[j] += c * usrow[j]
+        if c:
+            unitless[dst] = False
+            _axpy(rows[dst], rows[src], c, mod)
+            if u is not None:
+                _axpy(u[dst], u[src], c)
 
-    def add_col(dst, src, c):
-        for row in d:
-            row[dst] += c * row[src]
+    def add_col(dst, src, c, among):
+        # among: the rows that can hold an entry in column src
+        if not c:
+            return
+        kd, ks = col[dst], col[src]
+        for i in among:
+            row = rows[i]
+            x = row.get(ks)
+            if x:
+                unitless[i] = False
+                y = row.get(kd, 0) + c * x
+                if mod:
+                    y = _residue(y, mod)
+                if y:
+                    row[kd] = y
+                else:
+                    row.pop(kd, None)
         if v is not None:
-            for row in v:
-                row[dst] += c * row[src]
+            _axpy(v[kd], v[ks], c)
+
+    def holders(t):
+        k = col[t]
+        return [i for i in range(t, m) if k in rows[i]]
 
     def negate_row(i):
-        d[i] = [-x for x in d[i]]
+        rows[i] = {k: -x for k, x in rows[i].items()}
         if u is not None:
-            u[i] = [-x for x in u[i]]
+            u[i] = {k: -x for k, x in u[i].items()}
+
+    def clear(t):
+        # Euclid's algorithm on row and column t until both are clear
+        while True:
+            done = True
+            kt = col[t]
+            for i in [i for i in range(t + 1, m) if kt in rows[i]]:
+                add_row(i, t, -(rows[i][kt] // rows[t][kt]))
+                if kt in rows[i]:
+                    swap_rows(i, t)
+                    done = False
+            # the rows holding column t: row t alone unless rows were
+            # swapped; a column operation changes them only by a swap
+            among = [t] if done else holders(t)
+            for j in sorted(pos[k] for k in rows[t])[1:]:
+                x = rows[t].get(col[j])
+                if x:
+                    add_col(j, t, -(x // rows[t][col[t]]), among)
+                    if col[j] in rows[t]:
+                        swap_cols(j, t)
+                        done = False
+                        among = holders(t)
+            if done:
+                break
+        if rows[t][col[t]] < 0:
+            negate_row(t)
 
     t = 0
     while t < m and t < n:
-        piv = _pivot(d, t, m, n)
+        piv = _pivot(rows, t, pos, unitless)
         if piv is None:
             break
         swap_rows(t, piv[0])
         swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
-                    if d[i][t]:
-                        swap_rows(i, t)
-                        done = False
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-                    if d[t][j]:
-                        swap_cols(j, t)
-                        done = False
-            if done:
-                break
-        if d[t][t] < 0:
-            negate_row(t)
+        kt = col[t]
+        p = rows[t][kt]
+        if p == 1 or p == -1:
+            # a unit leaves no remainder: one pass clears column and row,
+            # the same operations `clear` makes
+            rest = rows[t]
+            del rest[kt]
+            for i in [i for i in range(t + 1, m) if kt in rows[i]]:
+                c = -rows[i].pop(kt) * p
+                unitless[i] = False
+                _axpy(rows[i], rest, c, mod)
+                if u is not None:
+                    _axpy(u[i], u[t], c)
+            if v is not None:
+                for k, x in rest.items():
+                    _axpy(v[k], v[kt], -x * p)
+            rows[t] = {kt: p}
+            if p < 0:
+                negate_row(t)
+        else:
+            clear(t)
         t += 1
+    if mod:
+        return col
 
-    # enforce divisibility chain
-    r = t
+    # enforce the divisibility chain on the diagonal d_0 .. d_{t-1}: fold
+    # entry i+1 into column i and clear again, which can only meet rows
+    # and columns i and i+1
     changed = True
     while changed:
         changed = False
-        for i in range(r - 1):
-            if d[i + 1][i + 1] % d[i][i] != 0:
-                # fold entry i+1 into row/column i and re-clear
-                add_col(i, i + 1, 1)
-                g_i = i
-                while True:
-                    done = True
-                    if d[g_i + 1][g_i]:
-                        q = d[g_i + 1][g_i] // d[g_i][g_i]
-                        add_row(g_i + 1, g_i, -q)
-                        if d[g_i + 1][g_i]:
-                            swap_rows(g_i + 1, g_i)
-                            done = False
-                    if d[g_i][g_i + 1]:
-                        q = d[g_i][g_i + 1] // d[g_i][g_i]
-                        add_col(g_i + 1, g_i, -q)
-                        if d[g_i][g_i + 1]:
-                            swap_cols(g_i + 1, g_i)
-                            done = False
-                    if done:
-                        break
-                if d[g_i][g_i] < 0:
-                    negate_row(g_i)
-                if d[g_i + 1][g_i + 1] < 0:
-                    negate_row(g_i + 1)
+        for i in range(t - 1):
+            a, b = rows[i][col[i]], rows[i + 1][col[i + 1]]
+            if b % a:
+                add_col(i, i + 1, 1, (i + 1,))
+                clear(i)
+                if rows[i + 1][col[i + 1]] < 0:
+                    negate_row(i + 1)
                 changed = True
+    return col
 
 
 def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
@@ -165,23 +251,100 @@ def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
     Tracks both transforms; callers that read only D or only V use
     `invariant_factors` or `integer_kernel`.
     """
-    d = [row[:] for row in a]
-    u = _identity(len(a))
-    v = _identity(len(a[0]) if a else 0)
-    _diagonalize(d, u, v)
-    return u, d, v
+    m = len(a)
+    n = len(a[0]) if a else 0
+    rows = _sparse_rows(a)
+    u = [{i: 1} for i in range(m)]
+    v = [{j: 1} for j in range(n)]
+    col = _diagonalize(rows, n, u, v)
+    d = [[rows[i].get(k, 0) for k in col] for i in range(m)]
+    return ([[row.get(k, 0) for k in range(m)] for row in u], d,
+            [[v[k].get(i, 0) for k in col] for i in range(n)])
 
 
 def diagonal_of(d: Matrix) -> List[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
+def _rank_and_minor(rows: Sequence[Row]) -> Tuple[int, int]:
+    """The rank r of the matrix with these sparse rows and the absolute
+    value of a nonzero r x r minor (1 when r = 0), by fraction-free
+    (Bareiss) elimination.
+
+    After step k every entry of a row not yet used as a pivot is a
+    (k+1) x (k+1) minor divided by p_k, the k-th pivot, itself a k x k
+    minor (Sylvester's identity), so the divisions are exact.  A row with
+    no entry in the pivot column is only scaled by p_k / p_{k-1}; that is
+    left implicit, and a row brought up to date from step s multiplies by
+    p_k / p_s, the product telescoping.
+    """
+    live = [r for r in rows if r]  # read, never changed in place
+    stamp = [0] * len(live)        # the step each stored row is exact at
+    pivots = [1]
+
+    def current(i):
+        s, k = stamp[i], len(pivots) - 1
+        if s == k:
+            return live[i]
+        ps, pk = pivots[s], pivots[k]
+        return {j: x * pk // ps for j, x in live[i].items()}
+
+    while live:
+        # the sparsest row, on its entry of least magnitude
+        at = min(range(len(live)), key=lambda i: len(live[i]))
+        prow = current(at)
+        c = min(prow, key=lambda j: abs(prow[j]))
+        p, prev = prow[c], pivots[-1]
+        live[at], stamp[at] = live[-1], stamp[-1]
+        live.pop()
+        stamp.pop()
+        step = len(pivots)
+        keep = []
+        for i in range(len(live)):
+            if c in live[i]:
+                row = current(i)
+                f = row[c]
+                num = {j: p * x for j, x in row.items()}
+                for j, x in prow.items():
+                    num[j] = num.get(j, 0) - f * x
+                live[i] = {j: y // prev for j, y in num.items() if y}
+                stamp[i] = step
+            if live[i]:
+                keep.append(i)
+        live = [live[i] for i in keep]
+        stamp = [stamp[i] for i in keep]
+        pivots.append(p)
+    return len(pivots) - 1, abs(pivots[-1])
+
+
 def invariant_factors(a: Matrix) -> List[int]:
-    """The nonzero diagonal of the Smith form of A, d1 | d2 | ...; tracks
-    neither transform."""
-    d = [row[:] for row in a]
-    _diagonalize(d)
-    return [x for x in diagonal_of(d) if x]
+    """The nonzero diagonal of the Smith form of A, d1 | d2 | ..., by an
+    elimination modulo delta, a nonzero r x r minor (r the rank); tracks
+    neither transform.
+
+    The Smith form of A mod delta is diag(gcd(d_i, delta)) with d_i = 0
+    past the rank r, and every d_i | d_1 ... d_r | delta; so, once the
+    diagonal x_i of the elimination mod delta is read off as gcd(x_i,
+    delta) (0 gives delta) and put into a divisibility chain by gcd/lcm
+    swaps, its first r entries are d_1 .. d_r.  The residues keep every
+    entry below delta in size, where an exact elimination can grow them
+    without bound.
+    """
+    n = len(a[0]) if a else 0
+    r, delta = _rank_and_minor(_sparse_rows(a))
+    if delta == 1:
+        return [1] * r
+    rows = [{k: y for k, x in enumerate(row) if (y := _residue(x, delta))}
+            for row in a]
+    col = _diagonalize(rows, n, mod=delta)
+    chain = [gcd(rows[i].get(col[i], 0), delta)
+             for i in range(min(len(rows), n))]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            x, y = chain[i], chain[j]
+            g = gcd(x, y)
+            chain[i], chain[j] = g, x // g * y
+    return chain[:r]
 
 
 def sparse_invariant_factors(cols: Sequence[Dict[int, int]]) -> List[int]:
@@ -191,9 +354,9 @@ def sparse_invariant_factors(cols: Sequence[Dict[int, int]]) -> List[int]:
     Unit pivots are eliminated on the sparse columns first.  Each clears
     its row by column operations, leaving its column and row to
     contribute one invariant factor 1, so the Smith form is diag(1, ..., 1,
-    D) with D that of the residual, which alone is made dense.  Of the
-    units left, the next pivot minimises (column nnz - 1) * (row nnz - 1),
-    the most entries its elimination can fill in (Markowitz's rule).
+    D) with D that of the residual.  Of the units left, the next pivot
+    minimises (column nnz - 1) * (row nnz - 1), the most entries its
+    elimination can fill in (Markowitz's rule).
     """
     cols = [dict(c) for c in cols]
     where: Dict[int, set] = {}          # row -> columns holding it
@@ -239,17 +402,22 @@ def sparse_invariant_factors(cols: Sequence[Dict[int, int]]) -> List[int]:
     return [1] * units + (invariant_factors(residual) if rows else [])
 
 
-def integer_kernel(a: Matrix) -> List[List[int]]:
+def integer_kernel(a: Sequence, n: Optional[int] = None
+                   ) -> List[List[int]]:
     """Basis (list of column vectors) of the integer kernel of A: the
-    columns of the Smith form's V at zero diagonal entries.  Tracks V only,
-    so the basis is the one `smith_normal_form` would give."""
-    n = len(a[0]) if a else 0
-    d = [row[:] for row in a]
-    v = _identity(n)
-    _diagonalize(d, v=v)
-    diag = diagonal_of(d)
-    return [[row[j] for row in v] for j in range(n)
-            if j >= len(diag) or diag[j] == 0]
+    columns of the Smith form's V at zero diagonal entries.  A is a dense
+    matrix, or, when its width n is given, a list of sparse rows {column:
+    nonzero entry}.  Tracks V only, exactly, so the basis is the one
+    `smith_normal_form` would give."""
+    if n is None:
+        n = len(a[0]) if a else 0
+        rows = _sparse_rows(a)
+    else:
+        rows = [dict(row) for row in a]
+    v = [{j: 1} for j in range(n)]
+    col = _diagonalize(rows, n, v=v)
+    return [[v[k].get(i, 0) for i in range(n)]
+            for j, k in enumerate(col) if j >= len(rows) or k not in rows[j]]
 
 
 def solve_integer(a: Matrix, b: Sequence[int]) -> Optional[List[int]]:

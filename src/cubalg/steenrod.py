@@ -670,17 +670,20 @@ def a2_pattern_series(cutoff: int) -> List[int]:
     return quo
 
 
-def uniqueness_probe(case: str) -> dict:
+def uniqueness_probe(case: str, prim: Optional[Dict[int, List[str]]] = None
+                     ) -> dict:
     """The forcing steps of the uniqueness arguments: the lowest-degree
     nonconstant element of a candidate subcomodule algebra with the target
     graded dimension must be primitive; the primitives of A at that degree
-    force the generator.  Primitives are listed through degree 16.  For
+    force the generator.  Primitives are listed through degree 16: `prim`
+    is `primitives(range(1, 17), 16)`, computed here when not given.  For
     the tmf case, additionally the degree-12 witness: xi1^6 xibar2^2 is not
     primitive modulo xi1^8."""
     if case not in ("ko", "tmf"):
         raise ValueError("case must be 'ko' or 'tmf'")
     lowest = 4 if case == "ko" else 8
-    prim = primitives(range(1, 17), 16)
+    if prim is None:
+        prim = primitives(range(1, 17), 16)
     at_lowest = prim[lowest]
     generator = monomial_text(("xi1",), (lowest,))
     forced = at_lowest == [generator]

@@ -1,5 +1,6 @@
 import io
 import contextlib
+import hashlib
 import json
 import os
 
@@ -8,6 +9,7 @@ import pytest
 from cubalg import InvariantError
 from cubalg import chart as chartmod
 from cubalg import emit, regseq
+from cubalg import steenrod as st
 from cubalg import cli
 from cubalg.cli import dispatch, parse_curve, parse_range
 from cubalg.cobar import BigradedChart, cobar_cohomology
@@ -206,6 +208,33 @@ def test_steenrod_verify_cli():
     rc, out = run(["steenrod", "verify", "--cutoff", "16"])
     assert rc == 0
     assert json.loads(out)["ok"]
+
+
+def test_steenrod_verify_computes_primitives_once(monkeypatch):
+    # both uniqueness probes read the same primitives through degree 16
+    calls = []
+    primitives = st.primitives
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return primitives(*args, **kwargs)
+
+    monkeypatch.setattr(st, "primitives", counting)
+    rc, out = run(["steenrod", "verify", "--cutoff", "16"])
+    assert rc == 0 and json.loads(out)["ok"]
+    assert calls == [(range(1, 17), 16)]
+
+
+def test_hopf_h0_through_twist_12_is_pinned():
+    # twist 12 is a 547 x 44 kernel; its printed basis is read off the
+    # Smith form's V, so these bytes pin the elimination's pivot order
+    # (the same digest as the benchmark's op)
+    rc, out = run(["hopf", "h0", "--algebroid", "weierstrass",
+                   "--twists=-12..12"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "cdd162ad7206ffe41ccc888456ae5dba"
+        "10703580e86d6e284fc4f180bad792ba")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,8 @@
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -172,13 +175,13 @@ def test_homology_snf_calls_constant_in_columns(monkeypatch, q):
     b = _complex(a, 5, m)
     expected = _kernel_coordinates_homology(a, b)
     calls = []
-    diagonalize = intlinalg._diagonalize
+    factors = intlinalg.invariant_factors
 
-    def counting(d, u=None, v=None):
+    def counting(d):
         calls.append(d)
-        return diagonalize(d, u, v)
+        return factors(d)
 
-    monkeypatch.setattr(intlinalg, "_diagonalize", counting)
+    monkeypatch.setattr(intlinalg, "invariant_factors", counting)
     assert homology(a, b) == expected
     assert len(calls) <= 2
 
@@ -338,6 +341,89 @@ def test_elimination_matches_reference(data):
     assert integer_kernel(a) == [
         [row[j] for row in ref_v] for j in range(cols)
         if j >= len(diag) or diag[j] == 0]
+
+
+# h0-like matrices: tall, about 20% nonzero, a unit-rich pool with one
+# large entry, or a unit-free one.  An exact elimination (the reference's
+# and the sparse one alike) can grow its entries without bound on a
+# unit-free block of 7 or more columns, so unit-free draws keep to 6.
+_TALL_WITH_UNIT = [1, -1, 1, 2, -3, 4, 6, -8, 12, 24, -48, 99991]
+_TALL_WITHOUT_UNIT = [2, -3, 4, 6, -9, 12, -16, 27, 36, 99991]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hst.data())
+def test_sparse_elimination_matches_reference_on_tall_sparse(data):
+    pool = data.draw(hst.sampled_from([_TALL_WITH_UNIT, _TALL_WITHOUT_UNIT]))
+    rows = data.draw(hst.integers(30, 60))
+    cols = data.draw(hst.integers(4, 10 if pool is _TALL_WITH_UNIT else 6))
+    entries = hst.sampled_from([0] * (4 * len(pool)) + pool)
+    a = data.draw(hst.lists(hst.lists(entries, min_size=cols,
+                                      max_size=cols),
+                            min_size=rows, max_size=rows))
+    if data.draw(hst.booleans()):
+        # rank-deficient: one column a combination of two others
+        i, j, k = data.draw(hst.permutations(range(cols)))[:3]
+        for row in a:
+            row[k] = row[i] - 2 * row[j]
+    ref_u, ref_d, ref_v = _reference_smith_normal_form(a)
+    assert smith_normal_form(a) == (ref_u, ref_d, ref_v)
+    diag = [ref_d[i][i] for i in range(cols)]
+    kernel = [[row[j] for row in ref_v] for j in range(cols) if not diag[j]]
+    assert integer_kernel(a) == kernel
+    sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    assert integer_kernel(sparse_rows, cols) == kernel
+    assert invariant_factors(a) == [x for x in diag if x]
+
+
+def _determinantal_factors(a):
+    """The invariant factors D_k / D_(k-1), D_k the gcd of the k x k
+    minors of A, for k up to the rank."""
+    m, n = len(a), len(a[0]) if a else 0
+    divisors = [1]
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                g = gcd(g, int(_det([[a[i][j] for j in cols]
+                                     for i in rows])))
+        if not g:
+            break
+        divisors.append(g)
+    return [y // x for x, y in zip(divisors, divisors[1:])]
+
+
+def test_invariant_factors_do_not_blow_up():
+    # an exact Smith elimination of this matrix has 784-bit entries by its
+    # third step and then does not finish
+    a = [[-4, 6, 12, 9, 12, 6], [0, 6, 6, 9, -15, 12],
+         [9, 6, 9, -4, -15, 0], [9, -4, 9, 6, 2, 0],
+         [0, 12, 12, 0, 12, 6], [0, 0, 0, -4, -15, 0]]
+    expected = _determinantal_factors(a)
+    assert expected == [1, 1, 1, 6, 6, 37674]
+    start = time.perf_counter()
+    assert invariant_factors(a) == expected
+    assert sparse_invariant_factors(_sparse_columns(a, 6)) == expected
+    assert time.perf_counter() - start < 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=hst.data())
+def test_invariant_factors_match_determinantal_divisors(data):
+    rows = data.draw(hst.integers(1, 5))
+    cols = data.draw(hst.integers(1, 5))
+    entries = hst.sampled_from([0, 0, 2, -4, 6, 9, 12, -15, 100000])
+    a = data.draw(hst.lists(hst.lists(entries, min_size=cols,
+                                      max_size=cols),
+                            min_size=rows, max_size=rows))
+    expected = _determinantal_factors(a)
+    assert invariant_factors(a) == expected
+    assert sparse_invariant_factors(_sparse_columns(a, cols)) == expected
+    # the modulus is a nonzero maximal minor: a multiple of d_1 ... d_r
+    rank, delta = intlinalg._rank_and_minor(
+        [{j: x for j, x in enumerate(row) if x} for row in a])
+    assert rank == len(expected)
+    assert delta and delta % prod(expected) == 0
 
 
 @settings(max_examples=300, deadline=None)

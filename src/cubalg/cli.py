@@ -13,6 +13,7 @@ Relative output paths resolve against $CUBALG_OUTPUT_DIR.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -64,11 +65,18 @@ def parse_range(text: str) -> List[int]:
     return [int(p) for p in text.split(",") if p.strip() != ""]
 
 
-def parse_window(text: str) -> Tuple[int, int]:
-    """The first and last entry of `parse_range(text)`, first <= last."""
+def parse_nonempty_range(text: str) -> List[int]:
+    """`parse_range(text)`, which must have an entry."""
     values = parse_range(text)
     if not values:
         raise ValueError("empty range %r" % text)
+    return values
+
+
+def parse_window(text: str) -> Tuple[int, int]:
+    """The first and last entry of `parse_nonempty_range(text)`, first <=
+    last."""
+    values = parse_nonempty_range(text)
     _reject_reversed(text, values[0], values[-1])
     return values[0], values[-1]
 
@@ -184,7 +192,7 @@ def cmd_cech(args) -> int:
 
 def cmd_descent(args) -> int:
     w = tuple(int(x) for x in args.weights.split(","))
-    degrees = parse_range(args.degrees)
+    degrees = parse_nonempty_range(args.degrees)
     jlo = min(min(degrees) // 2 - 1, 0)
     jhi = max(degrees) // 2 + 1
     page = cech_weighted_projective(w, range(jlo, jhi + 1))
@@ -201,7 +209,7 @@ def cmd_descent(args) -> int:
 
 
 def cmd_tmf_mu(args) -> int:
-    window = parse_range(args.window)
+    window = parse_nonempty_range(args.window)
     out = tmf_mu_page((min(window), max(window)), args.cutoff,
                       prime=2 if args.prime is None else args.prime,
                       specialize_p13=args.specialize,
@@ -357,7 +365,10 @@ def _common(p, cutoff=None, prime=False):
         p.add_argument("--cutoff", type=int, default=cutoff)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `cubalg` parser, built once per process: parsing leaves it
+    unchanged."""
     top = argparse.ArgumentParser(
         prog="cubalg",
         description="exact computational algebra for elliptic cohomology")

@@ -21,9 +21,10 @@ interior slot.
 
 Each differential is kept as sparse columns, {row: coefficient}, reduced
 mod the modulus of Gamma when it has one.  Cohomology is computed over Z
-(Smith normal form, unit pivots eliminated sparsely first: free rank plus
-torsion orders) or over F_p.  d o d = 0 is checked on every assembled
-bidegree by sparse composition, and a failure raises InvariantError.
+(the Smith diagonal of the sparse columns, unit pivots eliminated first:
+free rank plus torsion orders) or over F_p.  d o d = 0 is checked on
+every assembled bidegree by sparse composition, and a failure raises
+InvariantError.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
 from .hopf import HopfAlgebroidPresentation
-from .intlinalg import field_rank, p_local_part, sparse_invariant_factors
+from .intlinalg import field_rank, invariant_factors, p_local_part
 from .poly import Polynomial, is_prime, monomial_text
 
 
@@ -231,8 +232,7 @@ class CobarComplex:
                              "prime=%d" % (mod, mod))
         # entry s + 1 is d_s; entry 0 is the zero map into degree 0
         if prime is None:
-            facs = [[]] + [sparse_invariant_factors(cols)
-                           for cols in self.columns]
+            facs = [[]] + [invariant_factors(cols) for cols in self.columns]
             ranks = [len(f) for f in facs]
         else:
             ranks = [0] + [field_rank(

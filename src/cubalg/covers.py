@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import InvariantError
 from .curves import (CoordinateChange, WeierstrassCurve, invariants,
                      transform, universal_curve)
-from .intlinalg import RowSpace, sparse_invariant_factors
+from .intlinalg import RowSpace, invariant_factors
 from .poincare import poincare_series
 from .poly import Polynomial, Ring, is_prime, monomial_text
 
@@ -201,7 +201,7 @@ def _cech_snf_ranks(w1, w2, j):
     c0b = [(i, k) for i, k in c1 if i >= 0]
     rows = {m: r for r, m in enumerate(c1)}
     cols = [{rows[m]: 1} for m in c0a] + [{rows[m]: -1} for m in c0b]
-    rank = len(sparse_invariant_factors(cols))
+    rank = len(invariant_factors(cols))
     # kernel = (m, m) pairs of monomials regular on both patches
     h0 = len(cols) - rank
     h1 = len(c1) - rank

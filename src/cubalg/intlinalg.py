@@ -262,10 +262,6 @@ def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
             [[v[k].get(i, 0) for k in col] for i in range(n)])
 
 
-def diagonal_of(d: Matrix) -> List[int]:
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
 def _rank_and_minor(rows: Sequence[Row]) -> Tuple[int, int]:
     """The rank r of the matrix with these sparse rows and the absolute
     value of a nonzero r x r minor (1 when r = 0), by fraction-free
@@ -317,58 +313,39 @@ def _rank_and_minor(rows: Sequence[Row]) -> Tuple[int, int]:
     return len(pivots) - 1, abs(pivots[-1])
 
 
-def invariant_factors(a: Matrix) -> List[int]:
-    """The nonzero diagonal of the Smith form of A, d1 | d2 | ..., by an
-    elimination modulo delta, a nonzero r x r minor (r the rank); tracks
-    neither transform.
+def invariant_factors(vectors: Sequence[Row]) -> List[int]:
+    """The nonzero diagonal d1 | d2 | ... of the Smith form of the integer
+    matrix with these sparse vectors {index: nonzero entry} as its rows,
+    or as its columns: a matrix and its transpose have the same Smith
+    form.  Tracks neither transform.
 
-    The Smith form of A mod delta is diag(gcd(d_i, delta)) with d_i = 0
-    past the rank r, and every d_i | d_1 ... d_r | delta; so, once the
+    Unit pivots are eliminated on the vectors first.  Each clears the
+    entries of its index by operations on vectors, leaving its vector and
+    index to contribute one invariant factor 1, so the Smith form is
+    diag(1, ..., 1, D) with D that of the residual.  Of the units left,
+    the next pivot minimises (vector nnz - 1) * (index nnz - 1), the most
+    entries its elimination can fill in (Markowitz's rule).
+
+    The residual is then eliminated modulo delta, a nonzero r x r minor
+    (r its rank).  Its Smith form mod delta is diag(gcd(d_i, delta)) with
+    d_i = 0 past r, and every d_i | d_1 ... d_r | delta; so, once the
     diagonal x_i of the elimination mod delta is read off as gcd(x_i,
     delta) (0 gives delta) and put into a divisibility chain by gcd/lcm
     swaps, its first r entries are d_1 .. d_r.  The residues keep every
     entry below delta in size, where an exact elimination can grow them
     without bound.
     """
-    n = len(a[0]) if a else 0
-    r, delta = _rank_and_minor(_sparse_rows(a))
-    if delta == 1:
-        return [1] * r
-    rows = [{k: y for k, x in enumerate(row) if (y := _residue(x, delta))}
-            for row in a]
-    col = _diagonalize(rows, n, mod=delta)
-    chain = [gcd(rows[i].get(col[i], 0), delta)
-             for i in range(min(len(rows), n))]
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            x, y = chain[i], chain[j]
-            g = gcd(x, y)
-            chain[i], chain[j] = g, x // g * y
-    return chain[:r]
-
-
-def sparse_invariant_factors(cols: Sequence[Dict[int, int]]) -> List[int]:
-    """`invariant_factors` of the integer matrix with the given sparse
-    columns {row: nonzero entry}.
-
-    Unit pivots are eliminated on the sparse columns first.  Each clears
-    its row by column operations, leaving its column and row to
-    contribute one invariant factor 1, so the Smith form is diag(1, ..., 1,
-    D) with D that of the residual.  Of the units left, the next pivot
-    minimises (column nnz - 1) * (row nnz - 1), the most entries its
-    elimination can fill in (Markowitz's rule).
-    """
-    cols = [dict(c) for c in cols]
-    where: Dict[int, set] = {}          # row -> columns holding it
-    for k, col in enumerate(cols):
-        for r in col:
+    vecs = [dict(v) for v in vectors]
+    where: Dict[int, set] = {}          # index -> vectors holding it
+    for k, vec in enumerate(vecs):
+        for r in vec:
             where.setdefault(r, set()).add(k)
     units = 0
     while True:
         best = None
-        for k, col in enumerate(cols):
-            fill = len(col) - 1
-            for r, c in col.items():
+        for k, vec in enumerate(vecs):
+            fill = len(vec) - 1
+            for r, c in vec.items():
                 if c == 1 or c == -1:
                     cost = fill * (len(where[r]) - 1)
                     if best is None or cost < best[0]:
@@ -378,42 +355,54 @@ def sparse_invariant_factors(cols: Sequence[Dict[int, int]]) -> List[int]:
         if best is None:
             break
         _, k, r = best
-        pivot = cols[k]
-        cols[k] = {}
+        pivot = vecs[k]
+        vecs[k] = {}
         for i in pivot:
             where[i].discard(k)
         u = pivot.pop(r)
-        # column j -= (a_rj / u) * column k, where 1 / u = u
+        # vector j -= (a_rj / u) * vector k, where 1 / u = u
         for j in where.pop(r):
-            col = cols[j]
-            f = col.pop(r) * u
+            vec = vecs[j]
+            f = vec.pop(r) * u
             for i, x in pivot.items():
-                y = col.get(i, 0) - f * x
+                y = vec.get(i, 0) - f * x
                 if y:
-                    if i not in col:
+                    if i not in vec:
                         where[i].add(j)
-                    col[i] = y
+                    vec[i] = y
                 else:
-                    del col[i]
+                    del vec[i]
                     where[i].discard(j)
         units += 1
-    rows = sorted(r for r, ks in where.items() if ks)
-    residual = [[col.get(r, 0) for col in cols if col] for r in rows]
-    return [1] * units + (invariant_factors(residual) if rows else [])
+
+    residual = [vec for vec in vecs if vec]
+    if not residual:
+        return [1] * units
+    rank, delta = _rank_and_minor(residual)
+    if delta == 1:
+        return [1] * (units + rank)
+    # the indices still held, renumbered 0 .. n-1 for `_diagonalize`
+    key = {i: j for j, i in enumerate(sorted(i for i, ks in where.items()
+                                             if ks))}
+    rows = [{key[i]: y for i, x in vec.items() if (y := _residue(x, delta))}
+            for vec in residual]
+    col = _diagonalize(rows, len(key), mod=delta)
+    chain = [gcd(rows[i].get(col[i], 0), delta)
+             for i in range(min(len(rows), len(key)))]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            x, y = chain[i], chain[j]
+            g = gcd(x, y)
+            chain[i], chain[j] = g, x // g * y
+    return [1] * units + chain[:rank]
 
 
-def integer_kernel(a: Sequence, n: Optional[int] = None
-                   ) -> List[List[int]]:
-    """Basis (list of column vectors) of the integer kernel of A: the
-    columns of the Smith form's V at zero diagonal entries.  A is a dense
-    matrix, or, when its width n is given, a list of sparse rows {column:
-    nonzero entry}.  Tracks V only, exactly, so the basis is the one
-    `smith_normal_form` would give."""
-    if n is None:
-        n = len(a[0]) if a else 0
-        rows = _sparse_rows(a)
-    else:
-        rows = [dict(row) for row in a]
+def integer_kernel(a: Sequence[Row], n: int) -> List[List[int]]:
+    """Basis (list of column vectors) of the integer kernel of the matrix
+    of width n with sparse rows {column: nonzero entry}: the columns of
+    the Smith form's V at zero diagonal entries.  Tracks V only, exactly,
+    so the basis is the one `smith_normal_form` would give."""
+    rows = [dict(row) for row in a]
     v = [{j: 1} for j in range(n)]
     col = _diagonalize(rows, n, v=v)
     return [[v[k].get(i, 0) for i in range(n)]
@@ -427,10 +416,9 @@ def solve_integer(a: Matrix, b: Sequence[int]) -> Optional[List[int]]:
     u, d, v = smith_normal_form(a)
     n = len(a[0])
     c = mat_vec(u, list(b))
-    diag = diagonal_of(d)
     y = [0] * n
     for i, ci in enumerate(c):
-        di = diag[i] if i < len(diag) else 0
+        di = d[i][i] if i < n else 0
         if di:
             q, r = divmod(ci, di)
             if r:
@@ -443,12 +431,8 @@ def solve_integer(a: Matrix, b: Sequence[int]) -> Optional[List[int]]:
 
 def cokernel_structure(a: Matrix, rows: int) -> Tuple[int, List[int]]:
     """Structure of Z^rows / col-span(A): (free rank, torsion orders > 1)."""
-    if not a or not a[0]:
-        return rows, []
-    facs = invariant_factors(a)
-    free = rows - len(facs)
-    torsion = [f for f in facs if f != 1]
-    return free, torsion
+    facs = invariant_factors(_sparse_rows(a))
+    return rows - len(facs), [f for f in facs if f != 1]
 
 
 def homology(a: Matrix, b: Matrix) -> Tuple[int, List[int]]:
@@ -466,7 +450,7 @@ def homology(a: Matrix, b: Matrix) -> Tuple[int, List[int]]:
     if any(map(any, mat_mul(a, b))):
         raise InvariantError("image does not lie in kernel")
     free, torsion = cokernel_structure(b, n)
-    return free - len(invariant_factors(a)), torsion
+    return free - len(invariant_factors(_sparse_rows(a))), torsion
 
 
 def p_local_part(free: int, torsion: List[int], p: int) -> Tuple[int, List[int]]:

@@ -5,11 +5,19 @@ for differential tests:
   `field_rank` used to take, and the dense row space and its kernel and
   rank loops, which took dense vectors of a fixed width;
 - the F_2 bitmask span in *reduced* echelon form, its canonical residue
-  and the augmented kernel loop, as `cubalg.steenrod` kept them privately.
+  and the augmented kernel loop, as `cubalg.steenrod` kept them privately;
+- `sparse_rows`, which turns a dense integer matrix into the sparse rows
+  {column: nonzero entry} that `invariant_factors` and `integer_kernel`
+  take.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
+
+
+def sparse_rows(a: Sequence[Sequence[int]]) -> List[Dict[int, int]]:
+    """The rows of a dense matrix as sparse vectors {column: entry}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 class FieldOps:

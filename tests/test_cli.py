@@ -45,6 +45,9 @@ def test_parse_range():
         cli.parse_window("3,1")
     with pytest.raises(ValueError, match="empty range ','"):
         cli.parse_window(",")
+    assert cli.parse_nonempty_range("3,1") == [3, 1]
+    with pytest.raises(ValueError, match="empty range ''"):
+        cli.parse_nonempty_range("")
 
 
 @pytest.mark.parametrize("argv", [
@@ -275,6 +278,15 @@ def test_prime_is_taken_where_it_is_read(argv):
     assert args.prime == 3
 
 
+def test_dispatch_builds_the_parser_once():
+    cli.build_parser.cache_clear()
+    first = run(["curve", "invariants"])
+    assert run(["curve", "invariants"]) == first
+    assert first[0] == cli.EXIT_OK
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize("argv", [
     ["curve", "invariants", "--prime", "4"],
     ["curve", "invariants", "--prime", "1"],
@@ -303,6 +315,14 @@ def test_bad_prime_or_bound_exits_2(argv, capsys):
     assert dispatch(argv) == cli.EXIT_ERROR
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("cubalg: error: ")
+
+
+@pytest.mark.parametrize("argv", [["descent", "--degrees="],
+                                  ["tmf-mu", "--window="]], ids=" ".join)
+def test_empty_range_exits_2(argv, capsys):
+    # rejected by name, not by min() of no entries
+    assert dispatch(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", "cubalg: error: empty range ''\n")
 
 
 @pytest.mark.parametrize("prime, cutoff", [(5, 30), (3, 15), (2, 4)])

@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 
 from cubalg import InvariantError, covers, regseq
@@ -249,44 +251,46 @@ def _reduction_rules(k, names, weights, rels, bound):
     rows.sort(key=lambda row: max(key(m) for m in row))
     rules = {}
     for row in rows:
-        row = _reduce_poly(k, row, rules)
+        row = _reduce_poly(k, row, rules, weights)
         if not row:
             continue
         piv = max(row, key=key)
         cinv = k.ops.inv(row[piv])
         rest = {m: k.ops.neg(k.ops.mul(c, cinv))
                 for m, c in row.items() if m != piv}
+        # keep existing rules reduced against the new one: rewrite the
+        # pivot where a rule holds it
+        for p2, terms in rules.items():
+            if piv in terms:
+                rules[p2] = _reduce_poly(k, terms, {piv: rest}, weights)
         rules[piv] = rest
-        # keep existing rules reduced against the new one
-        for p2 in list(rules):
-            if p2 == piv:
-                continue
-            rules[p2] = _reduce_poly(k, rules[p2], {piv: rest})
     return rules
 
 
-def _reduce_poly(k, poly: dict, rules: dict) -> dict:
+def _reduce_poly(k, poly: dict, rules: dict, weights) -> dict:
+    """`poly` with each rule's pivot monomial rewritten by its lower
+    terms, in one pass down the (weight, exponent) order: a rule's terms
+    lie below its pivot, so a rewrite adds only terms not yet passed."""
+    def down(m):
+        return (-sum(e * w for e, w in zip(m, weights)), [-e for e in m])
+
     out = dict(poly)
-    changed = True
-    while changed:
-        changed = False
-        for m in sorted(out, reverse=True):
-            if m in rules:
-                c = out.pop(m)
-                for m2, c2 in rules[m].items():
-                    cc = k.ops.add(out.get(m2, k.of(0)), k.ops.mul(c, c2))
-                    if k.ops.is_zero(cc):
-                        out.pop(m2, None)
-                    else:
-                        out[m2] = cc
-                changed = True
-                break
+    todo = [(down(m), m) for m in out if m in rules]
+    heapq.heapify(todo)
+    while todo:
+        m = heapq.heappop(todo)[1]
+        c = out.pop(m, None)
+        if c is None:           # cancelled since it was queued
+            continue
+        for m2, c2 in rules[m].items():
+            cc = k.ops.add(out.get(m2, k.of(0)), k.ops.mul(c, c2))
+            if k.ops.is_zero(cc):
+                out.pop(m2, None)
+            else:
+                if m2 not in out and m2 in rules:
+                    heapq.heappush(todo, (down(m2), m2))
+                out[m2] = cc
     return out
-
-
-def _reduce_monomial(k, mono, rules) -> dict:
-    return _reduce_poly(k, {mono: k.of(1)}, rules)
-
 
 
 def _reference_fiber(a, p, field):
@@ -317,7 +321,7 @@ def _reference_fiber(a, p, field):
     for i, mi in enumerate(basis):
         for j, mj in enumerate(basis):
             prod = tuple(x + y for x, y in zip(mi, mj))
-            red = _reduce_monomial(k, prod, rules)
+            red = _reduce_poly(k, {prod: k.of(1)}, rules, weights)
             table[(i, j)] = {index[m]: c for m, c in red.items()}
     return names, weights, basis, table
 

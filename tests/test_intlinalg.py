@@ -13,7 +13,7 @@ from cubalg.intlinalg import (BitSpan, RowSpace, cokernel_structure,
                               f2_kernel, f2_solve, field_kernel, field_rank,
                               homology, integer_kernel, invariant_factors,
                               mat_mul, p_local_part, smith_normal_form,
-                              solve_integer, sparse_invariant_factors)
+                              solve_integer)
 
 
 def test_snf_factorization():
@@ -71,14 +71,14 @@ def test_invariant_factors_divisibility():
         cols = rng.randrange(1, 5)
         a = [[rng.randrange(-9, 10) for _ in range(cols)]
              for _ in range(rows)]
-        facs = invariant_factors(a)
+        facs = invariant_factors(ref.sparse_rows(a))
         for x, y in zip(facs, facs[1:]):
             assert y % x == 0
 
 
 def test_integer_kernel_saturated():
     a = [[2, -2]]          # kernel generated by (1, 1), not (2, 2)
-    ker = integer_kernel(a)
+    ker = integer_kernel(ref.sparse_rows(a), 2)
     assert len(ker) == 1
     v = ker[0]
     assert abs(v[0]) == 1 and v[0] == v[1]
@@ -123,7 +123,7 @@ def _kernel_coordinates_homology(a, b):
     if n == 0:
         return 0, []
     if a and a[0]:
-        kbasis = integer_kernel(a)
+        kbasis = integer_kernel(ref.sparse_rows(a), n)
     else:
         kbasis = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     k = len(kbasis)
@@ -145,7 +145,7 @@ def _kernel_coordinates_homology(a, b):
 def _complex(a, n, m):
     """B = K*M with the columns of K a basis of ker A (all of Z^n when A
     has no rows), so A*B = 0."""
-    kbasis = integer_kernel(a) if a else [
+    kbasis = integer_kernel(ref.sparse_rows(a), n) if a else [
         [1 if i == j else 0 for i in range(n)] for j in range(n)]
     return mat_mul([list(row) for row in zip(*kbasis)], m)
 
@@ -158,7 +158,7 @@ def test_homology_matches_kernel_coordinates(data):
     q = data.draw(hst.integers(0, 5))
     a = [data.draw(hst.lists(hst.integers(-3, 3), min_size=n, max_size=n))
          for _ in range(p)]
-    k = len(integer_kernel(a)) if a else n
+    k = len(integer_kernel(ref.sparse_rows(a), n)) if a else n
     entries = hst.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, 6, -6])
     m = [data.draw(hst.lists(entries, min_size=q, max_size=q))
          for _ in range(k)]
@@ -337,8 +337,10 @@ def test_elimination_matches_reference(data):
     # same pivots, so the same transforms, entry for entry
     assert smith_normal_form(a) == (ref_u, ref_d, ref_v)
     diag = [ref_d[i][i] for i in range(min(rows, cols))]
-    assert invariant_factors(a) == [x for x in diag if x]
-    assert integer_kernel(a) == [
+    assert invariant_factors(ref.sparse_rows(a)) == [x for x in diag if x]
+    assert invariant_factors(_sparse_columns(a, cols)) == \
+        [x for x in diag if x]
+    assert integer_kernel(ref.sparse_rows(a), cols) == [
         [row[j] for row in ref_v] for j in range(cols)
         if j >= len(diag) or diag[j] == 0]
 
@@ -370,10 +372,8 @@ def test_sparse_elimination_matches_reference_on_tall_sparse(data):
     assert smith_normal_form(a) == (ref_u, ref_d, ref_v)
     diag = [ref_d[i][i] for i in range(cols)]
     kernel = [[row[j] for row in ref_v] for j in range(cols) if not diag[j]]
-    assert integer_kernel(a) == kernel
-    sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in a]
-    assert integer_kernel(sparse_rows, cols) == kernel
-    assert invariant_factors(a) == [x for x in diag if x]
+    assert integer_kernel(ref.sparse_rows(a), cols) == kernel
+    assert invariant_factors(ref.sparse_rows(a)) == [x for x in diag if x]
 
 
 def _determinantal_factors(a):
@@ -402,68 +402,59 @@ def test_invariant_factors_do_not_blow_up():
     expected = _determinantal_factors(a)
     assert expected == [1, 1, 1, 6, 6, 37674]
     start = time.perf_counter()
-    assert invariant_factors(a) == expected
-    assert sparse_invariant_factors(_sparse_columns(a, 6)) == expected
+    assert invariant_factors(ref.sparse_rows(a)) == expected
+    assert invariant_factors(_sparse_columns(a, 6)) == expected
     assert time.perf_counter() - start < 5
 
 
-@settings(max_examples=100, deadline=None)
+# unit-free entries, one of them large: a nonzero minor of such a matrix
+# is a large modulus
+_LARGE_WITHOUT_UNIT = [0, 0, 2, -4, 6, 9, 12, -15, 100000]
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=hst.data())
 def test_invariant_factors_match_determinantal_divisors(data):
-    rows = data.draw(hst.integers(1, 5))
-    cols = data.draw(hst.integers(1, 5))
-    entries = hst.sampled_from([0, 0, 2, -4, 6, 9, 12, -15, 100000])
-    a = data.draw(hst.lists(hst.lists(entries, min_size=cols,
-                                      max_size=cols),
-                            min_size=rows, max_size=rows))
+    # empty matrices, zero columns and columns with and without units,
+    # each matrix given by its rows and by its columns
+    rows = data.draw(hst.integers(0, 5), label="rows")
+    cols = data.draw(hst.integers(0, 5), label="cols")
+    a = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        pool = data.draw(hst.sampled_from(
+            [_WITH_UNIT, _LARGE_WITHOUT_UNIT, None]))
+        if pool is not None:
+            for i in range(rows):
+                a[i][j] = data.draw(hst.sampled_from(pool))
     expected = _determinantal_factors(a)
-    assert invariant_factors(a) == expected
-    assert sparse_invariant_factors(_sparse_columns(a, cols)) == expected
+    for vectors in (ref.sparse_rows(a), _sparse_columns(a, cols)):
+        before = [dict(v) for v in vectors]
+        assert invariant_factors(vectors) == expected
+        assert vectors == before
     # the modulus is a nonzero maximal minor: a multiple of d_1 ... d_r
-    rank, delta = intlinalg._rank_and_minor(
-        [{j: x for j, x in enumerate(row) if x} for row in a])
+    rank, delta = intlinalg._rank_and_minor(ref.sparse_rows(a))
     assert rank == len(expected)
     assert delta and delta % prod(expected) == 0
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=hst.data())
-def test_sparse_invariant_factors_match_dense(data):
-    # empty matrices, zero columns and columns with and without units
-    rows = data.draw(hst.integers(0, 7), label="rows")
-    cols = data.draw(hst.integers(0, 7), label="cols")
-    a = [[0] * cols for _ in range(rows)]
-    for j in range(cols):
-        kind = data.draw(hst.sampled_from(["unit", "no unit", "zero"]))
-        if kind == "zero":
-            continue
-        entries = hst.sampled_from(_WITH_UNIT if kind == "unit"
-                                   else _WITHOUT_UNIT)
-        for i in range(rows):
-            a[i][j] = data.draw(entries)
-    sparse = [{i: a[i][j] for i in range(rows) if a[i][j]}
-              for j in range(cols)]
-    before = [dict(c) for c in sparse]
-    assert sparse_invariant_factors(sparse) == invariant_factors(a)
-    assert sparse == before
-
-
-def test_sparse_invariant_factors_leave_no_unit_to_the_dense_residual(
-        monkeypatch):
+def test_invariant_factors_leave_no_unit_to_the_residual(monkeypatch):
     seen = []
+    rank_and_minor = intlinalg._rank_and_minor
 
-    def residual(a):
-        seen.append(a)
-        return invariant_factors(a)
+    def residual(vectors):
+        seen.append([dict(v) for v in vectors])
+        return rank_and_minor(vectors)
 
-    monkeypatch.setattr(intlinalg, "invariant_factors", residual)
+    monkeypatch.setattr(intlinalg, "_rank_and_minor", residual)
     # two units, then a 2 x 2 block without one: Smith form diag(1, 1, 2, 6)
     cols = [{0: 1, 1: 5}, {1: -1, 2: 3}, {2: 2, 3: 2}, {3: 6}]
-    assert sparse_invariant_factors(cols) == [1, 1, 2, 6]
-    assert seen == [[[2, 0], [2, 6]]]
-    # a unimodular matrix never reaches the dense path
+    assert invariant_factors(cols) == [1, 1, 2, 6]
+    # the residual stays sparse, keyed as the input was, with no unit left
+    assert seen == [[{2: 2, 3: 2}, {3: 6}]]
+    assert not any(abs(x) == 1 for v in seen[0] for x in v.values())
+    # a unimodular matrix never reaches it
     seen.clear()
-    assert sparse_invariant_factors([{0: 1, 1: 1}, {0: 1, 1: 2}]) == [1, 1]
+    assert invariant_factors([{0: 1, 1: 1}, {0: 1, 1: 2}]) == [1, 1]
     assert seen == []
 
 
@@ -472,10 +463,10 @@ def test_factors_and_kernel_skip_the_full_smith_form(monkeypatch):
         raise AssertionError("smith_normal_form called")
 
     monkeypatch.setattr(intlinalg, "smith_normal_form", unread_transforms)
-    assert invariant_factors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == \
-        [2, 2, 156]
-    assert invariant_factors([[4, 0], [0, 6]]) == [2, 12]
-    assert integer_kernel([[2, -2, 0], [0, 3, -3]]) == [[1, 1, 1]]
+    assert invariant_factors(ref.sparse_rows(
+        [[2, 4, 4], [-6, 6, 12], [10, 4, 16]])) == [2, 2, 156]
+    assert invariant_factors([{0: 4}, {1: 6}]) == [2, 12]
+    assert integer_kernel([{0: 2, 1: -2}, {1: 3, 2: -3}], 3) == [[1, 1, 1]]
 
 
 def test_field_ops_fp_and_q():

@@ -437,6 +437,31 @@ def test_invariant_factors_match_determinantal_divisors(data):
     assert delta and delta % prod(expected) == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=hst.data())
+def test_sparse_invariant_factors_match_dense(data):
+    # empty matrices, zero columns and columns with and without units: the
+    # factors of the sparse columns are the nonzero diagonal of the dense
+    # Smith form
+    rows = data.draw(hst.integers(0, 7), label="rows")
+    cols = data.draw(hst.integers(0, 7), label="cols")
+    a = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        kind = data.draw(hst.sampled_from(["unit", "no unit", "zero"]))
+        if kind == "zero":
+            continue
+        entries = hst.sampled_from(_WITH_UNIT if kind == "unit"
+                                   else _WITHOUT_UNIT)
+        for i in range(rows):
+            a[i][j] = data.draw(entries)
+    _, d, _ = smith_normal_form(a)
+    dense = [d[i][i] for i in range(min(rows, cols)) if d[i][i]]
+    sparse = _sparse_columns(a, cols)
+    before = [dict(c) for c in sparse]
+    assert invariant_factors(sparse) == dense
+    assert sparse == before
+
+
 def test_invariant_factors_leave_no_unit_to_the_residual(monkeypatch):
     seen = []
     rank_and_minor = intlinalg._rank_and_minor

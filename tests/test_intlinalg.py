@@ -416,13 +416,15 @@ _LARGE_WITHOUT_UNIT = [0, 0, 2, -4, 6, 9, 12, -15, 100000]
 @given(data=hst.data())
 def test_invariant_factors_match_determinantal_divisors(data):
     # empty matrices, zero columns and columns with and without units,
-    # each matrix given by its rows and by its columns
+    # each matrix given by its rows and by its columns; half the draws are
+    # unit-free in every column, so every nonzero minor is a large modulus
     rows = data.draw(hst.integers(0, 5), label="rows")
     cols = data.draw(hst.integers(0, 5), label="cols")
+    pools = data.draw(hst.sampled_from(
+        [[_WITH_UNIT, _LARGE_WITHOUT_UNIT, None], [_LARGE_WITHOUT_UNIT]]))
     a = [[0] * cols for _ in range(rows)]
     for j in range(cols):
-        pool = data.draw(hst.sampled_from(
-            [_WITH_UNIT, _LARGE_WITHOUT_UNIT, None]))
+        pool = data.draw(hst.sampled_from(pools))
         if pool is not None:
             for i in range(rows):
                 a[i][j] = data.draw(hst.sampled_from(pool))
@@ -441,8 +443,8 @@ def test_invariant_factors_match_determinantal_divisors(data):
 @given(data=hst.data())
 def test_sparse_invariant_factors_match_dense(data):
     # empty matrices, zero columns and columns with and without units: the
-    # factors of the sparse columns are the nonzero diagonal of the dense
-    # Smith form
+    # factors of the sparse columns are those of the sparse rows and, where
+    # the exact dense Smith form is sure to finish, its nonzero diagonal
     rows = data.draw(hst.integers(0, 7), label="rows")
     cols = data.draw(hst.integers(0, 7), label="cols")
     a = [[0] * cols for _ in range(rows)]
@@ -454,12 +456,17 @@ def test_sparse_invariant_factors_match_dense(data):
                                    else _WITHOUT_UNIT)
         for i in range(rows):
             a[i][j] = data.draw(entries)
-    _, d, _ = smith_normal_form(a)
-    dense = [d[i][i] for i in range(min(rows, cols)) if d[i][i]]
     sparse = _sparse_columns(a, cols)
     before = [dict(c) for c in sparse]
-    assert invariant_factors(sparse) == dense
+    factors = invariant_factors(sparse)
     assert sparse == before
+    assert factors == invariant_factors(ref.sparse_rows(a))
+    # the exact elimination can grow its entries without bound on a
+    # unit-free block of 5 x 6 or more (a few draws in a hundred there),
+    # but not on 5 x 5 or with 4 rows or columns
+    if min(rows, cols) <= 4 or max(rows, cols) <= 5:
+        _, d, _ = smith_normal_form(a)
+        assert factors == [d[i][i] for i in range(min(rows, cols)) if d[i][i]]
 
 
 def test_invariant_factors_leave_no_unit_to_the_residual(monkeypatch):

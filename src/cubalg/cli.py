@@ -57,26 +57,21 @@ def parse_curve(text: str, prime: Optional[int] = None) -> WeierstrassCurve:
 
 
 def parse_range(text: str) -> List[int]:
-    """"a..b" (inclusive, a <= b) or a comma list."""
+    """"a..b" (inclusive, a <= b) or a comma list, with at least one
+    entry: every verb that takes a range rejects an empty one."""
     if ".." in text:
         lo, hi = (int(p) for p in text.split(".."))
         _reject_reversed(text, lo, hi)
         return list(range(lo, hi + 1))
-    return [int(p) for p in text.split(",") if p.strip() != ""]
-
-
-def parse_nonempty_range(text: str) -> List[int]:
-    """`parse_range(text)`, which must have an entry."""
-    values = parse_range(text)
+    values = [int(p) for p in text.split(",") if p.strip() != ""]
     if not values:
         raise ValueError("empty range %r" % text)
     return values
 
 
 def parse_window(text: str) -> Tuple[int, int]:
-    """The first and last entry of `parse_nonempty_range(text)`, first <=
-    last."""
-    values = parse_nonempty_range(text)
+    """The first and last entry of `parse_range(text)`, first <= last."""
+    values = parse_range(text)
     _reject_reversed(text, values[0], values[-1])
     return values[0], values[-1]
 
@@ -192,7 +187,7 @@ def cmd_cech(args) -> int:
 
 def cmd_descent(args) -> int:
     w = tuple(int(x) for x in args.weights.split(","))
-    degrees = parse_nonempty_range(args.degrees)
+    degrees = parse_range(args.degrees)
     jlo = min(min(degrees) // 2 - 1, 0)
     jhi = max(degrees) // 2 + 1
     page = cech_weighted_projective(w, range(jlo, jhi + 1))
@@ -209,7 +204,7 @@ def cmd_descent(args) -> int:
 
 
 def cmd_tmf_mu(args) -> int:
-    window = parse_nonempty_range(args.window)
+    window = parse_range(args.window)
     out = tmf_mu_page((min(window), max(window)), args.cutoff,
                       prime=2 if args.prime is None else args.prime,
                       specialize_p13=args.specialize,

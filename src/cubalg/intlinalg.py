@@ -4,6 +4,7 @@ homology of chain maps, and Gaussian elimination over F_p and Q."""
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -568,14 +569,13 @@ def f2_solve(cols: Sequence[int], v: int) -> Optional[int]:
 
 
 class RowSpace:
-    """Reduced row space over F_p or Q, supporting incremental insertion
-    and reduction of sparse vectors.
-
-    Each stored row has coefficient 1 at its pivot and is zero in every
-    other row's pivot column.  So reducing a vector subtracts exactly the
-    rows whose pivots it meets, each once, and cost grows with the
-    nonzeros, never with a width; the rows do not depend on the order of
-    insertion.
+    """Row space over F_p or Q of sparse vectors, kept in echelon form:
+    each stored row has coefficient 1 at its least column, its pivot, and
+    no two rows share a pivot.  As in `BitSpan`, rows are never
+    back-substituted: a row may hold entries in pivot columns added after
+    it.  `reduce` clears the pivot columns in ascending order, so its
+    result -- the one element of the coset with no pivot column -- and the
+    pivot set depend only on the span, not on the order of insertion.
     """
 
     def __init__(self, p: Optional[int]):
@@ -583,44 +583,44 @@ class RowSpace:
         self.rows: Dict[int, Dict[int, object]] = {}   # pivot -> row
 
     def reduce(self, vec: Dict[int, object]) -> Dict[int, object]:
+        """The residue of vec: vec minus the rows that clear its pivot
+        columns.  A row only adds columns past its pivot, so the pivots are
+        taken least first from a heap of those the vector meets."""
         p = self.p
         rows = self.rows
         v = dict(vec)
-        # subtracting a row leaves the other pivot columns as they were
-        for piv in [j for j in vec if j in rows]:
-            c = v[piv]
+        heap = [j for j in v if j in rows]
+        heapify(heap)
+        while heap:
+            piv = heappop(heap)
+            c = v.get(piv)
+            if c is None:
+                continue            # cancelled, then pushed again
             for j, x in rows[piv].items():
-                y = v.get(j, 0) - c * x
+                old = v.get(j)
+                y = (old or 0) - c * x
                 if p:
                     y %= p
                 if y:
                     v[j] = y
-                else:
+                    if old is None and j in rows:
+                        heappush(heap, j)
+                elif old is not None:
                     del v[j]
         return v
 
     def insert(self, vec: Dict[int, object]) -> bool:
-        """Insert a vector; returns True if it enlarged the space."""
+        """Insert a vector; returns True if it enlarged the space.  Stores
+        its residue, scaled to 1 at its least column, and touches no other
+        row."""
         p = self.p
         new = self.reduce(vec)
         if not new:
             return False
         piv = min(new)
         inv = pow(new[piv], -1, p) if p else 1 / Fraction(new[piv])
-        new = {j: inv * x % p if p else inv * x for j, x in new.items()}
-        # back-substitute into existing rows
-        for row in self.rows.values():
-            c = row.get(piv)
-            if c is not None:
-                for j, x in new.items():
-                    y = row.get(j, 0) - c * x
-                    if p:
-                        y %= p
-                    if y:
-                        row[j] = y
-                    else:
-                        row.pop(j, None)
-        self.rows[piv] = new
+        self.rows[piv] = {j: inv * x % p if p else inv * x
+                          for j, x in new.items()}
         return True
 
     def contains(self, vec: Dict[int, object]) -> bool:
@@ -655,7 +655,12 @@ def field_kernel(cols: Sequence[Dict[int, object]], p: Optional[int]
 
 def field_rank(vectors: Iterable[Dict[int, object]], p: Optional[int]
                ) -> int:
-    """Rank of the sparse vectors over F_p or Q."""
+    """Rank of the sparse vectors over F_p or Q.  Over F_2 each vector is
+    packed into a bitmask and ranked by `BitSpan`, a row operation being
+    one XOR (as in M4RI: Albrecht, Bard & Hart, ACM TOMS 2010)."""
+    if p == 2:
+        return BitSpan(sum(1 << j for j, x in v.items() if x % 2)
+                       for v in vectors).rank
     space = RowSpace(p)
     for v in vectors:
         space.insert(v)

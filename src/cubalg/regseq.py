@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Dict, List, Optional, Sequence
 
 from .curves import WeierstrassCurve, invariants
@@ -22,8 +23,8 @@ from .poly import Polynomial, Ring, is_prime, monomial_index, monomials
 
 
 class GradedIdeal:
-    """Weightwise reduced spans of a homogeneous ideal, over a field, in
-    the monomial basis `poly.monomials(ring.weights, w)`."""
+    """Weightwise spans of a homogeneous ideal, over a field, in echelon
+    form in the monomial basis `poly.monomials(ring.weights, w)`."""
 
     def __init__(self, ring: Ring, p: Optional[int], cutoff: int):
         self.ring = ring
@@ -41,22 +42,34 @@ class GradedIdeal:
             return {idx[m]: c % p for m, c in poly.terms.items() if c % p}
         return {idx[m]: c for m, c in poly.terms.items()}
 
+    def multiples(self, x: Polynomial, monos: Sequence[tuple], w: int
+                  ) -> List[dict]:
+        """The vectors of m*x for the monomials m of weight w: x's terms
+        shifted by m, in the weight-(w + |x|) monomial basis."""
+        p = self.p
+        terms = [(e, c % p if p else c) for e, c in x.terms.items()]
+        terms = [(e, c) for e, c in terms if c]
+        idx = monomial_index(self.ring.weights, w + x.weight())
+        return [{idx[tuple(map(add, m, e))]: c for e, c in terms}
+                for m in monos]
+
     def add_generator(self, x: Polynomial):
         d = x.weight()
-        self.adjoin(x, [[self.vector(Polynomial(self.ring, {m: 1}) * x, w + d)
-                         for m in monomials(self.ring.weights, w)]
-                        for w in range(0, self.cutoff - d + 1)])
+        self.generators.append(x)
+        for w in range(0, self.cutoff - d + 1):
+            span = self.spans[w + d]
+            for v in self.multiples(x, monomials(self.ring.weights, w), w):
+                span.insert(v)
 
-    def adjoin(self, x: Polynomial, multiples: List[list]):
-        """Add the generator x, given multiples[w] = the vectors of m*x for
-        the monomials m of weight w, each reduced modulo the ideal or not:
-        a reduced echelon form depends only on the span."""
+    def adjoin(self, x: Polynomial, images: List[RowSpace]):
+        """Add the generator x, given images[w]: a row space of products
+        m*x (m of weight w) reduced modulo spans[w + d], spanning all of
+        x*R_w modulo it.  Its rows avoid the pivots of spans[w + d], so the
+        two echelon forms join with no elimination."""
         d = x.weight()
         self.generators.append(x)
-        for w, rows in enumerate(multiples):
-            span = self.spans[w + d]
-            for row in rows:
-                span.insert(row)
+        for w, space in enumerate(images):
+            self.spans[w + d].rows.update(space.rows)
 
     def quotient_rank(self, w: int) -> int:
         return len(monomials(self.ring.weights, w)) - self.spans[w].rank
@@ -125,25 +138,27 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
         d = x.weight()
         if d == 0 or d > cutoff:
             raise ValueError("element weight out of range")
-        # kernel of multiplication on the current quotient, weight by weight
-        multiples = []
+        # x is a nonzero-divisor on the quotient in weight w when it maps
+        # the basis of (R/I)_w -- the monomials off the pivots of I_w --
+        # to independent classes in (R/I)_{w+d}.  Every monomial m is some
+        # r in that basis's span modulo I_w, and then m*x = r*x modulo
+        # I_{w+d}, so these images also span all of x*R_w modulo I.
+        images = []
         for w in range(0, cutoff - d + 1):
-            monos = monomials(ring.weights, w)
-            # the images of the monomials in the quotient's weight w + d
-            images = [ideal.spans[w + d].reduce(ideal.vector(
-                Polynomial(ring, {m: 1}) * x, w + d)) for m in monos]
-            multiples.append(images)
-            for kv in field_kernel(images, prime):
-                if not ideal.spans[w].contains(kv):
-                    failure = {"element": x.text(), "weight": w,
-                               "witness": _vec_to_poly(kv, monos, ring).text()}
-                    break
-            if failure:
+            pivots, target = ideal.spans[w].rows, ideal.spans[w + d]
+            basis = [m for j, m in enumerate(monomials(ring.weights, w))
+                     if j not in pivots]
+            vecs = [target.reduce(v) for v in ideal.multiples(x, basis, w)]
+            space = RowSpace(prime)
+            if not all(space.insert(v) for v in vecs):
+                kv = field_kernel(vecs, prime)[0]
+                failure = {"element": x.text(), "weight": w,
+                           "witness": _vec_to_poly(kv, basis, ring).text()}
                 break
+            images.append(space)
         if failure:
             break
-        # the images span the same as the products m*x modulo the ideal
-        ideal.adjoin(x, multiples)
+        ideal.adjoin(x, images)
     quotient_ranks = [ideal.quotient_rank(w) for w in range(cutoff + 1)]
     certified = False
     if failure is None and ring.names \
@@ -189,8 +204,8 @@ def landweber_report(curve: WeierstrassCurve, p: int, cutoff: int
     seq = [ring.const(p), v1, v2]
     reg = graded_regular_sequence_check(ring, seq, p, cutoff)
     inv = invariants(curve)
-    # the check added a prefix of (v1, v2); a reduced echelon form depends
-    # only on its span, so adding the rest gives the ideal (v1, v2) exactly
+    # the check added a prefix of (v1, v2); adding the rest gives the
+    # ideal (v1, v2), whose reductions depend only on its spans
     ideal = reg.ideal
     for x in (v1, v2)[len(ideal.generators):]:
         if not x.is_zero():

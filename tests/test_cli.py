@@ -45,9 +45,9 @@ def test_parse_range():
         cli.parse_window("3,1")
     with pytest.raises(ValueError, match="empty range ','"):
         cli.parse_window(",")
-    assert cli.parse_nonempty_range("3,1") == [3, 1]
+    assert parse_range("3,1") == [3, 1]
     with pytest.raises(ValueError, match="empty range ''"):
-        cli.parse_nonempty_range("")
+        parse_range("")
 
 
 @pytest.mark.parametrize("argv", [
@@ -318,7 +318,12 @@ def test_bad_prime_or_bound_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [["descent", "--degrees="],
-                                  ["tmf-mu", "--window="]], ids=" ".join)
+                                  ["tmf-mu", "--window="],
+                                  ["cech", "--twists="],
+                                  ["hopf", "cobar", "--twists="],
+                                  ["hopf", "h0", "--twists="],
+                                  ["steenrod", "primitives", "--window="]],
+                         ids=" ".join)
 def test_empty_range_exits_2(argv, capsys):
     # rejected by name, not by min() of no entries
     assert dispatch(argv) == cli.EXIT_ERROR

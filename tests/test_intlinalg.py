@@ -543,10 +543,15 @@ def test_rowspace_matches_dense_reference(data):
     sparse = RowSpace(p)
     dense = ref.DenseRowSpace(ops, width)
     for r in data.draw(hst.permutations(rows), label="order"):
+        before = {piv: dict(row) for piv, row in sparse.rows.items()}
         assert sparse.insert(_sparse(r)) == dense.insert(r)
         assert sparse.rank == dense.rank
-    assert sparse.rows == {piv: _sparse(row)
-                           for piv, row in dense.rows.items()}
+        # echelon form, rows never back-substituted
+        assert all(sparse.rows[piv] == row for piv, row in before.items())
+    assert set(sparse.rows) == set(dense.rows)
+    for piv, row in sparse.rows.items():
+        assert min(row) == piv and row[piv] == 1
+        assert dense.contains([row.get(j, 0) for j in range(width)])
     for v in probes:
         assert sparse.reduce(_sparse(v)) == _sparse(dense.reduce(v))
         assert sparse.contains(_sparse(v)) == dense.contains(v)
@@ -554,6 +559,23 @@ def test_rowspace_matches_dense_reference(data):
         ref.dense_field_rank(rows, width, ops)
     assert field_kernel(_sparse_columns(rows, width), p) == \
         [_sparse(k) for k in ref.dense_field_kernel(rows, width, ops)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data())
+def test_f2_rank_on_bitmasks_matches_rowspace(data):
+    # field_rank(..., 2) packs each vector into a bitmask for BitSpan; up
+    # to 14 vectors on at most 12 columns spread over 0..300 are often
+    # dependent
+    cols = data.draw(hst.lists(hst.integers(0, 300), min_size=1,
+                               max_size=12, unique=True), label="columns")
+    vectors = data.draw(hst.lists(hst.dictionaries(
+        hst.sampled_from(cols), hst.just(1)), max_size=14), label="vectors")
+    space = RowSpace(2)
+    for v in vectors:
+        space.insert(v)
+    assert field_rank(vectors, 2) == space.rank
+    assert field_rank(iter(vectors), 2) == space.rank
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from . import emit
 from .cobar import cobar_cohomology, extended_comodule
 from .covers import (cech_weighted_projective, cover_fiber,
                      descent_assemble, tmf_mu_page)
-from .curves import WeierstrassCurve, invariants, universal_curve_ring
+from .curves import (AI_NAMES, WeierstrassCurve, invariants,
+                     universal_curve_ring)
 from .fgl import fgl_from_curve, hasse_coefficients
 from .hopf import builtin_algebroid, invariants_h0, ku_cp2_involution
 from .poly import is_prime
@@ -54,6 +55,20 @@ def parse_curve(text: str, prime: Optional[int] = None) -> WeierstrassCurve:
         else:
             raise ValueError("bad curve entry %r" % p)
     return WeierstrassCurve(*coeffs)
+
+
+def parse_ints(text: str, option: str, names: Sequence[str]
+               ) -> Tuple[int, ...]:
+    """A comma list of exactly one integer per entry of `names`, the value
+    of `option`."""
+    try:
+        values = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != len(names):
+        raise ValueError("%s wants %d integers %s"
+                         % (option, len(names), ",".join(names)))
+    return values
 
 
 def parse_range(text: str) -> List[int]:
@@ -163,7 +178,7 @@ def cmd_cover_fiber(args) -> int:
     if args.cusp:
         coeffs = (0, 0, 0, 0, 0)
     else:
-        coeffs = tuple(int(c) for c in args.curve.split(","))
+        coeffs = parse_ints(args.curve, "--curve", AI_NAMES)
     fib = cover_fiber(coeffs, p, args.field)
     obj = {"prime": p, "field": fib.field, "rank": fib.rank,
            "variables": list(fib.var_names),
@@ -174,7 +189,7 @@ def cmd_cover_fiber(args) -> int:
 
 
 def cmd_cech(args) -> int:
-    w = tuple(int(x) for x in args.weights.split(","))
+    w = parse_ints(args.weights, "--weights", ("w1", "w2"))
     twists = parse_range(args.twists)
     page = cech_weighted_projective(w, twists)
     obj = {"weights": list(w),
@@ -186,7 +201,7 @@ def cmd_cech(args) -> int:
 
 
 def cmd_descent(args) -> int:
-    w = tuple(int(x) for x in args.weights.split(","))
+    w = parse_ints(args.weights, "--weights", ("w1", "w2"))
     degrees = parse_range(args.degrees)
     jlo = min(min(degrees) // 2 - 1, 0)
     jhi = max(degrees) // 2 + 1
@@ -289,9 +304,9 @@ def cmd_steenrod_coproduct(args) -> int:
 
 def cmd_steenrod_verify(args) -> int:
     cutoff = args.cutoff
-    bp2 = st.bp_n_homology(2, cutoff, check_closure=False)
+    bp2 = st.bp_n_homology(2, cutoff)
     tmf = st.tmf_spec(cutoff)
-    ku = st.bp_n_homology(1, cutoff, check_closure=False)
+    ku = st.bp_n_homology(1, cutoff)
     ko = st.ko_spec(cutoff)
     results = {
         "antipode_identity_k6": st.antipode_identity_holds(6),

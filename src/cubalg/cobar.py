@@ -43,14 +43,13 @@ from .poly import Polynomial, is_prime, monomial_text
 class Comodule:
     """Graded comodule with finite listed basis; the coaction sends a basis
     element to a sum of (gamma element) (x) (basis element)."""
-    name: str
     basis: List[Tuple[str, int]]                       # (label, weight)
     coaction: Dict[str, List[Tuple[Polynomial, str]]]  # label -> [(gamma, l')]
 
 
 def trivial_comodule(H: HopfAlgebroidPresentation, gen_weight: int = 0
                      ) -> Comodule:
-    return Comodule(name="A", basis=[("1", gen_weight)],
+    return Comodule(basis=[("1", gen_weight)],
                     coaction={"1": [(H.gamma.one(), "1")]})
 
 
@@ -59,7 +58,7 @@ def sign_comodule(H: HopfAlgebroidPresentation, gen_weight: int) -> Comodule:
     representation of the Z/2-group algebroid."""
     g = H.gamma
     gamma = g.one() - 2 * g.gen(H.gamma_names[0])
-    return Comodule(name="sign", basis=[("1", gen_weight)],
+    return Comodule(basis=[("1", gen_weight)],
                     coaction={"1": [(gamma, "1")]})
 
 
@@ -78,24 +77,9 @@ def extended_comodule(H: HopfAlgebroidPresentation, max_weight: int
             basis.append((label, w))
             coaction[label] = [
                 (H.gamma.poly({H.join((p,)): c}), monomial_text(names, q))
-                for c, p, q in _delta_of_slot_monomial(H, m)]
+                for c, p, q in H.delta_monomial(m)]
     basis.sort(key=lambda bw: (bw[1], bw[0]))
-    return Comodule(name="Gamma", basis=basis, coaction=coaction)
-
-
-def _delta_of_slot_monomial(H, m: tuple) -> List[Tuple[int, tuple, tuple]]:
-    """Delta of a pure gamma monomial, as (coefficient, left exponents,
-    right exponents) triples; NotImplementedError unless the image is free
-    of A-generators."""
-    out = []
-    for mono, c in H.delta_map(H.gamma.poly({H.join((m,)): 1})).terms.items():
-        a, p, q = H.split(mono)
-        if any(a):
-            raise NotImplementedError(
-                "Delta image with A-coefficients: interior coefficient "
-                "movement not supported")
-        out.append((c, p, q))
-    return out
+    return Comodule(basis=basis, coaction=coaction)
 
 
 class CobarComplex:
@@ -109,7 +93,6 @@ class CobarComplex:
         self.M = M
         self.strand = strand
         self.s_max = s_max
-        self._delta_cache: Dict[tuple, list] = {}
         self.bases: List[List[tuple]] = []   # per s: (amono, slots, label)
         for s in range(s_max + 2):
             self.bases.append(self._enumerate(s))
@@ -175,9 +158,7 @@ class CobarComplex:
             # faces 1..s: Delta on slot i
             for i, m in enumerate(slots):
                 sign = -1 if (i + 1) % 2 else 1
-                if m not in self._delta_cache:
-                    self._delta_cache[m] = _delta_of_slot_monomial(H, m)
-                for c, p, q in self._delta_cache[m]:
+                for c, p, q in H.delta_monomial(m):
                     if any(p) and any(q):
                         new = slots[:i] + (p, q) + slots[i + 1:]
                         add((amono, new, label), sign * c)

@@ -45,7 +45,7 @@ def _relations(a: Tuple[int, ...], p: int, modulus: Optional[int]):
     coefficients, reduced modulo `modulus` when it is given so that a term
     vanishing in F_q does not count toward a relation's top weight.
 
-    The cover classifies coordinate changes (u = 1) onto curves with
+    The cover classifies coordinate changes onto curves with
     a1' = a3' = a6' = 0 (p = 3) or a2' = a4' = a6' = 0 (p = 2); the
     relations are those coefficients of the moved curve.  At p = 2,
     a2' = 0 reads 3r = s^2 + a1 s - a2, which eliminates r from 9 a4' and
@@ -54,7 +54,7 @@ def _relations(a: Tuple[int, ...], p: int, modulus: Optional[int]):
     rst = Ring(("r", "s", "t"), (4, 2, 6), modulus)
     r, s, t = rst.gens()
     moved = transform(WeierstrassCurve.from_constants(a, ring=rst),
-                      CoordinateChange(1, r, s, t))
+                      CoordinateChange(r, s, t))
     if p == 3:
         return rst, [moved.a1, moved.a3, moved.a6]
     st = Ring(("s", "t"), (2, 6), modulus)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .poly import Polynomial, Ring, unit_inverse
+from .poly import Polynomial, Ring
 
 AI_NAMES = ("a1", "a2", "a3", "a4", "a6")
 AI_WEIGHTS = (2, 4, 6, 8, 12)
@@ -45,26 +45,21 @@ class WeierstrassCurve:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     @classmethod
-    def from_constants(cls, coeffs, modulus: Optional[int] = None,
-                       ring: Optional[Ring] = None):
+    def from_constants(cls, coeffs, ring: Optional[Ring] = None):
         if ring is None:
-            ring = Ring((), (), modulus)
+            ring = Ring((), ())
         a1, a2, a3, a4, a6 = [ring.const(c) if isinstance(c, int) else c
                               for c in coeffs]
         return cls(a1, a2, a3, a4, a6)
 
-    def __str__(self):
-        return "(%s)" % ", ".join(str(a) for a in self.coefficients())
-
 
 @dataclass(frozen=True)
 class CoordinateChange:
-    """x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
+    """x = x' + r, y = y' + s x' + t, for ring elements r, s, t of weights
+    4, 2, 6.
 
-    u must be an invertible constant of the coefficient ring; r, s, t are
-    ring elements of weights 4, 2, 6.
-    """
-    u: int
+    The unit u of the general change x = u^2 x' + r, ... is 1 here: the
+    Weierstrass algebroid is graded, and the grading carries u."""
     r: Polynomial
     s: Polynomial
     t: Polynomial
@@ -74,60 +69,29 @@ class CoordinateChange:
         return self.r.ring
 
     def inverse(self) -> "CoordinateChange":
-        u, r, s, t = self.u, self.r, self.s, self.t
-        # solve compose(self, g) = identity for g
-        uinv = unit_inverse(u, self.ring.modulus)
-        return CoordinateChange(uinv, -r * (uinv ** 2), -s * uinv,
-                                (-t + s * r) * (uinv ** 3))
+        r, s, t = self.r, self.s, self.t
+        return CoordinateChange(-r, -s, -t + s * r)
 
     def compose(self, second: "CoordinateChange") -> "CoordinateChange":
         """The change equivalent to applying `self`, then `second`."""
-        u1, r1, s1, t1 = self.u, self.r, self.s, self.t
-        u2, r2, s2, t2 = second.u, second.r, second.s, second.t
-        # x = u1^2 x' + r1, x' = u2^2 x'' + r2, etc.
-        return CoordinateChange(
-            u1 * u2,
-            r1 + r2 * (u1 * u1),
-            s1 + s2 * u1,
-            t1 + t2 * (u1 ** 3) + s1 * r2 * (u1 * u1))
-
-    def is_identity(self) -> bool:
-        return (self.u == 1 and self.r.is_zero() and self.s.is_zero()
-                and self.t.is_zero())
-
-
-def identity_change(ring: Ring) -> CoordinateChange:
-    return CoordinateChange(1, ring.zero(), ring.zero(), ring.zero())
+        r1, s1, t1 = self.r, self.s, self.t
+        r2, s2, t2 = second.r, second.s, second.t
+        # x = x' + r1, x' = x'' + r2, etc.
+        return CoordinateChange(r1 + r2, s1 + s2, t1 + t2 + s1 * r2)
 
 
 def transform(curve: WeierstrassCurve, change: CoordinateChange
               ) -> WeierstrassCurve:
-    """Coefficients of the curve in the new coordinates."""
-    a1, a2, a3, a4, a6 = curve.coefficients()
-    u, r, s, t = change.u, change.r, change.s, change.t
-    ring = curve.ring
-    if not change.ring.same_as(ring):
-        if ring.extends(change.ring):
-            r, s, t = r.cast(ring), s.cast(ring), t.cast(ring)
-        elif change.ring.extends(ring):
-            ring = change.ring
-            a1, a2, a3, a4, a6 = [a.cast(ring) for a in
-                                  (a1, a2, a3, a4, a6)]
-        else:
-            raise ValueError("curve and change live in incompatible rings")
-    uinv = unit_inverse(u, ring.modulus)
-    b1 = a1 + 2 * s
-    b2 = a2 - s * a1 + 3 * r - s * s
-    b3 = a3 + r * a1 + 2 * t
-    b4 = a4 - s * a3 + 2 * a2 * r - (t + r * s) * a1 + 3 * r * r - 2 * s * t
-    b6 = (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1)
-    if u == 1:
-        return WeierstrassCurve(b1, b2, b3, b4, b6)
-    scale = [uinv, uinv ** 2, uinv ** 3, uinv ** 4, uinv ** 6]
-    if ring.modulus:
-        scale = [c % ring.modulus for c in scale]
-    return WeierstrassCurve(b1 * scale[0], b2 * scale[1], b3 * scale[2],
-                            b4 * scale[3], b6 * scale[4])
+    """Coefficients of the curve in the new coordinates, in the change's
+    ring, which must extend the curve's."""
+    a1, a2, a3, a4, a6 = [a.cast(change.ring) for a in curve.coefficients()]
+    r, s, t = change.r, change.s, change.t
+    return WeierstrassCurve(
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * a2 * r - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1)
 
 
 def invariants(curve: WeierstrassCurve) -> dict:

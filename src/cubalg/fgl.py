@@ -189,20 +189,14 @@ class FormalGroupLaw:
         return out
 
 
-def hasse_coefficients(curve: WeierstrassCurve, p: int, i_max: int,
-                       order: int = 0) -> List[Polynomial]:
+def hasse_coefficients(curve: WeierstrassCurve, p: int, i_max: int
+                       ) -> List[Polynomial]:
     """[v_0, ..., v_imax]: v_i the literal coefficient of z^(p^i) in the
-    p-series (v_0 = p as a constant of the coefficient ring)."""
+    p-series (v_0 = p as a constant of the coefficient ring), from the
+    formal group law truncated at order p^imax."""
     if not is_prime(p):
         raise ValueError("%d is not a prime" % p)
     if i_max < 0:
         raise ValueError("i_max must be >= 0")
-    need = p ** i_max
-    if order < need:
-        order = need
-    fgl = fgl_from_curve(curve, order)
-    ps = fgl.n_series(p)
-    out = []
-    for i in range(i_max + 1):
-        out.append(ps.coefficient("z", p ** i))
-    return out
+    ps = fgl_from_curve(curve, p ** i_max).n_series(p)
+    return [ps.coefficient("z", p ** i) for i in range(i_max + 1)]

@@ -59,6 +59,8 @@ class HopfAlgebroidPresentation:
                                             init=False, repr=False)
     _eta_memo: Dict[tuple, Polynomial] = field(default_factory=dict,
                                                init=False, repr=False)
+    _delta_memo: Dict[tuple, list] = field(default_factory=dict,
+                                           init=False, repr=False)
 
     # -- rings and their exponent layout -----------------------------------
 
@@ -144,6 +146,24 @@ class HopfAlgebroidPresentation:
         images = {n: t2.gen(n) for n in self.A.names}
         images.update(self.delta)
         return self._reduce(x.map_gens(t2, images))
+
+    def delta_monomial(self, m: tuple) -> List[tuple]:
+        """Delta of the pure gamma monomial with exponents m, as
+        (coefficient, left exponents, right exponents) triples, memoized;
+        NotImplementedError unless the image is free of A-generators."""
+        out = self._delta_memo.get(m)
+        if out is None:
+            out = []
+            image = self.delta_map(self.gamma.poly({self.join((m,)): 1}))
+            for mono, c in image.terms.items():
+                a, p, q = self.split(mono)
+                if any(a):
+                    raise NotImplementedError(
+                        "Delta image with A-coefficients: interior "
+                        "coefficient movement not supported")
+                out.append((c, p, q))
+            self._delta_memo[m] = out
+        return out
 
     def to_right(self, x: Polynomial) -> Polynomial:
         """1 (x) x in the tensor square: the A-coefficients of x act through
@@ -273,7 +293,7 @@ def _rename_slots(x: Polynomial, H: HopfAlgebroidPresentation,
 
 def synthesize_weierstrass_algebroid() -> HopfAlgebroidPresentation:
     """(Z[a1..a6], Z[a1..a6][r,s,t]) with every structure map derived:
-    eta_R from the transformation laws at u = 1, Delta from symbolic
+    eta_R from the transformation laws, Delta from symbolic
     composition of two generic coordinate changes, chi from the inverse
     change.  Convention: the left tensor factor is the first change
     applied."""
@@ -282,7 +302,7 @@ def synthesize_weierstrass_algebroid() -> HopfAlgebroidPresentation:
     gamma_weights = (4, 2, 6)
     g = A.extend(gamma_names, gamma_weights)
 
-    generic = CoordinateChange(1, g.gen("r"), g.gen("s"), g.gen("t"))
+    generic = CoordinateChange(g.gen("r"), g.gen("s"), g.gen("t"))
     moved = transform(universal_curve(), generic)
     eta_r = dict(zip(A.names, moved.coefficients()))
 
@@ -290,8 +310,8 @@ def synthesize_weierstrass_algebroid() -> HopfAlgebroidPresentation:
     # components: first change -> slot 1, second change -> slot 2
     both = A.extend(("r1", "s1", "t1", "r2", "s2", "t2"),
                     gamma_weights + gamma_weights)
-    c1 = CoordinateChange(1, both.gen("r1"), both.gen("s1"), both.gen("t1"))
-    c2 = CoordinateChange(1, both.gen("r2"), both.gen("s2"), both.gen("t2"))
+    c1 = CoordinateChange(both.gen("r1"), both.gen("s1"), both.gen("t1"))
+    c2 = CoordinateChange(both.gen("r2"), both.gen("s2"), both.gen("t2"))
     comp = c1.compose(c2)
     # cross-check the matching: two-step transform equals one-step by comp
     curve = universal_curve()

@@ -300,25 +300,6 @@ class Polynomial:
             n = base_needed
         return result
 
-    def divexact(self, n: int) -> "Polynomial":
-        """Divide by an integer, exactly.
-
-        Over Z every coefficient must be divisible by n; with a modulus p
-        the division is multiplication by `unit_inverse(n, p)`.
-        """
-        p = self.ring.modulus
-        if p is not None:
-            if n % p == 0:
-                raise ZeroDivisionError("dividing by 0 mod %d" % p)
-            return self * unit_inverse(n, p)
-        out = {}
-        for m, c in self.terms.items():
-            q, r = divmod(c, n)
-            if r:
-                raise ValueError("coefficient %d not divisible by %d" % (c, n))
-            out[m] = q
-        return Polynomial(self.ring, out)
-
     def mul_bounded(self, other: "Polynomial", indices: Sequence[int],
                     bound: int) -> "Polynomial":
         """Product with terms of degree > bound in the given variables dropped."""

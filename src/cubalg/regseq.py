@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .curves import WeierstrassCurve, invariants
 from .fgl import hasse_coefficients
@@ -42,30 +42,39 @@ class GradedIdeal:
             return {idx[m]: c % p for m, c in poly.terms.items() if c % p}
         return {idx[m]: c for m, c in poly.terms.items()}
 
-    def multiples(self, x: Polynomial, monos: Sequence[tuple], w: int
-                  ) -> List[dict]:
-        """The vectors of m*x for the monomials m of weight w: x's terms
-        shifted by m, in the weight-(w + |x|) monomial basis."""
-        p = self.p
+    def quotient_images(self, x: Polynomial) -> Iterator[
+            Tuple[int, List[tuple], List[dict], RowSpace]]:
+        """Per weight w through cutoff - |x|: the monomials m off the pivots
+        of spans[w], a basis of (R/I)_w; the vectors of the products m*x
+        reduced modulo spans[w + |x|]; and their row space.  Every monomial
+        is some r in that basis's span modulo I_w, and then its product
+        with x is r*x modulo I_{w+|x|}, so these images span all of x*R_w
+        modulo I."""
+        p, weights = self.p, self.ring.weights
+        d = x.weight()
         terms = [(e, c % p if p else c) for e, c in x.terms.items()]
         terms = [(e, c) for e, c in terms if c]
-        idx = monomial_index(self.ring.weights, w + x.weight())
-        return [{idx[tuple(map(add, m, e))]: c for e, c in terms}
-                for m in monos]
+        for w in range(0, self.cutoff - d + 1):
+            pivots, target = self.spans[w].rows, self.spans[w + d]
+            basis = [m for j, m in enumerate(monomials(weights, w))
+                     if j not in pivots]
+            idx = monomial_index(weights, w + d)
+            vecs = [target.reduce({idx[tuple(map(add, m, e))]: c
+                                   for e, c in terms}) for m in basis]
+            space = RowSpace(p)
+            for v in vecs:
+                space.insert(v)
+            yield w, basis, vecs, space
 
     def add_generator(self, x: Polynomial):
-        d = x.weight()
-        self.generators.append(x)
-        for w in range(0, self.cutoff - d + 1):
-            span = self.spans[w + d]
-            for v in self.multiples(x, monomials(self.ring.weights, w), w):
-                span.insert(v)
+        """Add the generator x, regular or not."""
+        self.adjoin(x, [space for *_, space in self.quotient_images(x)])
 
     def adjoin(self, x: Polynomial, images: List[RowSpace]):
-        """Add the generator x, given images[w]: a row space of products
-        m*x (m of weight w) reduced modulo spans[w + d], spanning all of
-        x*R_w modulo it.  Its rows avoid the pivots of spans[w + d], so the
-        two echelon forms join with no elimination."""
+        """Add the generator x, given images[w]: the row space of the
+        `quotient_images` of weight w.  Its rows avoid the pivots of
+        spans[w + |x|], so the two echelon forms join with no
+        elimination."""
         d = x.weight()
         self.generators.append(x)
         for w, space in enumerate(images):
@@ -139,18 +148,10 @@ def graded_regular_sequence_check(ring: Ring, elements: Sequence[Polynomial],
         if d == 0 or d > cutoff:
             raise ValueError("element weight out of range")
         # x is a nonzero-divisor on the quotient in weight w when it maps
-        # the basis of (R/I)_w -- the monomials off the pivots of I_w --
-        # to independent classes in (R/I)_{w+d}.  Every monomial m is some
-        # r in that basis's span modulo I_w, and then m*x = r*x modulo
-        # I_{w+d}, so these images also span all of x*R_w modulo I.
+        # the basis of (R/I)_w to independent classes in (R/I)_{w+d}
         images = []
-        for w in range(0, cutoff - d + 1):
-            pivots, target = ideal.spans[w].rows, ideal.spans[w + d]
-            basis = [m for j, m in enumerate(monomials(ring.weights, w))
-                     if j not in pivots]
-            vecs = [target.reduce(v) for v in ideal.multiples(x, basis, w)]
-            space = RowSpace(prime)
-            if not all(space.insert(v) for v in vecs):
+        for w, basis, vecs, space in ideal.quotient_images(x):
+            if space.rank < len(vecs):
                 kv = field_kernel(vecs, prime)[0]
                 failure = {"element": x.text(), "weight": w,
                            "witness": _vec_to_poly(kv, basis, ring).text()}

@@ -330,6 +330,22 @@ def test_empty_range_exits_2(argv, capsys):
     assert capsys.readouterr() == ("", "cubalg: error: empty range ''\n")
 
 
+@pytest.mark.parametrize("argv", [["cover", "fiber", "--curve", "1,2,3"],
+                                  ["cover", "fiber", "--curve", "1,2,3,4,5,6"],
+                                  ["cover", "fiber", "--curve", "a1,0,0,0,0"],
+                                  ["cech", "--weights", "1,3,5"],
+                                  ["cech", "--weights", "1,x"],
+                                  ["descent", "--weights", "2"]],
+                         ids=" ".join)
+def test_wrong_entry_count_names_the_option(argv, capsys):
+    option = argv[-2]
+    wants = {"--curve": "5 integers a1,a2,a3,a4,a6",
+             "--weights": "2 integers w1,w2"}[option]
+    assert dispatch(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr() == (
+        "", "cubalg: error: %s wants %s\n" % (option, wants))
+
+
 @pytest.mark.parametrize("prime, cutoff", [(5, 30), (3, 15), (2, 4)])
 def test_landweber_rejects_a_cutoff_below_v2_first(prime, cutoff, capsys,
                                                    monkeypatch):

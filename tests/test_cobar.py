@@ -321,3 +321,57 @@ def test_cohomology_eliminates_each_differential_once(W, monkeypatch,
     assert calls == {"invariant_factors": n, "field_rank": n}
     # the sparse columns alone: the dense view is never built
     assert "matrices" not in vars(cx)
+
+
+def test_each_delta_is_computed_once(monkeypatch):
+    # Delta of a slot monomial is memoized on the presentation: one
+    # delta_map call per distinct monomial, over every twist's complex
+    # and the extended comodule's coaction
+    H = builtin_algebroid("weierstrass")
+    calls = []
+    delta_map = type(H).delta_map
+
+    def counting(self, x):
+        (mono,) = x.terms
+        calls.append(self.split(mono)[1])
+        return delta_map(self, x)
+
+    monkeypatch.setattr(type(H), "delta_map", counting)
+    twists, s_max = range(0, 5), 2
+    M = extended_comodule(H, 4)
+    cobar_cohomology(H, twists, s_max, comodule=M)
+    n = len(calls)
+    slots = {m for j in twists
+             for basis in CobarComplex(H, M, 2 * j, s_max).bases[:s_max + 1]
+             for _, ms, _ in basis for m in ms}
+    assert len(calls) == n    # the rebuilt complexes read the memo
+    coaction = {m for w in range(5)
+                for m in H.gamma_monomials(w, nonconstant=False)}
+    assert sorted(calls) == sorted(slots | coaction)
+
+
+def test_tmf_e2_page_matches_bauer(W):
+    # Bauer, "Computation of the homotopy of the spectrum tmf" (2008): at
+    # p = 3 the Adams-Novikov E_2 page is Z_(3)[c4, c6, Delta] in s = 0
+    # plus Z/3 on alpha^e beta^k (e <= 1, e + k >= 1), with |c4| = (0, 8),
+    # |c6| = (0, 12), |alpha| = (1, 4) and |beta| = (2, 12); through
+    # t = 16 neither Delta (t = 24) nor the relation on c6^2 enters
+    twists, s_max = range(0, 9), 3
+    ts = {2 * j for j in twists}
+    want = {}
+    for t in ts:
+        rank = sum(1 for i in range(t // 8 + 1) for j in range(t // 12 + 1)
+                   if 8 * i + 12 * j == t)
+        if rank:
+            want[(0, t)] = (rank, ())
+    for e in (0, 1):
+        for k in range(s_max // 2 + 1):
+            s, t = e + 2 * k, 4 * e + 12 * k
+            if 0 < s <= s_max and t in ts:
+                want[(s, t)] = (0, (3,))
+    assert cobar_cohomology(W, twists, s_max, p_local=3).cells == want
+    # at p = 2: eta at (1, 2), Z/4 at (1, 4), eta^2 and eta^3
+    two = cobar_cohomology(W, twists, s_max, p_local=2)
+    assert {st: two.cell(*st) for st in ((1, 2), (1, 4), (2, 4), (3, 6))} \
+        == {(1, 2): (0, (2,)), (1, 4): (0, (4,)), (2, 4): (0, (2,)),
+            (3, 6): (0, (2,))}

@@ -112,22 +112,6 @@ def test_weight_zero_generator_cannot_be_enumerated():
         monomials((1, 0), 3)
 
 
-def test_divexact(R):
-    p = 6 * R.gen("a")
-    assert p.divexact(3) == 2 * R.gen("a")
-    with pytest.raises(ValueError):
-        p.divexact(4)
-    F5 = Ring(("x",), (1,), 5)
-    assert (3 * F5.gen("x")).divexact(2) == 4 * F5.gen("x")
-    with pytest.raises(ZeroDivisionError):
-        F5.gen("x").divexact(10)
-    # a composite modulus divides by units only
-    Z6 = Ring(("x",), (1,), 6)
-    assert Z6.gen("x").divexact(5) == 5 * Z6.gen("x")
-    with pytest.raises(ValueError):
-        Z6.gen("x").divexact(2)
-
-
 def test_monomial_text():
     assert monomial_text(("a", "b"), (0, 0)) == "1"
     assert monomial_text((), ()) == "1"

@@ -1,10 +1,12 @@
 import functools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from cubalg import InvariantError, intlinalg
+from cubalg import intlinalg
 from cubalg import steenrod as st
+from cubalg.cli import EXIT_INVARIANT, dispatch
 from cubalg.poly import Polynomial, Ring, monomial_text, monomials
 
 
@@ -146,7 +148,8 @@ def test_closure_witness_xi1_cubed():
 
 def test_bp_specs_closed():
     for n in (0, 1, 2):
-        spec = st.bp_n_homology(n, 32)    # closure checked internally
+        spec = st.bp_n_homology(n, 32)
+        assert st.comodule_closure_check(spec, 32)["closed"]
         assert spec.gen_degrees()[0] == 2
 
 
@@ -165,26 +168,26 @@ def test_closure_rejects_a_cutoff_of_another_generator_count(built, cutoff):
 
 
 def test_ku_free_over_ko():
-    ku = st.bp_n_homology(1, 32, check_closure=False)
+    ku = st.bp_n_homology(1, 32)
     rep = st.freeness_rank_check(ku, st.ko_spec(32), [0, 2], 32)
     assert rep["free"] and rep["rank"] == 2
 
 
 def test_bp2_free_over_tmf():
-    bp2 = st.bp_n_homology(2, 32, check_closure=False)
+    bp2 = st.bp_n_homology(2, 32)
     rep = st.freeness_rank_check(bp2, st.tmf_spec(32),
                                  [0, 2, 4, 6, 6, 8, 10, 12], 32)
     assert rep["free"] and rep["rank"] == 8
 
 
 def test_freeness_rejects_a_cell_outside_the_cutoff():
-    bp2 = st.bp_n_homology(2, 11, check_closure=False)
+    bp2 = st.bp_n_homology(2, 11)
     with pytest.raises(ValueError, match="cell in degree 12 exceeds the "
                        "cutoff 11"):
         st.freeness_rank_check(bp2, st.tmf_spec(11),
                                [0, 2, 4, 6, 6, 8, 10, 12], 11)
     # a negative cell must not index the cell series from its end
-    ku = st.bp_n_homology(1, 16, check_closure=False)
+    ku = st.bp_n_homology(1, 16)
     with pytest.raises(ValueError, match="cell in negative degree -15"):
         st.freeness_rank_check(ku, st.ko_spec(16), [0, -15], 16)
 
@@ -194,7 +197,7 @@ def test_freeness_rejects_a_cell_outside_the_cutoff():
 def test_freeness_rejects_specs_of_other_generator_counts(big_cutoff,
                                                           small_cutoff):
     # the two specs' generators live in different xi rings
-    ku = st.bp_n_homology(1, big_cutoff, check_closure=False)
+    ku = st.bp_n_homology(1, big_cutoff)
     ko = st.ko_spec(small_cutoff)
     with pytest.raises(ValueError, match="big spec built at cutoff %d with "
                        "%d xi generators, small spec at cutoff %d with %d$"
@@ -204,7 +207,7 @@ def test_freeness_rejects_specs_of_other_generator_counts(big_cutoff,
 
 
 def test_freeness_wrong_cells_fails():
-    ku = st.bp_n_homology(1, 24, check_closure=False)
+    ku = st.bp_n_homology(1, 24)
     rep = st.freeness_rank_check(ku, st.ko_spec(24), [0, 4], 24)
     assert not rep["free"]
 
@@ -271,13 +274,14 @@ def _basis_closure_check(spec, cutoff):
     k = len(ring.names)
     index = st.DegreeIndex(ring)
     spans = {}
-    for d, expos in spec.basis_by_degree().items():
+    basis = spec.basis_by_degree()
+    for d, expos in basis.items():
         span = st.BitSpan()
         for expo in expos:
             span.insert(index.mask(spec.basis_poly(expo), d))
         spans[d] = span
     checked = 0
-    for expo in spec.basis_exponents():
+    for expo in (e for expos in basis.values() for e in expos):
         x = spec.basis_poly(expo)
         d = x.weight() if not x.is_constant() else 0
         if d > cutoff or d == 0:
@@ -346,9 +350,9 @@ def _basis_ideal_rewrite(spec, index, d, cache):
 
 
 CLOSURE_SPECS = {
-    "bp0": lambda c: st.bp_n_homology(0, c, check_closure=False),
-    "bp1": lambda c: st.bp_n_homology(1, c, check_closure=False),
-    "bp2": lambda c: st.bp_n_homology(2, c, check_closure=False),
+    "bp0": lambda c: st.bp_n_homology(0, c),
+    "bp1": lambda c: st.bp_n_homology(1, c),
+    "bp2": lambda c: st.bp_n_homology(2, c),
     "tmf": st.tmf_spec,
     "ko": st.ko_spec,
     "bad_xi1_cubed": lambda c: st.make_spec("bad", [(1, 3)], c,
@@ -459,12 +463,12 @@ def test_xibar3_is_no_element_of_bp2(cutoff):
 def test_coordinates_stop_at_the_cutoff():
     # the basis runs through the cutoff only, though xibar1^18 lies in the
     # subalgebra
-    bp2 = st.bp_n_homology(2, 16, check_closure=False)
+    bp2 = st.bp_n_homology(2, 16)
     xibar1_sq = bp2.gens[0]
     assert bp2.coordinates(xibar1_sq ** 8) == [(8,) + (0,) * 3]
     assert bp2.coordinates(xibar1_sq ** 9) is None
     # so a small generator above big's cutoff is not in big
-    ku = st.bp_n_homology(1, 20, check_closure=False)
+    ku = st.bp_n_homology(1, 20)
     squares = st.make_spec("C", [(1, 2)], 30, conjugated=False)
     assert st.freeness_rank_check(ku, squares, [0], 20)["failure"] == \
         "small generator of degree 30 not in big"
@@ -573,11 +577,11 @@ def _ko_with_xi2_squared(cutoff):
 
 
 def _ku(cutoff):
-    return st.bp_n_homology(1, cutoff, check_closure=False)
+    return st.bp_n_homology(1, cutoff)
 
 
 def _bp2(cutoff):
-    return st.bp_n_homology(2, cutoff, check_closure=False)
+    return st.bp_n_homology(2, cutoff)
 
 
 # (big, small, cells, expected "free" or expected "failure")
@@ -667,7 +671,7 @@ def test_freeness_forms_one_product_per_big_basis_element(name,
     assert st.freeness_rank_check(big, small, cells, 32)["free"]
     monkeypatch.undo()
     assert len(products) == FREENESS_PRODUCTS[name]
-    assert len(products) <= len(big.basis_exponents())
+    assert len(products) <= sum(map(len, big.basis_by_degree().values()))
 
 
 @pytest.mark.parametrize("cutoff", [16, 24, 32])
@@ -686,7 +690,7 @@ def test_quotient_primitives_match_basis_ideal(cutoff, monkeypatch):
 
 
 def test_closure_computes_one_coproduct_per_generator(monkeypatch):
-    spec = st.bp_n_homology(2, 64, check_closure=False)
+    spec = st.bp_n_homology(2, 64)
     calls = []
     coproduct = st.coproduct
 
@@ -700,13 +704,23 @@ def test_closure_computes_one_coproduct_per_generator(monkeypatch):
     assert len(calls) == len(spec.gens)
 
 
-def test_bp_n_homology_not_closed_is_invariant_error(monkeypatch):
-    monkeypatch.setattr(st, "comodule_closure_check", lambda spec, cutoff: {
-        "closed": False, "checked": 0,
-        "witness": {"element": "xibar1^2", "left_leg": "xi1@1",
-                    "right_leg": "xi1@2"}})
-    with pytest.raises(InvariantError, match="BP<2> spec not closed"):
-        st.bp_n_homology(2, 16)
+def test_bp_n_homology_not_closed_is_invariant_error(monkeypatch, capsys):
+    # `bp_n_homology` only builds the spec; `steenrod verify` checks its
+    # closure and exits 1 when it fails
+    closure = st.comodule_closure_check
+
+    def unclosed_bp2(spec, cutoff):
+        if spec.name != "H(BP<2>)":
+            return closure(spec, cutoff)
+        return {"closed": False, "checked": 0,
+                "witness": {"element": "xibar1^2", "left_leg": "xi1@1",
+                            "right_leg": "xi1@2"}}
+
+    monkeypatch.setattr(st, "comodule_closure_check", unclosed_bp2)
+    assert dispatch(["steenrod", "verify", "--cutoff", "16"]) \
+        == EXIT_INVARIANT
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [k for k, ok in checks.items() if not ok] == ["bp2_closed"]
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +728,8 @@ def test_bp_n_homology_not_closed_is_invariant_error(monkeypatch):
 
 
 def _basis_exponents_reference(spec):
-    """The recursive enumerator `basis_exponents` had, sorted by (degree,
-    exponent tuple)."""
+    """The recursive enumerator of the spec's basis exponents that
+    `basis_by_degree` replaced, sorted by (degree, exponent tuple)."""
     degs = spec.gen_degrees()
     out = []
     expo = [0] * len(degs)
@@ -739,8 +753,8 @@ def _basis_exponents_reference(spec):
 BASIS_SPECS = {
     "ko": st.ko_spec,
     "tmf": st.tmf_spec,
-    "bp1": lambda c: st.bp_n_homology(1, c, check_closure=False),
-    "bp2": lambda c: st.bp_n_homology(2, c, check_closure=False),
+    "bp1": lambda c: st.bp_n_homology(1, c),
+    "bp2": lambda c: st.bp_n_homology(2, c),
 }
 
 
@@ -749,13 +763,11 @@ BASIS_SPECS = {
 def test_basis_exponents_match_recursive_enumerator(name, cutoff):
     spec = BASIS_SPECS[name](cutoff)
     expected = _basis_exponents_reference(spec)
-    assert spec.basis_exponents() == expected
+    by_degree = spec.basis_by_degree()
+    assert [e for expos in by_degree.values() for e in expos] == expected
     degs = spec.gen_degrees()
-    by_degree = {}
-    for expo in expected:
-        d = sum(e * g for e, g in zip(expo, degs))
-        by_degree.setdefault(d, []).append(expo)
-    assert spec.basis_by_degree() == by_degree
+    assert all(sum(e * g for e, g in zip(expo, degs)) == d
+               for d, expos in by_degree.items() for expo in expos)
 
 
 def _representatives_reference(monos, span):
@@ -780,7 +792,7 @@ QUOTIENTS = {
     "squares": lambda c: st.make_spec("C", [(1, 2)], c, conjugated=False),
     "ko": st.ko_spec,
     "tmf": st.tmf_spec,
-    "bp1": lambda c: st.bp_n_homology(1, c, check_closure=False),
+    "bp1": lambda c: st.bp_n_homology(1, c),
 }
 
 

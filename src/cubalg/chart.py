@@ -1,4 +1,5 @@
-"""Deterministic SVG renderer for bigraded charts.
+"""Bigraded charts (`BigradedChart`) and their deterministic SVG renderer.
+No algebra engine is imported here, so `chart render` loads none.
 
 Adams conventions: x = t - s, y = s.  Glyphs: open square for a free
 summand, filled dot for a Z/2 summand, labeled dot for other torsion
@@ -11,14 +12,25 @@ re-rendering the same chart is byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-from .cobar import BigradedChart
+from typing import Dict, List, Optional, Tuple
 
 CELL = 36           # px per lattice step
 MARGIN = 46
 GLYPH = 9           # glyph diameter/side
 STEP = 11           # offset between summands in one cell
+
+
+@dataclass
+class BigradedChart:
+    """E_2-style chart: (s, t) -> (free rank, torsion orders)."""
+    s_max: int
+    t_values: Tuple[int, ...]
+    cells: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] \
+        = field(default_factory=dict)
+    meta: Dict[str, object] = field(default_factory=dict)
+
+    def cell(self, s: int, t: int) -> Tuple[int, Tuple[int, ...]]:
+        return self.cells.get((s, t), (0, ()))
 
 
 @dataclass

@@ -7,7 +7,14 @@ steenrod {conjugate, coproduct, verify, primitives}, chart render.
 Every command with an identical configuration produces byte-identical
 output (canonical JSON/TSV/SVG, no timestamps); the exit status is 1
 when an engine invariant fails and 2 on bad input or an I/O error.
-Relative output paths resolve against $CUBALG_OUTPUT_DIR.
+Relative output paths resolve against $CUBALG_OUTPUT_DIR.  A value that
+starts with "-" may be given in either form, `--twists=-2..2` or
+`--twists -2..2`.
+
+Each verb handler imports the engine functions it calls in its own body,
+so a process loads only the engines of the verb it runs: importing this
+module and building the parser loads `cubalg`, `cubalg.cli` and
+`cubalg.emit` alone.  No engine may be imported at module level here.
 """
 
 from __future__ import annotations
@@ -16,21 +23,13 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from . import InvariantError
-from . import chart as chartmod
 from . import emit
-from .cobar import cobar_cohomology, extended_comodule
-from .covers import (cech_weighted_projective, cover_fiber,
-                     descent_assemble, tmf_mu_page)
-from .curves import (AI_NAMES, WeierstrassCurve, invariants,
-                     universal_curve_ring)
-from .fgl import fgl_from_curve, hasse_coefficients
-from .hopf import builtin_algebroid, invariants_h0, ku_cp2_involution
-from .poly import is_prime
-from .regseq import landweber_report
-from . import steenrod as st
+
+if TYPE_CHECKING:
+    from .curves import WeierstrassCurve
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -40,6 +39,9 @@ EXIT_ERROR = 2
 def parse_curve(text: str, prime: Optional[int] = None) -> WeierstrassCurve:
     """Comma list for (a1, a2, a3, a4, a6); entries are integers or the
     symbolic names a1..a6 (in any slot); a given `prime` must be a prime."""
+    from .curves import WeierstrassCurve, universal_curve_ring
+    from .poly import is_prime
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 5:
         raise ValueError("--curve wants 5 entries a1,a2,a3,a4,a6")
@@ -116,6 +118,8 @@ def _finish(args, obj, rows=None, columns=None) -> int:
 
 
 def cmd_curve_invariants(args) -> int:
+    from .curves import invariants
+
     curve = parse_curve(args.curve, args.prime)
     inv = invariants(curve)
     obj = {k: (v.text() if hasattr(v, "text") else v)
@@ -126,6 +130,8 @@ def cmd_curve_invariants(args) -> int:
 
 
 def cmd_curve_fgl(args) -> int:
+    from .fgl import fgl_from_curve
+
     curve = parse_curve(args.curve, args.prime)
     f = fgl_from_curve(curve, args.order)
     checks = f.check()
@@ -136,6 +142,8 @@ def cmd_curve_fgl(args) -> int:
 
 
 def cmd_curve_nseries(args) -> int:
+    from .fgl import fgl_from_curve
+
     curve = parse_curve(args.curve, args.prime)
     f = fgl_from_curve(curve, args.order)
     series = f.n_series(args.n)
@@ -149,6 +157,8 @@ def cmd_curve_nseries(args) -> int:
 
 
 def cmd_curve_hasse(args) -> int:
+    from .fgl import hasse_coefficients
+
     curve = parse_curve(args.curve)
     p = 2 if args.prime is None else args.prime
     vs = hasse_coefficients(curve, p, args.imax)
@@ -159,6 +169,8 @@ def cmd_curve_hasse(args) -> int:
 
 
 def cmd_curve_landweber(args) -> int:
+    from .regseq import landweber_report
+
     curve = parse_curve(args.curve)
     p = 2 if args.prime is None else args.prime
     rep = landweber_report(curve, p, args.cutoff)
@@ -174,6 +186,9 @@ def cmd_curve_landweber(args) -> int:
 
 
 def cmd_cover_fiber(args) -> int:
+    from .covers import cover_fiber
+    from .curves import AI_NAMES
+
     p = 2 if args.prime is None else args.prime
     if args.cusp:
         coeffs = (0, 0, 0, 0, 0)
@@ -189,6 +204,8 @@ def cmd_cover_fiber(args) -> int:
 
 
 def cmd_cech(args) -> int:
+    from .covers import cech_weighted_projective
+
     w = parse_ints(args.weights, "--weights", ("w1", "w2"))
     twists = parse_range(args.twists)
     page = cech_weighted_projective(w, twists)
@@ -201,6 +218,8 @@ def cmd_cech(args) -> int:
 
 
 def cmd_descent(args) -> int:
+    from .covers import cech_weighted_projective, descent_assemble
+
     w = parse_ints(args.weights, "--weights", ("w1", "w2"))
     degrees = parse_range(args.degrees)
     jlo = min(min(degrees) // 2 - 1, 0)
@@ -219,6 +238,8 @@ def cmd_descent(args) -> int:
 
 
 def cmd_tmf_mu(args) -> int:
+    from .covers import tmf_mu_page
+
     window = parse_range(args.window)
     out = tmf_mu_page((min(window), max(window)), args.cutoff,
                       prime=2 if args.prime is None else args.prime,
@@ -237,6 +258,8 @@ def cmd_tmf_mu(args) -> int:
 
 
 def cmd_hopf_synthesize(args) -> int:
+    from .hopf import builtin_algebroid
+
     H = builtin_algebroid(args.algebroid)
     checks = H.verify()
     obj = {"algebroid": H.name,
@@ -251,6 +274,9 @@ def cmd_hopf_synthesize(args) -> int:
 
 
 def cmd_hopf_cobar(args) -> int:
+    from .cobar import cobar_cohomology, extended_comodule
+    from .hopf import builtin_algebroid
+
     H = builtin_algebroid(args.algebroid)
     twists = parse_range(args.twists)
     comodule = None
@@ -265,6 +291,8 @@ def cmd_hopf_cobar(args) -> int:
 
 
 def cmd_hopf_h0(args) -> int:
+    from .hopf import builtin_algebroid, invariants_h0
+
     H = builtin_algebroid(args.algebroid)
     twists = parse_range(args.twists)
     inv = invariants_h0(H, twists)
@@ -275,6 +303,8 @@ def cmd_hopf_h0(args) -> int:
 
 
 def cmd_hopf_kucp2(args) -> int:
+    from .hopf import ku_cp2_involution
+
     out = ku_cp2_involution()
     code = _finish(args, out)
     return code if out["is_swap"] else EXIT_INVARIANT
@@ -282,6 +312,8 @@ def cmd_hopf_kucp2(args) -> int:
 
 def _xi_generator(args):
     """xi_k through the cutoff, for 1 <= k <= the generator count there."""
+    from . import steenrod as st
+
     ring = st.xi_ring(args.cutoff)
     if not 1 <= args.k <= len(ring.names):
         raise ValueError("k must be in 1..%d at cutoff %d, got %d"
@@ -290,6 +322,8 @@ def _xi_generator(args):
 
 
 def cmd_steenrod_conjugate(args) -> int:
+    from . import steenrod as st
+
     img = st.conjugate(_xi_generator(args))
     obj = {"element": "xi%d" % args.k, "conjugate": img.text(),
            "degree": (1 << args.k) - 1}
@@ -297,12 +331,16 @@ def cmd_steenrod_conjugate(args) -> int:
 
 
 def cmd_steenrod_coproduct(args) -> int:
+    from . import steenrod as st
+
     img = st.coproduct(_xi_generator(args), args.cutoff)
     obj = {"element": "xi%d" % args.k, "coproduct": img.text()}
     return _finish(args, obj)
 
 
 def cmd_steenrod_verify(args) -> int:
+    from . import steenrod as st
+
     cutoff = args.cutoff
     bp2 = st.bp_n_homology(2, cutoff)
     tmf = st.tmf_spec(cutoff)
@@ -330,6 +368,8 @@ def cmd_steenrod_verify(args) -> int:
 
 
 def cmd_steenrod_primitives(args) -> int:
+    from . import steenrod as st
+
     window = parse_range(args.window)
     spec = None
     if args.quotient == "squares":
@@ -343,6 +383,8 @@ def cmd_steenrod_primitives(args) -> int:
 
 
 def cmd_chart_render(args) -> int:
+    from . import chart as chartmod
+
     with open(emit.resolve_path(args.input)) as fh:
         obj = json.load(fh)
     ch = emit.chart_from_obj(obj)
@@ -506,8 +548,31 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def join_negative_values(argv: Sequence[str]) -> List[str]:
+    """argv with each long option followed by a separate value that starts
+    with "-" and a digit ("--twists -2..2", "--curve -1,0,0,0,1") joined
+    into one argument ("--twists=-2..2").  argparse reads such a value as
+    an option unless it is a plain negative number, and no option here
+    starts with a digit, so the two forms mean the same."""
+    out: List[str] = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if (arg.startswith("--") and len(arg) > 2 and "=" not in arg
+                and i + 1 < len(argv) and argv[i + 1][:1] == "-"
+                and argv[i + 1][1:2].isdigit()):
+            out.append(arg + "=" + argv[i + 1])
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(join_negative_values(argv))
     try:
         return args.func(args)
     except InvariantError as exc:

@@ -30,10 +30,11 @@ InvariantError.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import InvariantError
+from .chart import BigradedChart
 from .hopf import HopfAlgebroidPresentation
 from .intlinalg import field_rank, invariant_factors, p_local_part
 from .poly import Polynomial, is_prime, monomial_text
@@ -227,19 +228,6 @@ class CobarComplex:
 
 # ---------------------------------------------------------------------------
 # charts
-
-
-@dataclass
-class BigradedChart:
-    """E_2-style chart: (s, t) -> (free rank, torsion orders)."""
-    s_max: int
-    t_values: Tuple[int, ...]
-    cells: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] \
-        = field(default_factory=dict)
-    meta: Dict[str, object] = field(default_factory=dict)
-
-    def cell(self, s: int, t: int) -> Tuple[int, Tuple[int, ...]]:
-        return self.cells.get((s, t), (0, ()))
 
 
 def twist_comodule(H: HopfAlgebroidPresentation, j: int) -> Comodule:

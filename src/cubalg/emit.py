@@ -73,7 +73,7 @@ def chart_to_obj(chart) -> dict:
 
 def chart_from_obj(obj: dict):
     """Inverse of chart_to_obj."""
-    from .cobar import BigradedChart
+    from .chart import BigradedChart
     chart = BigradedChart(s_max=obj["s_max"],
                           t_values=tuple(obj["t_values"]))
     chart.meta = dict(obj.get("meta", {}))

@@ -21,11 +21,8 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import InvariantError
-from .curves import (CoordinateChange, transform, universal_curve,
-                     universal_curve_ring)
 from .intlinalg import integer_kernel
 from .poly import Polynomial, Ring, monomials
-from .series import TruncatedSeries
 
 
 def slot_name(name: str, i: int) -> str:
@@ -297,6 +294,9 @@ def synthesize_weierstrass_algebroid() -> HopfAlgebroidPresentation:
     composition of two generic coordinate changes, chi from the inverse
     change.  Convention: the left tensor factor is the first change
     applied."""
+    from .curves import (CoordinateChange, transform, universal_curve,
+                         universal_curve_ring)
+
     A = universal_curve_ring()
     gamma_names = ("r", "s", "t")
     gamma_weights = (4, 2, 6)
@@ -430,6 +430,8 @@ def ku_cp2_involution() -> dict:
     alpha = x-1, beta = (x-1)^2, computed from the truncated series in
     w = x - 1, plus a basis in which the involution is the coordinate
     swap of a permutation representation."""
+    from .series import TruncatedSeries
+
     ring = Ring(("w",), (0,))
     order = 2                       # truncate past w^2: mod (x-1)^3
     w = TruncatedSeries(ring.gen("w"), ("w",), order)

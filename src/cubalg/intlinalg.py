@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import count
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -325,7 +326,14 @@ def invariant_factors(vectors: Sequence[Row]) -> List[int]:
     index to contribute one invariant factor 1, so the Smith form is
     diag(1, ..., 1, D) with D that of the residual.  Of the units left,
     the next pivot minimises (vector nnz - 1) * (index nnz - 1), the most
-    entries its elimination can fill in (Markowitz's rule).
+    entries its elimination can fill in (Markowitz's rule), ties going to
+    the least vector and in it to the entry held longest.  The unit
+    entries wait in a heap keyed by (cost, vector, age).  An elimination
+    pushes again every unit entry whose cost it changed: those of the
+    vectors it touched and those in the pivot's indices.  A popped entry
+    that is no longer a unit, or was removed and refilled since, is
+    dropped; one whose cost grew is pushed back.  So the pivots are those
+    of a scan of all vectors per pivot, without the scan.
 
     The residual is then eliminated modulo delta, a nonzero r x r minor
     (r its rank).  Its Smith form mod delta is diag(gcd(d_i, delta)) with
@@ -341,28 +349,39 @@ def invariant_factors(vectors: Sequence[Row]) -> List[int]:
     for k, vec in enumerate(vecs):
         for r in vec:
             where.setdefault(r, set()).add(k)
+    # born[k][r] orders the entries of vector k as the vector holds them,
+    # so that of the entries of least cost the heap gives the first one a
+    # scan of the vectors would meet
+    clock = count()
+    born = [{r: next(clock) for r in vec} for vec in vecs]
+    heap: List[Tuple[int, int, int, int]] = []
+
+    def push(k, r):
+        heappush(heap, ((len(vecs[k]) - 1) * (len(where[r]) - 1), k,
+                        born[k][r], r))
+
+    for k, vec in enumerate(vecs):
+        for r, c in vec.items():
+            if c == 1 or c == -1:
+                push(k, r)
     units = 0
-    while True:
-        best = None
-        for k, vec in enumerate(vecs):
-            fill = len(vec) - 1
-            for r, c in vec.items():
-                if c == 1 or c == -1:
-                    cost = fill * (len(where[r]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, k, r)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, k, r = best
+    while heap:
+        cost, k, b, r = heappop(heap)
         pivot = vecs[k]
+        u = pivot.get(r)
+        if (u != 1 and u != -1) or born[k][r] != b:
+            continue
+        now = (len(pivot) - 1) * (len(where[r]) - 1)
+        if now > cost:
+            heappush(heap, (now, k, b, r))
+            continue
         vecs[k] = {}
         for i in pivot:
             where[i].discard(k)
-        u = pivot.pop(r)
+        del pivot[r]
+        touched = where.pop(r)
         # vector j -= (a_rj / u) * vector k, where 1 / u = u
-        for j in where.pop(r):
+        for j in touched:
             vec = vecs[j]
             f = vec.pop(r) * u
             for i, x in pivot.items():
@@ -370,10 +389,22 @@ def invariant_factors(vectors: Sequence[Row]) -> List[int]:
                 if y:
                     if i not in vec:
                         where[i].add(j)
+                        born[j][i] = next(clock)
                     vec[i] = y
                 else:
                     del vec[i]
                     where[i].discard(j)
+        # the costs that changed: every entry of a touched vector, and
+        # every entry in an index of the pivot, whose holders changed
+        for j in touched:
+            for i, c in vecs[j].items():
+                if c == 1 or c == -1:
+                    push(j, i)
+        for i in pivot:
+            for j in where[i]:
+                c = vecs[j][i]
+                if (c == 1 or c == -1) and j not in touched:
+                    push(j, i)
         units += 1
 
     residual = [vec for vec in vecs if vec]

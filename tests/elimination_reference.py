@@ -8,7 +8,9 @@ for differential tests:
   and the augmented kernel loop, as `cubalg.steenrod` kept them privately;
 - `sparse_rows`, which turns a dense integer matrix into the sparse rows
   {column: nonzero entry} that `invariant_factors` and `integer_kernel`
-  take.
+  take;
+- `scanned_unit_stage`, the unit stage of `invariant_factors` as it
+  searched every vector for each Markowitz pivot.
 """
 
 from fractions import Fraction
@@ -18,6 +20,49 @@ from typing import Dict, List, Optional, Sequence, Tuple
 def sparse_rows(a: Sequence[Sequence[int]]) -> List[Dict[int, int]]:
     """The rows of a dense matrix as sparse vectors {column: entry}."""
     return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def scanned_unit_stage(vectors: Sequence[Dict[int, int]]
+                       ) -> Tuple[int, List[Dict[int, int]]]:
+    """Eliminate +-1 pivots, each the first entry of least (vector nnz - 1)
+    * (index nnz - 1) in a scan of all vectors; returns the number of
+    pivots and the nonzero vectors left."""
+    vecs = [dict(v) for v in vectors]
+    where: Dict[int, set] = {}
+    for k, vec in enumerate(vecs):
+        for r in vec:
+            where.setdefault(r, set()).add(k)
+    units = 0
+    while True:
+        best = None
+        for k, vec in enumerate(vecs):
+            fill = len(vec) - 1
+            for r, c in vec.items():
+                if c == 1 or c == -1:
+                    cost = fill * (len(where[r]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, k, r)
+        if best is None:
+            return units, [vec for vec in vecs if vec]
+        _, k, r = best
+        pivot = vecs[k]
+        vecs[k] = {}
+        for i in pivot:
+            where[i].discard(k)
+        u = pivot.pop(r)
+        for j in where.pop(r):
+            vec = vecs[j]
+            f = vec.pop(r) * u
+            for i, x in pivot.items():
+                y = vec.get(i, 0) - f * x
+                if y:
+                    if i not in vec:
+                        where[i].add(j)
+                    vec[i] = y
+                else:
+                    del vec[i]
+                    where[i].discard(j)
+        units += 1
 
 
 class FieldOps:

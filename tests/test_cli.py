@@ -8,7 +8,7 @@ import pytest
 
 from cubalg import InvariantError
 from cubalg import chart as chartmod
-from cubalg import emit, regseq
+from cubalg import covers, emit, regseq
 from cubalg import steenrod as st
 from cubalg import cli
 from cubalg.cli import dispatch, parse_curve, parse_range
@@ -129,7 +129,8 @@ def test_invariant_failure_exit_code(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InvariantError("cross-check failed")
 
-    monkeypatch.setattr(cli, "cech_weighted_projective", broken)
+    # the handler imports the engine function when it runs
+    monkeypatch.setattr(covers, "cech_weighted_projective", broken)
     assert dispatch(["cech"]) == cli.EXIT_INVARIANT == 1
     assert "cross-check failed" in capsys.readouterr().err
 
@@ -328,6 +329,49 @@ def test_empty_range_exits_2(argv, capsys):
     # rejected by name, not by min() of no entries
     assert dispatch(argv) == cli.EXIT_ERROR
     assert capsys.readouterr() == ("", "cubalg: error: empty range ''\n")
+
+
+# one verb per range option, an abbreviated option and a curve, each value
+# starting with "-": argparse alone reads a separate "-2..2" as an option
+# and exits 2, "expected one argument"
+@pytest.mark.parametrize("argv, option, value", [
+    (["cech"], "--twists", "-2..2"),
+    (["cech"], "--twist", "-2..2"),
+    (["cech"], "--twists", "-2,-1,3"),
+    (["hopf", "cobar", "--algebroid", "z2_group", "--smax", "2"],
+     "--twists", "-4..4"),
+    (["hopf", "h0"], "--twists", "-4..4"),
+    (["tmf-mu"], "--window", "-70..12"),
+    (["steenrod", "primitives"], "--window", "-1..4"),
+    (["descent"], "--degrees", "-4..4"),
+    (["chart", "render"], "--x-range", "-8..8"),
+    (["chart", "render"], "--s-range", "-1..6"),
+    (["cover", "fiber"], "--curve", "-1,0,0,0,1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_negative_value_as_separate_argument(argv, option, value, tmp_path):
+    if argv[0] == "chart":
+        chart = tmp_path / "chart.json"
+        chart.write_text(emit.json_text(emit.chart_to_obj(BigradedChart(
+            s_max=2, t_values=(0, 2),
+            cells={(0, 0): (1, ()), (1, 2): (0, (2,))}))))
+        argv = argv + ["--input", str(chart)]
+    joined = run(argv + [option + "=" + value])
+    assert joined[0] == cli.EXIT_OK and joined[1]
+    assert run(argv + [option, value]) == joined
+
+
+def test_join_negative_values_touches_only_negative_values():
+    assert cli.join_negative_values(
+        ["cech", "--twists", "-2..2", "--weights", "1,3"]) == [
+        "cech", "--twists=-2..2", "--weights", "1,3"]
+    assert cli.join_negative_values(["hopf", "cobar", "--smax", "-1"]) == [
+        "hopf", "cobar", "--smax=-1"]
+    for argv in (["cech", "--twists", "--format", "tsv"],
+                 ["cech", "--twists"],
+                 ["cech", "--twists", "0..2"],
+                 ["cech", "--twists=-2..2", "-3"],
+                 ["cech", "--", "-2..2"]):
+        assert cli.join_negative_values(argv) == argv
 
 
 @pytest.mark.parametrize("argv", [["cover", "fiber", "--curve", "1,2,3"],

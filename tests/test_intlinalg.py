@@ -490,6 +490,102 @@ def test_invariant_factors_leave_no_unit_to_the_residual(monkeypatch):
     assert seen == []
 
 
+def _smith_of_diagonal(diag):
+    """The invariant factors of diag(diag): for each prime, the k-th
+    factor takes the k-th least of its exponents in the nonzero entries."""
+    nonzero = [abs(x) for x in diag if x]
+    factors = [1] * len(nonzero)
+    for p in range(2, max(nonzero, default=1) + 1):
+        if all(p % q for q in range(2, p)):
+            exps = []
+            for x in nonzero:
+                e = 0
+                while x % p == 0:
+                    x, e = x // p, e + 1
+                exps.append(e)
+            for k, e in enumerate(sorted(exps)):
+                factors[k] *= p ** e
+    return factors
+
+
+def _unimodular_mix(a, ops, draw):
+    """`ops` random elementary operations on a: add +-1 or +-2 times one
+    row (column) to another, or swap two rows (columns)."""
+    rows, cols = len(a), len(a[0])
+    for _ in range(ops):
+        by_row = draw(hst.booleans()) or cols < 2
+        n = rows if by_row else cols
+        if n < 2:
+            continue
+        i, j = draw(hst.permutations(range(n)))[:2]
+        c = draw(hst.sampled_from([1, -1, 2, -2, 0]))
+        if by_row:
+            if c:
+                a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            else:
+                a[i], a[j] = a[j], a[i]
+        else:
+            for row in a:
+                if c:
+                    row[i] += c * row[j]
+                else:
+                    row[i], row[j] = row[j], row[i]
+
+
+# mostly +-1: the unit stage runs many pivots, and the costs of the units
+# it leaves in the heap change under it
+_UNIT_RICH = [1, -1, 1, -1, 1, 2, -2, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data())
+def test_heap_ordered_unit_stage_matches_references(data):
+    # random sparse matrices given by rows and by columns: up to 5 x 5,
+    # unit-rich or mixed entries against the determinantal divisors; up to
+    # 14 x 14, U D V for a diagonal D and unimodular U, V, whose Smith form
+    # is that of D.  The residual is the one a scan of every vector per
+    # pivot leaves, entry for entry, with no unit in it.
+    if data.draw(hst.booleans()):
+        pool = data.draw(hst.sampled_from([_UNIT_RICH, _WITH_UNIT]))
+        rows = data.draw(hst.integers(0, 5), label="rows")
+        cols = data.draw(hst.integers(0, 5), label="cols")
+        entries = hst.sampled_from(
+            [0] * data.draw(hst.integers(1, 3)) * len(pool) + pool)
+        a = [[data.draw(entries) for _ in range(cols)]
+             for _ in range(rows)]
+        expected = _determinantal_factors(a)
+    else:
+        rows = data.draw(hst.integers(1, 14), label="rows")
+        cols = data.draw(hst.integers(1, 14), label="cols")
+        diag = data.draw(hst.lists(hst.sampled_from([1, 1, 1, 2, 3, 4, 0]),
+                                   min_size=min(rows, cols),
+                                   max_size=min(rows, cols)))
+        a = [[diag[i] if i == j else 0 for j in range(cols)]
+             for i in range(rows)]
+        _unimodular_mix(a, data.draw(hst.integers(0, 2 * (rows + cols))),
+                        data.draw)
+        expected = _smith_of_diagonal(diag)
+    residuals = []
+    rank_and_minor = intlinalg._rank_and_minor
+
+    def residual(vectors):
+        residuals.append([dict(v) for v in vectors])
+        return rank_and_minor(vectors)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "_rank_and_minor", residual)
+        for vectors in (ref.sparse_rows(a), _sparse_columns(a, cols)):
+            if data.draw(hst.booleans()):
+                # entries held in descending index order
+                vectors = [dict(sorted(v.items(), reverse=True))
+                           for v in vectors]
+            residuals.clear()
+            assert invariant_factors(vectors) == expected
+            _, left = ref.scanned_unit_stage(vectors)
+            assert residuals == ([left] if left else [])
+            assert not any(abs(x) == 1 for v in left for x in v.values())
+
+
 def test_factors_and_kernel_skip_the_full_smith_form(monkeypatch):
     def unread_transforms(a):
         raise AssertionError("smith_normal_form called")

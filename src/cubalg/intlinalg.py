@@ -581,15 +581,6 @@ def f2_kernel(cols: Sequence[int]) -> List[int]:
     return out
 
 
-def f2_solve(cols: Sequence[int], v: int) -> Optional[int]:
-    """A mask over column indices whose columns XOR to v, or None when v
-    is not in their span: the kernel vector `f2_kernel` finds for v put
-    last, which exists exactly when v reduces to zero."""
-    n = len(cols)
-    ker = f2_kernel(list(cols) + [v])
-    return ker[-1] ^ (1 << n) if ker and ker[-1] >> n else None
-
-
 # ---------------------------------------------------------------------------
 # F_p and Q linear algebra
 #

@@ -7,18 +7,17 @@ Through xi_k it is the Hopf algebroid presentation `dual_steenrod(k)` over
 A = F_2, whose structure maps give the coproduct and conjugation and whose
 `split` reads the slots of a tensor-square monomial.
 Membership in a subalgebra spec is leading-term reduction in its triangular
-basis (`SubalgebraSpec.coordinates`); other linear algebra over F_2 is done
+basis (`SubalgebraSpec.coordinates`), and freeness reads a basis of the
+quotient off the same leading terms; other linear algebra over F_2 is done
 by `intlinalg.BitSpan` on bitmasks, indexed by the monomial basis of each
-degree (`poly.monomials`) or, in the freeness check, by the big spec's
-basis.
+degree (`poly.monomials`).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hopf import HopfAlgebroidPresentation, slot_name
 from .intlinalg import BitSpan, bits, f2_kernel
@@ -149,7 +148,8 @@ class SubalgebraSpec:
     multiply, so basis_poly(e) leads with prod_i xi_{n_i}^(p_i e_i), one
     monomial per e: the basis is triangular, hence independent, and
     `coordinates` reads an element in it by leading-term reduction.  The
-    condition is checked once, on the first call to `coordinates`."""
+    condition is checked once, on the first call to `coordinates`, or
+    when `freeness_rank_check` reads the spec as its small algebra."""
     name: str
     ring: Ring
     gen_names: List[str]                 # descriptive, e.g. "xibar2^4"
@@ -501,62 +501,31 @@ def _reduced_parts(mono: tuple, d: int, index: DegreeIndex,
     return list(bits(span.residue(1 << index.position(mono, d))))
 
 
-def _product_mask(masks: Dict[tuple, int], b: tuple,
-                  coords: Iterable[tuple]) -> int:
-    """Mask of big.basis_poly(b) times the element whose big-basis
-    coordinates are `coords`: basis_poly(b) . basis_poly(e) is
-    basis_poly(b + e), whose mask is masks[b + e]."""
-    v = 0
-    for e in coords:
-        v ^= masks[tuple(map(add, b, e))]
-    return v
-
-
-def _basis_coordinates(by_deg: Dict[int, List[tuple]],
-                       gen_coords: List[Tuple[int, List[tuple]]],
-                       one: tuple, top: int) -> Dict[tuple, set]:
-    """Big-basis coordinates of every small basis element through degree
-    `top`, by the prefix recursion of `SubalgebraSpec.basis_poly`; those
-    of a product are the exponent sums, mod 2."""
-    coords: Dict[tuple, set] = {}
-    for d, expos in by_deg.items():
-        if d > top:
-            break
-        for x in expos:
-            if not d:
-                coords[x] = {one}
-                continue
-            i = next(k for k, e in enumerate(x) if e)
-            prev = x[:i] + (x[i] - 1,) + x[i + 1:]
-            out = coords[x] = set()
-            for a in coords[prev]:
-                for b in gen_coords[i][1]:
-                    out.symmetric_difference_update((tuple(map(add, a, b)),))
-    return coords
-
-
 def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
                         cells: Sequence[int], cutoff: int) -> dict:
     """(a) Poincare-series identity PS(big) = PS(small) * sum_d q^d over
-    the cells, coefficientwise through the cutoff; (b) basis lifting:
-    degreewise, cell lifts times the small basis span big (Nakayama
-    surjectivity), with matching dimension, hence a free basis.  A cell
-    below 0 or above the cutoff could never be found, and two specs built
-    with different numbers of xi generators live in different rings; both
-    are rejected.
+    the cells, coefficientwise through the cutoff; (b) the cells match
+    the degrees of a basis of big/(small^+ . big), read off leading terms.
+    A cell below 0 or above the cutoff could never be found, and two specs
+    built with different numbers of xi generators live in different rings;
+    both are rejected.
 
-    All linear algebra is in big's own basis, which the lead condition
-    (see `SubalgebraSpec`) makes independent: bit i of a degree-d vector
-    is the i-th exponent of `big.basis_by_degree()[d]`, so a basis element
-    is a unit vector.  The small generators must lie in big, and
-    `big.coordinates` writes each as g = sum_e big.basis_poly(e); every
-    product is then an exponent add, g . basis_poly(b) = sum_e
-    basis_poly(b + e), with no polynomial formed.  Since big is a
-    subalgebra, small . big lies in big, and the cell lifts are taken
-    modulo the products of the small generators with big's basis
-    (`_cell_lifts`); the surjectivity check multiplies the lifts by every
-    small basis element, whose coordinates come from those of the
-    generators, and compares ranks with big's degreewise dimensions."""
+    By its lead condition (see `SubalgebraSpec`) big is the polynomial
+    ring F_2[y_1, ..., y_m] on its generators, and ordering its basis by
+    the leads of `basis_poly` is a monomial order.  The small generators
+    must lie in big; small meets the lead condition too, so each leads
+    with a power of one xi, and in big's coordinates small generator i
+    leads with y_{j_i}^(r_i) for one big generator j_i, distinct for
+    distinct i.  That lead is the first exponent `big.coordinates` finds.
+    Pairwise coprime leads make the small generators a Groebner basis of
+    the ideal small^+ . big they generate (Buchberger's first criterion;
+    Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, 2.9), so the
+    standard monomials {e : e_(j_i) < r_i} of big's basis are a basis of
+    big/(small^+ . big) degree by degree, and their degrees are the cells
+    found.  By graded Nakayama, lifts of that basis times small span big,
+    and the Poincare-series identity makes the count match degreewise, so
+    big is free over small on them exactly when both (a) and the cells
+    hold."""
     if len(big.ring.names) != len(small.ring.names):
         raise ValueError("big spec built at cutoff %d with %d xi generators, "
                          "small spec at cutoff %d with %d"
@@ -576,69 +545,25 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
             for d in range(cutoff + 1)]
     ps_ok = conv == list(ps_big)
 
-    big_by_deg = big.basis_by_degree()
-    units = {e: 1 << i for expos in big_by_deg.values()
-             for i, e in enumerate(expos)}
-    # small must embed in big: coordinates of every small generator
-    gen_coords: List[Tuple[int, List[tuple]]] = []
+    small._lead_variables()         # raises ValueError, as big's check does
+    # big generator j -> the power r of y_j that leads a small generator
+    bounds: Dict[int, int] = {}
     for g, d in zip(small.gens, small.gen_degrees()):
         coords = big.coordinates(g)
         if coords is None:
             return {"free": False, "ps_identity": ps_ok,
                     "failure": "small generator of degree %d not in big"
                                % d, "cells": sorted(cells)}
-        gen_coords.append((d, coords))
+        (j, r), = ((j, e) for j, e in enumerate(coords[0]) if e)
+        bounds[j] = r
 
-    lifts = _cell_lifts(big_by_deg, units, gen_coords, cutoff)
-    got = sorted(d for d, _ in lifts)
+    got = [d for d, expos in big.basis_by_degree().items() if d <= cutoff
+           for e in expos if all(e[j] < r for j, r in bounds.items())]
     cell_multiset = sorted(cells)
     cells_ok = got == cell_multiset
-
-    # Nakayama: lifts times small basis span big, degree by degree; spans
-    # above big's cutoff are never read
-    top = min(cutoff, big.cutoff)
-    small_by_deg = small.basis_by_degree()
-    small_coords = _basis_coordinates(small_by_deg, gen_coords,
-                                      (0,) * len(big.gens), top)
-    span_by_deg: Dict[int, BitSpan] = {}
-    for d, be in lifts:
-        for dc, expos in small_by_deg.items():
-            dd = d + dc
-            if dd > top:
-                break
-            span = span_by_deg.setdefault(dd, BitSpan())
-            for se in expos:
-                span.insert(_product_mask(units, be, small_coords[se]))
-    # the spans lie in big_d, so they span it iff their rank is its dimension
-    surj = all(d in span_by_deg and span_by_deg[d].rank == len(expos)
-               for d, expos in big_by_deg.items() if d <= cutoff)
-    rank_free = ps_ok and cells_ok and surj
-    return {"free": rank_free, "ps_identity": ps_ok,
+    return {"free": ps_ok and cells_ok, "ps_identity": ps_ok,
             "cells_found": got, "cells": cell_multiset,
-            "cells_match": cells_ok, "lifts_generate": surj,
-            "rank": len(cell_multiset)}
-
-
-def _cell_lifts(big_by_deg: Dict[int, List[tuple]], masks: Dict[tuple, int],
-                gen_coords: List[Tuple[int, List[tuple]]], cutoff: int
-                ) -> List[Tuple[int, tuple]]:
-    """A basis of big_d modulo (small^+ . big)_d, degreewise, chosen from
-    big's basis, as (degree, big exponent) pairs; `masks` gives each big
-    exponent's vector.  (small^+ . big)_d is spanned by g . big_{d-|g|}
-    over the small generators g, given by their degree and big-basis
-    coordinates, because small . big lies in big once the small
-    generators do."""
-    lifts: List[Tuple[int, tuple]] = []
-    for d in sorted(set(big_by_deg) | {0}):
-        if d > cutoff:
-            continue
-        span = BitSpan(_product_mask(masks, be, coords)
-                       for dg, coords in gen_coords
-                       for be in big_by_deg.get(d - dg, []))
-        for be in big_by_deg.get(d, []):
-            if span.insert(masks[be]):
-                lifts.append((d, be))
-    return lifts
+            "cells_match": cells_ok, "rank": len(cell_multiset)}
 
 
 def a2_pattern_series(cutoff: int) -> List[int]:

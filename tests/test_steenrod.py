@@ -4,10 +4,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from cubalg import intlinalg
+from cubalg import covers, intlinalg
 from cubalg import steenrod as st
 from cubalg.cli import EXIT_INVARIANT, dispatch
 from cubalg.poly import Polynomial, Ring, monomial_text, monomials
+from elimination_reference import f2_solve
 
 
 def test_ring_generators_follow_cutoff():
@@ -249,21 +250,6 @@ def test_f2_kernel():
     assert ker == [0b011]
 
 
-def test_f2_solve():
-    cols = [0b011, 0b110, 0b101]       # the third is the sum of the first two
-    for v in range(8):
-        sol = intlinalg.f2_solve(cols, v)
-        if v in (0b000, 0b011, 0b110, 0b101):
-            acc = 0
-            for i in intlinalg.bits(sol):
-                acc ^= cols[i]
-            assert acc == v
-        else:
-            assert sol is None
-    assert intlinalg.f2_solve([], 0) == 0
-    assert intlinalg.f2_solve([], 1) is None
-
-
 # ---------------------------------------------------------------------------
 # generator-level checks against the basis-level brute force they replace
 
@@ -311,9 +297,8 @@ def _basis_closure_check(spec, cutoff):
     return {"closed": True, "checked": checked, "witness": None}
 
 
-def _basis_cell_lifts(big, small, big_by_deg, index, cutoff):
+def _basis_cell_lifts(big, small, small_by_deg, big_by_deg, index, cutoff):
     """Cell lifts modulo every small-basis x big-basis product."""
-    small_by_deg = small.basis_by_degree()
     lifts = []
     for d in sorted(set(big_by_deg) | {0}):
         if d > cutoff:
@@ -396,7 +381,7 @@ class _DegreeSpans:
 
     def coordinates(self, x, d):
         expos = self.by_deg.get(d, [])
-        sol = intlinalg.f2_solve(self.masks.get(d, []), self.index.mask(x, d))
+        sol = f2_solve(self.masks.get(d, []), self.index.mask(x, d))
         return None if sol is None else \
             sorted(expos[i] for i in intlinalg.bits(sol))
 
@@ -504,12 +489,16 @@ def test_lead_condition_rejects_two_generators_leading_with_xi1():
         spec.coordinates(spec.ring.gen("xi1") ** 6)
     with pytest.raises(ValueError, match="generators g0 and g1 both lead"):
         st.freeness_rank_check(spec, st.ko_spec(16), [0], 16)
+    # as small spec too, though both generators lie in A
+    with pytest.raises(ValueError, match="generators g0 and g1 both lead"):
+        st.freeness_rank_check(_a(16), spec, [0, 1], 16)
 
 
 def _polynomial_freeness_check(big, small, cells, cutoff):
     """Freeness with every product formed as a polynomial in
     xi-coordinates: the embedding by span membership, the cell lifts by
-    `_basis_cell_lifts`, and Nakayama by lift x small-basis products."""
+    `_basis_cell_lifts`, and Nakayama by lift x small-basis products, with
+    small's basis taken through the check's cutoff, past its own."""
     ps_big = st.poincare_series(big.gen_degrees(), cutoff)
     ps_small = st.poincare_series(small.gen_degrees(), cutoff)
     ps_cells = [0] * (cutoff + 1)
@@ -521,7 +510,8 @@ def _polynomial_freeness_check(big, small, cells, cutoff):
     ps_ok = conv == list(ps_big)
     index = st.DegreeIndex(big.ring)
     big_by_deg = big.basis_by_degree()
-    small_by_deg = small.basis_by_degree()
+    small_degrees = tuple(small.gen_degrees())
+    small_by_deg = {d: monomials(small_degrees, d) for d in range(cutoff + 1)}
     for g in small.gens:
         d = g.weight()
         span = st.BitSpan()
@@ -531,7 +521,8 @@ def _polynomial_freeness_check(big, small, cells, cutoff):
             return {"free": False, "ps_identity": ps_ok,
                     "failure": "small generator of degree %d not in big"
                                % d, "cells": sorted(cells)}
-    lifts = _basis_cell_lifts(big, small, big_by_deg, index, cutoff)
+    lifts = _basis_cell_lifts(big, small, small_by_deg, big_by_deg, index,
+                              cutoff)
     got = sorted(d for d, _ in lifts)
     cell_multiset = sorted(cells)
     cells_ok = got == cell_multiset
@@ -576,15 +567,23 @@ def _ko_with_xi2_squared(cutoff):
         cutoff=cutoff)
 
 
-def _ku(cutoff):
-    return st.bp_n_homology(1, cutoff)
+def _bp(n):
+    return lambda cutoff: st.bp_n_homology(n, cutoff)
 
 
-def _bp2(cutoff):
-    return st.bp_n_homology(2, cutoff)
+def _a(cutoff):
+    """The whole dual Steenrod algebra, on the generators xi_n."""
+    return st.make_spec("A", [(1, 1)], cutoff, conjugated=False)
 
 
-# (big, small, cells, expected "free" or expected "failure")
+_ku, _bp2 = _bp(1), _bp(2)
+# the pattern dual to A(2): 64 cells through degree 23
+A2_CELLS = [d for d, n in enumerate(st.a2_pattern_series(23))
+            for _ in range(n)]
+
+
+# (big, small, cells, expected "free" or expected "failure"); a cell above
+# the cutoff is dropped
 FREENESS_CASES = {
     "ku_ko": (_ku, st.ko_spec, [0, 2], True),
     "bp2_tmf": (_bp2, st.tmf_spec, [0, 2, 4, 6, 6, 8, 10, 12], True),
@@ -592,60 +591,54 @@ FREENESS_CASES = {
     "ku_ko_xi2_squared": (_ku, _ko_with_xi2_squared, [0, 2], True),
     "bp2_ko": (_bp2, st.ko_spec, [0, 2],
                "small generator of degree 7 not in big"),
+    "bp0_ku": (_bp(0), _ku, [0, 3], True),
+    "bp2_bp3": (_bp2, _bp(3), [0, 15], True),
+    "a_tmf": (_a, st.tmf_spec, A2_CELLS, True),
 }
 
 
 @pytest.mark.parametrize("cutoff", [16, 24, 32])
 @pytest.mark.parametrize("name", sorted(FREENESS_CASES))
-def test_freeness_matches_cell_lift_loop(name, cutoff, monkeypatch):
+def test_freeness_matches_cell_lift_loop(name, cutoff):
     make_big, make_small, cells, expected = FREENESS_CASES[name]
     big, small = make_big(cutoff), make_small(cutoff)
-    index = st.DegreeIndex(big.ring)
-
-    def reference_lifts(big_by_deg, masks, gen_coords, cutoff):
-        # the xi-masks of big's basis, to read the lifts back as exponents
-        expo_of = {(d, index.mask(big.basis_poly(e), d)): e
-                   for d, expos in big_by_deg.items() for e in expos}
-        return [(d, expo_of[d, index.mask(lift, d)]) for d, lift in
-                _basis_cell_lifts(big, small, big_by_deg, index, cutoff)]
-
-    cell_lifts = st._cell_lifts
-    compared = []
-
-    def checked_lifts(*args):
-        lifts = cell_lifts(*args)
-        assert lifts == reference_lifts(*args)
-        compared.append(lifts)
-        return lifts
-
-    basis_coordinates = st._basis_coordinates
-
-    def checked_coordinates(by_deg, gen_coords, one, top):
-        # every coordinate list sums to its element in xi-coordinates
-        coords = basis_coordinates(by_deg, gen_coords, one, top)
-        elements = [(dg, g, c) for g, (dg, c) in zip(small.gens, gen_coords)]
-        elements += [(d, small.basis_poly(se), coords[se])
-                     for d, expos in by_deg.items() if d <= top
-                     for se in expos]
-        for d, x, c in elements:
-            acc = 0
-            for e in c:
-                acc ^= index.mask(big.basis_poly(e), d)
-            assert acc == index.mask(x, d)
-        compared.append(coords)
-        return coords
-
-    monkeypatch.setattr(st, "_cell_lifts", checked_lifts)
-    monkeypatch.setattr(st, "_basis_coordinates", checked_coordinates)
+    cells = [d for d in cells if d <= cutoff]
     fast = st.freeness_rank_check(big, small, cells, cutoff)
-    assert len(compared) == (0 if isinstance(expected, str) else 2)
+    slow = _polynomial_freeness_check(big, small, cells, cutoff)
     if isinstance(expected, str):
         assert fast["failure"] == expected and not fast["free"]
     else:
         assert fast["free"] == expected
-    assert fast == _polynomial_freeness_check(big, small, cells, cutoff)
-    monkeypatch.setattr(st, "_cell_lifts", reference_lifts)
-    assert st.freeness_rank_check(big, small, cells, cutoff) == fast
+        # graded Nakayama: once small lies in big, lifts of a basis of
+        # big/(small^+ . big) times small's basis span big
+        assert slow.pop("lifts_generate")
+    assert fast == slow
+
+
+def test_freeness_takes_small_past_its_cutoff():
+    # small's basis above its own cutoff still multiplies the cell lifts
+    ku, ko = st.bp_n_homology(1, 20), st.ko_spec(16)
+    rep = st.freeness_rank_check(ku, ko, [0, 2], 20)
+    assert rep["free"]
+    slow = _polynomial_freeness_check(ku, ko, [0, 2], 20)
+    assert slow.pop("lifts_generate")
+    assert rep == slow
+    assert st.freeness_rank_check(st.bp_n_homology(2, 64), st.tmf_spec(63),
+                                  [0, 2, 4, 6, 6, 8, 10, 12], 64)["free"]
+
+
+@pytest.mark.parametrize("cutoff", [16, 32, 64])
+def test_bp2_cells_over_tmf_are_the_cover_fiber(cutoff):
+    # the level-3 description: H(BP<2>) is free over H(tmf) on a basis of
+    # the fiber F_2[s, t]/(s^4, t^2), |s| = 2, |t| = 6, of the rank-8
+    # cover over y^2 = x^3
+    fiber = covers.cover_fiber((0, 0, 0, 0, 0), 2, "F2")
+    degrees = sorted(sum(e * w for e, w in zip(m, fiber.var_weights))
+                     for m in fiber.basis)
+    assert degrees == [0, 2, 4, 6, 6, 8, 10, 12]
+    rep = st.freeness_rank_check(st.bp_n_homology(2, cutoff),
+                                 st.tmf_spec(cutoff), degrees, cutoff)
+    assert rep["free"] and rep["cells_found"] == degrees
 
 
 # one product per nonconstant big basis element that the reductions of the

@@ -516,8 +516,8 @@ class BitSpan:
     """F_2 span of the given bitmask vectors, kept in echelon form: each
     row's pivot is its highest set bit, and no two rows share a pivot.
 
-    The pivot set, membership and the canonical residue depend only on
-    the span, so rows are never back-substituted."""
+    The pivot set and membership depend only on the span, so rows are
+    never back-substituted."""
 
     def __init__(self, vectors: Iterable[int] = ()):
         self.rows: Dict[int, int] = {}   # pivot bit index -> row mask
@@ -543,22 +543,6 @@ class BitSpan:
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
-
-    def residue(self, v: int) -> int:
-        """Canonical residue: v with every pivot bit eliminated.  Bits are
-        taken from the highest down, so a row never sets a bit already
-        passed; the residue has no pivot bit, and there is one such
-        element in each coset of the span."""
-        rows = self.rows
-        out = 0
-        while v:
-            piv = v.bit_length() - 1
-            row = rows.get(piv)
-            if row is None:
-                row = 1 << piv
-                out |= row
-            v ^= row
-        return out
 
     @property
     def rank(self) -> int:

@@ -7,10 +7,11 @@ Through xi_k it is the Hopf algebroid presentation `dual_steenrod(k)` over
 A = F_2, whose structure maps give the coproduct and conjugation and whose
 `split` reads the slots of a tensor-square monomial.
 Membership in a subalgebra spec is leading-term reduction in its triangular
-basis (`SubalgebraSpec.coordinates`), and freeness reads a basis of the
-quotient off the same leading terms; other linear algebra over F_2 is done
-by `intlinalg.BitSpan` on bitmasks, indexed by the monomial basis of each
-degree (`poly.monomials`).
+basis (`SubalgebraSpec.coordinates`).  The same leading terms give the
+profile that presents a quotient A//C by monomials (`SubalgebraSpec.profile`)
+and the cells of a freeness check, as a Poincare series.  Kernels over F_2
+are taken by `intlinalg.f2_kernel` on bitmasks over the monomial basis of
+each degree (`poly.monomials`).
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import intlinalg
 from .hopf import HopfAlgebroidPresentation, slot_name
-from .intlinalg import BitSpan, bits, f2_kernel
-from .poincare import poincare_series
-from .poly import (Polynomial, Ring, monomial_index, monomial_text,
-                   monomials)
+from .intlinalg import bits, f2_kernel
+from .poincare import poincare_series, quotient_series, series_product
+from .poly import Polynomial, Ring, monomial_text, monomials
+
+# unused here, but perfbench/spans.py traces cubalg.steenrod.BitSpan
+BitSpan = intlinalg.BitSpan
 
 
 def gen_count(cutoff: int) -> int:
@@ -95,36 +99,6 @@ def antipode_identity_holds(k_max: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# degreewise bitmasks
-
-
-class DegreeIndex:
-    """Polynomial <-> bitmask conversion on the graded pieces of a ring:
-    bit i of a degree-d mask is the i-th monomial of `monomials(d)`."""
-
-    def __init__(self, ring: Ring):
-        self.ring = ring
-
-    def monomials(self, d: int) -> Tuple[tuple, ...]:
-        return monomials(self.ring.weights, d)
-
-    def position(self, mono: tuple, d: int) -> int:
-        return monomial_index(self.ring.weights, d)[mono]
-
-    def mask(self, x: Polynomial, d: int) -> int:
-        idx = monomial_index(self.ring.weights, d)
-        v = 0
-        for m, c in x.terms.items():
-            if c % 2:
-                v |= 1 << idx[m]
-        return v
-
-    def poly(self, mask: int, d: int) -> Polynomial:
-        ms = self.monomials(d)
-        return self.ring.poly({ms[i]: 1 for i in bits(mask)})
-
-
-# ---------------------------------------------------------------------------
 # subalgebra specs
 
 
@@ -148,8 +122,9 @@ class SubalgebraSpec:
     multiply, so basis_poly(e) leads with prod_i xi_{n_i}^(p_i e_i), one
     monomial per e: the basis is triangular, hence independent, and
     `coordinates` reads an element in it by leading-term reduction.  The
-    condition is checked once, on the first call to `coordinates`, or
-    when `freeness_rank_check` reads the spec as its small algebra."""
+    condition is checked once, on the first call to `coordinates` or
+    `profile`, or when `freeness_rank_check` reads the spec as its small
+    algebra."""
     name: str
     ring: Ring
     gen_names: List[str]                 # descriptive, e.g. "xibar2^4"
@@ -178,14 +153,6 @@ class SubalgebraSpec:
                 self._basis[expo] = self.basis_poly(prev) * self.gens[i]
         return self._basis[expo]
 
-    def basis_by_degree(self) -> Dict[int, List[tuple]]:
-        """Exponent tuples over the generators through the cutoff, keyed by
-        degree (nonempty degrees only), each degree's list in
-        lexicographic order."""
-        degs = tuple(self.gen_degrees())
-        return {d: list(expos) for d in range(self.cutoff + 1)
-                if (expos := monomials(degs, d))}
-
     def _lead_variables(self) -> Dict[int, Tuple[int, int]]:
         """The lead of every generator, checked against the lead condition;
         a generator that fails it raises ValueError."""
@@ -207,6 +174,28 @@ class SubalgebraSpec:
                 leads[n] = (i, p)
             self._leads = leads
         return self._leads
+
+    def profile(self) -> Dict[int, int]:
+        """{xi position n: p}, one entry per generator, which leads with
+        xi_{n+1}^p.  It presents A//spec as a profile quotient (Adams &
+        Margolis 1974): the ideal A . spec^+ is the monomial ideal J
+        generated by the xi_{n+1}^p.  A generator with a term outside J
+        raises ValueError naming the generator and the term.
+
+        The leads are pairwise coprime, so the generators are a Groebner
+        basis of A . spec^+ (Buchberger's first criterion), whose leading
+        terms then span J degree by degree.  When every term of every
+        generator lies in J, A . spec^+ lies in J, and equal dimensions in
+        each degree make the two equal."""
+        prof = {n: p for n, (_, p) in self._lead_variables().items()}
+        for label, g in zip(self.gen_names, self.gens):
+            for m in g.terms:
+                if not any(m[n] >= p for n, p in prof.items()):
+                    raise ValueError(
+                        "generator %s has the term %s outside the ideal of "
+                        "its profile" % (label,
+                                         monomial_text(self.ring.names, m)))
+        return prof
 
     def coordinates(self, x: Polynomial) -> Optional[List[tuple]]:
         """The exponents e, each once, with x = sum_e basis_poly(e), or
@@ -298,12 +287,13 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
 
     Delta is an algebra map (Milnor 1958) and A (x) S is a subalgebra, so
     it suffices that Delta(g) lies in A (x) S for every generator g.  The
-    generators are visited in `basis_by_degree` order; a decomposable
-    basis element is a product of lower-degree generators, so the first
-    failing basis element is always a generator, and the witness is the
-    one the check over every basis element would give.  `checked` counts
-    the generators that passed.  The cutoff must need as many xi generators
-    as the spec's own cutoff, since Delta is split in the spec's ring.
+    generators are visited in the order of the spec's basis exponents (by
+    degree, then as `poly.monomials` lists a degree); a decomposable basis
+    element is a product of lower-degree generators, so the first failing
+    basis element is always a generator, and the witness is the one the
+    check over every basis element would give.  `checked` counts the
+    generators that passed.  The cutoff must need as many xi generators as
+    the spec's own cutoff, since Delta is split in the spec's ring.
 
     Delta(g) lies in A (x) S iff, for each left-leg monomial L and right
     degree, the sum of the right legs beside L lies in S; that is tested
@@ -318,7 +308,7 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
                             len(ring.names)))
     H = dual_steenrod(len(ring.names))
     ngens = len(spec.gens)
-    # the generators' exponents as `basis_by_degree` orders them
+    # the generators' exponents in the order of the basis exponents
     gen_expos = [e for _, e in sorted(
         (dg, tuple(int(j == i) for j in range(ngens)))
         for i, dg in enumerate(spec.gen_degrees()) if dg <= cutoff)]
@@ -347,18 +337,6 @@ def comodule_closure_check(spec: SubalgebraSpec, cutoff: int) -> dict:
     return {"closed": True, "checked": checked, "witness": None}
 
 
-def _ideal_rewrite(spec: SubalgebraSpec, index: DegreeIndex, d: int,
-                   cache: Dict[int, BitSpan]) -> BitSpan:
-    """Echelon span of (A . spec^+)_d, which is sum_g A_{d-|g|} . g over
-    the spec generators g, since A . spec = A."""
-    if d not in cache:
-        cache[d] = BitSpan(
-            index.mask(Polynomial(spec.ring, {m: 1}) * g, d)
-            for g, dg in zip(spec.gens, spec.gen_degrees()) if dg <= d
-            for m in index.monomials(d - dg))
-    return cache[d]
-
-
 def primitives(window: Sequence[int], cutoff: int,
                quotient_by: Optional[SubalgebraSpec] = None
                ) -> Dict[int, List[str]]:
@@ -375,21 +353,24 @@ def primitives(window: Sequence[int], cutoff: int,
     are read off the exponents (`_left_legs`), with no coproduct formed.
     The algebra generators of the dual of A//C are not known in closed
     form, so a quotient takes the reduced coproduct of each
-    representative monomial instead (`_quotient_primitives`)."""
+    representative monomial instead (`_quotient_primitives`); C must be
+    built through the cutoff, or generators of C below it are missing."""
     ring = xi_ring(cutoff)
     for d in window:
         if d > cutoff:
             raise ValueError("degree %d of the window exceeds the cutoff %d"
                              % (d, cutoff))
     if quotient_by is not None:
+        if quotient_by.cutoff < cutoff:
+            raise ValueError("quotient spec built at cutoff %d, below the "
+                             "cutoff %d" % (quotient_by.cutoff, cutoff))
         return _quotient_primitives(window, cutoff, quotient_by)
-    index = DegreeIndex(ring)
     out: Dict[int, List[str]] = {}
     for d in window:
         if d <= 0:
             out[d] = []
             continue
-        monos = index.monomials(d)
+        monos = monomials(ring.weights, d)
         # one column bit per (2^k, L): the coefficient of L (x) xi1^(2^k)
         tindex: Dict[Tuple[int, tuple], int] = {}
         vecs: List[int] = []
@@ -446,59 +427,39 @@ def _quotient_primitives(window: Sequence[int], cutoff: int,
                          ) -> Dict[int, List[str]]:
     """`primitives` of A//C, C = `quotient_by`: the kernel of the reduced
     coproduct on the representative monomials, both legs reduced mod the
-    ideal A . C+."""
+    ideal A . C+.  By C's profile that ideal is spanned by the capped
+    monomials, those with e_n >= p_n for some n (`SubalgebraSpec.profile`),
+    so the representatives are the monomials that are not capped, and
+    reduction drops a term when either leg is capped."""
     ring = xi_ring(cutoff)
     H = dual_steenrod(len(ring.names))
-    index = DegreeIndex(ring)
-    ideal_cache: Dict[int, BitSpan] = {}
+    # a cap on an xi beyond the ring lies above the cutoff
+    caps = [(n, p) for n, p in quotient_by.profile().items()
+            if n < len(ring.names)]
 
-    def ideal(d: int) -> BitSpan:
-        return _ideal_rewrite(quotient_by, index, d, ideal_cache)
+    def capped(mono: tuple) -> bool:
+        return any(mono[n] >= p for n, p in caps)
 
     out: Dict[int, List[str]] = {}
     for d in window:
         if d <= 0:
             out[d] = []
             continue
-        reps = _representatives(index.monomials(d), ideal(d))
-        tindex: Dict[Tuple[int, int, int, int], int] = {}
+        reps = [m for m in monomials(ring.weights, d) if not capped(m)]
+        # one column bit per term L (x) R of both legs uncapped
+        tindex: Dict[tuple, int] = {}
         vecs: List[int] = []
         for m in reps:
-            dx = coproduct(Polynomial(ring, {m: 1}), cutoff)
             v = 0
-            for mono, _ in dx.terms.items():
+            for mono in coproduct(Polynomial(ring, {m: 1}), cutoff).terms:
                 _, left, right = H.split(mono)
-                dl = ring.weight_of_monomial(left)
-                dr = d - dl
-                if dl == 0 or dr == 0:
-                    continue
-                lparts = _reduced_parts(left, dl, index, ideal(dl))
-                rparts = _reduced_parts(right, dr, index, ideal(dr))
-                for li in lparts:
-                    for ri in rparts:
-                        key = (dl, li, dr, ri)
-                        if key not in tindex:
-                            tindex[key] = len(tindex)
-                        v ^= 1 << tindex[key]
+                if any(left) and any(right) and not (capped(left)
+                                                     or capped(right)):
+                    v ^= 1 << tindex.setdefault(mono, len(tindex))
             vecs.append(v)
-        kern = f2_kernel(vecs)
         out[d] = [ring.poly({reps[i]: 1 for i in bits(mask)}).text()
-                  for mask in kern]
+                  for mask in f2_kernel(vecs)]
     return out
-
-
-def _representatives(monos: Sequence[tuple], span: BitSpan) -> List[tuple]:
-    """The monomials of one degree that are not pivots of the ideal span:
-    e_i lies in span(ideal, e_0, ..., e_{i-1}) exactly when some ideal
-    element has highest bit i."""
-    return [m for i, m in enumerate(monos) if i not in span.rows]
-
-
-def _reduced_parts(mono: tuple, d: int, index: DegreeIndex,
-                   span: BitSpan) -> List[int]:
-    """Indices of the monomials in the canonical residue of `mono` mod the
-    ideal span."""
-    return list(bits(span.residue(1 << index.position(mono, d))))
 
 
 def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
@@ -521,17 +482,17 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
     the ideal small^+ . big they generate (Buchberger's first criterion;
     Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, 2.9), so the
     standard monomials {e : e_(j_i) < r_i} of big's basis are a basis of
-    big/(small^+ . big) degree by degree, and their degrees are the cells
-    found.  By graded Nakayama, lifts of that basis times small span big,
-    and the Poincare-series identity makes the count match degreewise, so
-    big is free over small on them exactly when both (a) and the cells
-    hold."""
+    big/(small^+ . big) degree by degree.  Their degrees are the cells
+    found, read off their series PS(big) * prod_i (1 - q^|y_(j_i)^(r_i)|)
+    through big's cutoff, with no basis enumerated.  By graded Nakayama,
+    lifts of that basis times small span big, and the Poincare-series
+    identity makes the count match degreewise, so big is free over small
+    on them exactly when both (a) and the cells hold."""
     if len(big.ring.names) != len(small.ring.names):
         raise ValueError("big spec built at cutoff %d with %d xi generators, "
                          "small spec at cutoff %d with %d"
                          % (big.cutoff, len(big.ring.names), small.cutoff,
                             len(small.ring.names)))
-    ps_big = poincare_series(big.gen_degrees(), cutoff)
     ps_small = poincare_series(small.gen_degrees(), cutoff)
     ps_cells = [0] * (cutoff + 1)
     for d in cells:
@@ -541,13 +502,13 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
             raise ValueError("cell in degree %d exceeds the cutoff %d"
                              % (d, cutoff))
         ps_cells[d] += 1
-    conv = [sum(ps_small[i] * ps_cells[d - i] for i in range(d + 1))
-            for d in range(cutoff + 1)]
-    ps_ok = conv == list(ps_big)
+    big_degrees = big.gen_degrees()
+    ps_ok = series_product(ps_small, ps_cells, cutoff) == \
+        poincare_series(big_degrees, cutoff)
 
     small._lead_variables()         # raises ValueError, as big's check does
-    # big generator j -> the power r of y_j that leads a small generator
-    bounds: Dict[int, int] = {}
+    # the degrees of the powers y_j^r that lead the small generators
+    caps: List[int] = []
     for g, d in zip(small.gens, small.gen_degrees()):
         coords = big.coordinates(g)
         if coords is None:
@@ -555,10 +516,10 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
                     "failure": "small generator of degree %d not in big"
                                % d, "cells": sorted(cells)}
         (j, r), = ((j, e) for j, e in enumerate(coords[0]) if e)
-        bounds[j] = r
+        caps.append(r * big_degrees[j])
 
-    got = [d for d, expos in big.basis_by_degree().items() if d <= cutoff
-           for e in expos if all(e[j] < r for j, r in bounds.items())]
+    series = quotient_series(big_degrees, caps, min(cutoff, big.cutoff))
+    got = [d for d, n in enumerate(series) for _ in range(n)]
     cell_multiset = sorted(cells)
     cells_ok = got == cell_multiset
     return {"free": ps_ok and cells_ok, "ps_identity": ps_ok,
@@ -567,19 +528,11 @@ def freeness_rank_check(big: SubalgebraSpec, small: SubalgebraSpec,
 
 
 def a2_pattern_series(cutoff: int) -> List[int]:
-    """PS(A)/PS(H(tmf)-spec): the graded dimensions of the 64-dimensional
-    pattern dual to A(2), by coefficientwise power-series division."""
-    ring = xi_ring(cutoff)
-    ps_a = poincare_series(ring.weights, cutoff)
-    spec = tmf_spec(cutoff)
-    ps_s = poincare_series(spec.gen_degrees(), cutoff)
-    quo = [0] * (cutoff + 1)
-    for d in range(cutoff + 1):
-        acc = ps_a[d] - sum(quo[i] * ps_s[d - i] for i in range(d))
-        if acc % ps_s[0]:
-            raise ArithmeticError("series not divisible at degree %d" % d)
-        quo[d] = acc // ps_s[0]
-    return quo
+    """PS(A)/PS(H(tmf)-spec), which is PS(A) * prod (1 - q^|g|) over the
+    spec's generators g: the graded dimensions of the 64-dimensional
+    pattern dual to A(2)."""
+    return quotient_series(xi_ring(cutoff).weights,
+                           tmf_spec(cutoff).gen_degrees(), cutoff)
 
 
 def uniqueness_probe(case: str, prim: Optional[Dict[int, List[str]]] = None

@@ -4,8 +4,8 @@ for differential tests:
 - `FieldOps`, the field abstraction `RowSpace`, `field_kernel` and
   `field_rank` used to take, and the dense row space and its kernel and
   rank loops, which took dense vectors of a fixed width;
-- the F_2 bitmask span in *reduced* echelon form, its canonical residue
-  and the augmented kernel loop, as `cubalg.steenrod` kept them privately;
+- the F_2 bitmask span in *reduced* echelon form and the augmented kernel
+  loop, as `cubalg.steenrod` kept them privately;
 - `sparse_rows`, which turns a dense integer matrix into the sparse rows
   {column: nonzero entry} that `invariant_factors` and `integer_kernel`
   take;
@@ -200,14 +200,6 @@ class ReducedBitSpan:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def residue(v: int, span: ReducedBitSpan) -> int:
-    """Canonical residue: eliminate every pivot bit of the span from v."""
-    for piv in sorted(span.rows, reverse=True):
-        if (v >> piv) & 1:
-            v ^= span.rows[piv]
-    return v
 
 
 def f2_kernel(cols: List[int]) -> List[int]:

@@ -695,9 +695,6 @@ def test_bitspan_matches_reduced_reference(masks, probes):
     assert span.rank == reduced.rank
     for v in masks + probes:
         assert span.contains(v) == reduced.contains(v)
-        res = span.residue(v)
-        assert res == ref.residue(v, reduced)
-        assert not any((res >> piv) & 1 for piv in span.rows)
     assert f2_kernel(masks) == ref.f2_kernel(masks)
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as hst
 from cubalg import covers, intlinalg
 from cubalg import steenrod as st
 from cubalg.cli import EXIT_INVARIANT, dispatch
-from cubalg.poly import Polynomial, Ring, monomial_text, monomials
+from cubalg.poly import (Polynomial, Ring, monomial_index, monomial_text,
+                         monomials, parse_polynomial)
 from elimination_reference import f2_solve
 
 
@@ -139,6 +140,88 @@ def test_primitives_of_quotient_by_squares():
     assert found == {1: 1, 3: 1, 7: 1, 15: 1, 31: 1}
 
 
+def test_primitives_reject_a_quotient_spec_below_the_cutoff():
+    # C's generators between its cutoff and the primitives' were never
+    # instantiated: xi4^2 (degree 30) for the squares built at 16, and
+    # xibar3^2 (degree 14) for H(tmf) built at 13
+    squares = st.make_spec("C", [(1, 2)], 16, conjugated=False)
+    with pytest.raises(ValueError, match="quotient spec built at cutoff 16, "
+                       "below the cutoff 32"):
+        st.primitives(range(1, 33), 32, quotient_by=squares)
+    with pytest.raises(ValueError, match="quotient spec built at cutoff 13, "
+                       "below the cutoff 14"):
+        st.primitives(range(1, 15), 14, quotient_by=st.tmf_spec(13))
+    # a window degree above the cutoff is reported first
+    with pytest.raises(ValueError, match="degree 33 of the window exceeds "
+                       "the cutoff 32"):
+        st.primitives(range(1, 34), 32, quotient_by=squares)
+
+
+@pytest.mark.parametrize("built", [40, 64, 80])
+def test_quotient_spec_built_above_the_cutoff(built):
+    # tmf at 64 and 80 lives in a ring with xi6, whose cap lies above the
+    # cutoff
+    window = range(1, 33)
+    assert st.primitives(window, 32, quotient_by=st.tmf_spec(built)) == \
+        st.primitives(window, 32, quotient_by=st.tmf_spec(32))
+
+
+def _profile_primitives(profile):
+    """The monomials xi_n^(2^j) primitive in the profile quotient
+    A_*/(xi_n^(p_n)), from Delta(xi_n^(2^j)) = sum_i xi_(n-i)^(2^(i+j)) (x)
+    xi_i^(2^j): xi_n^(2^j) is not capped, and every term with
+    0 < i < n has a capped leg.  `profile` is {n: p_n}, uncapped n absent."""
+    def cap(n):
+        return profile.get(n, float("inf"))
+
+    out = []
+    for n, p in profile.items():
+        j = 0
+        while 1 << j < p:
+            if all(1 << (i + j) >= cap(n - i) or 1 << j >= cap(i)
+                   for i in range(1, n)):
+                out.append(monomial_text(("xi%d" % n,), (1 << j,)))
+            j += 1
+    return out
+
+
+# the profile quotients by name: A//H(ko) = A(1)_*, A//H(tmf) = A(2)_* and
+# A//H(BP<n>) = E(n)_*, with the primitives dual to their algebra
+# generators Sq^1, Sq^2 (, Sq^4), and Q_0, ..., Q_n
+PROFILE_QUOTIENTS = {
+    "ko": (st.ko_spec, ["xi1", "xi1^2"]),
+    "tmf": (st.tmf_spec, ["xi1", "xi1^2", "xi1^4"]),
+    "bp0": (lambda c: st.bp_n_homology(0, c), ["xi1"]),
+    "bp1": (lambda c: st.bp_n_homology(1, c), ["xi1", "xi2"]),
+    "bp2": (lambda c: st.bp_n_homology(2, c), ["xi1", "xi2", "xi3"]),
+}
+
+
+@pytest.mark.parametrize("cutoff", [16, 32])
+@pytest.mark.parametrize("name", sorted(PROFILE_QUOTIENTS))
+def test_profile_quotient_primitives(name, cutoff):
+    make, named = PROFILE_QUOTIENTS[name]
+    spec = make(cutoff)
+    profile = {n + 1: p for n, p in spec.profile().items()}
+    expected = _profile_primitives(profile)
+    assert expected == named
+    ring = st.xi_ring(cutoff)
+    pr = st.primitives(range(1, cutoff + 1), cutoff, quotient_by=spec)
+    assert {d: v for d, v in pr.items() if v} == {
+        parse_polynomial(x, ring).weight(): [x] for x in expected}
+
+
+def test_a_quotient_that_is_no_profile_quotient_is_rejected():
+    # F_2[xibar2, xibar3, xibar4]: xibar2 = xi2 + xi1^3, and xi1^3 lies
+    # outside (xi2, xi3, xi4), so A . C^+ is no monomial ideal
+    bad = st.make_spec("bad", [(2, 1)], 24)
+    with pytest.raises(ValueError, match="generator xibar2 has the term "
+                       "xi1\\^3 outside the ideal of its profile"):
+        bad.profile()
+    with pytest.raises(ValueError, match="generator xibar2 has the term"):
+        st.primitives(range(1, 25), 24, quotient_by=bad)
+
+
 def test_closure_witness_xi1_cubed():
     bad = st.make_spec("bad", [(1, 3)], 24, conjugated=False)
     rep = st.comodule_closure_check(bad, 24)
@@ -235,6 +318,7 @@ def test_a2_pattern():
 
 
 def test_bitspan():
+    # through `steenrod`, where perfbench/spans.py traces it
     span = st.BitSpan()
     assert span.insert(0b101)
     assert span.insert(0b011)
@@ -254,13 +338,48 @@ def test_f2_kernel():
 # generator-level checks against the basis-level brute force they replace
 
 
+class DegreeIndex:
+    """Polynomial <-> bitmask conversion on the graded pieces of a ring:
+    bit i of a degree-d mask is the i-th monomial of `monomials(d)`, as
+    `cubalg.steenrod` indexed its F_2 spans before the profile quotients."""
+
+    def __init__(self, ring: Ring):
+        self.ring = ring
+
+    def monomials(self, d):
+        return monomials(self.ring.weights, d)
+
+    def position(self, mono, d):
+        return monomial_index(self.ring.weights, d)[mono]
+
+    def mask(self, x, d):
+        idx = monomial_index(self.ring.weights, d)
+        v = 0
+        for m, c in x.terms.items():
+            if c % 2:
+                v |= 1 << idx[m]
+        return v
+
+    def poly(self, mask, d):
+        ms = self.monomials(d)
+        return self.ring.poly({ms[i]: 1 for i in intlinalg.bits(mask)})
+
+
+def _basis_by_degree(spec):
+    """The spec's basis exponents through its cutoff, keyed by degree
+    (nonempty degrees only), each degree's list in lexicographic order."""
+    degs = tuple(spec.gen_degrees())
+    return {d: list(expos) for d in range(spec.cutoff + 1)
+            if (expos := monomials(degs, d))}
+
+
 def _basis_closure_check(spec, cutoff):
     """Closure by Delta of every basis element (not only the generators)."""
     ring = spec.ring
     k = len(ring.names)
-    index = st.DegreeIndex(ring)
+    index = DegreeIndex(ring)
     spans = {}
-    basis = spec.basis_by_degree()
+    basis = _basis_by_degree(spec)
     for d, expos in basis.items():
         span = st.BitSpan()
         for expo in expos:
@@ -317,12 +436,28 @@ def _basis_cell_lifts(big, small, small_by_deg, big_by_deg, index, cutoff):
     return lifts
 
 
+# the quotient primitives as `cubalg.steenrod` found them before the
+# profile quotients: an F_2 span of the ideal (A . C^+)_d in every degree,
+# the representatives off its pivots, and each leg reduced to its residue
+
+
+def _ideal_rewrite(spec, index, d, cache):
+    """Echelon span of (A . spec^+)_d, which is sum_g A_{d-|g|} . g over
+    the spec generators g, since A . spec = A."""
+    if d not in cache:
+        cache[d] = st.BitSpan(
+            index.mask(Polynomial(spec.ring, {m: 1}) * g, d)
+            for g, dg in zip(spec.gens, spec.gen_degrees()) if dg <= d
+            for m in index.monomials(d - dg))
+    return cache[d]
+
+
 def _basis_ideal_rewrite(spec, index, d, cache):
     """(A . spec^+)_d from every spec-basis element x every A-monomial."""
     if d in cache:
         return cache[d]
     span = st.BitSpan()
-    for dc, expos in spec.basis_by_degree().items():
+    for dc, expos in _basis_by_degree(spec).items():
         if dc == 0 or dc > d:
             continue
         for expo in expos:
@@ -332,6 +467,74 @@ def _basis_ideal_rewrite(spec, index, d, cache):
                 span.insert(index.mask(prod, d))
     cache[d] = span
     return span
+
+
+def _representatives(monos, span):
+    """The monomials of one degree that are not pivots of the ideal span:
+    e_i lies in span(ideal, e_0, ..., e_{i-1}) exactly when some ideal
+    element has highest bit i."""
+    return [m for i, m in enumerate(monos) if i not in span.rows]
+
+
+def _residue(span, v):
+    """Canonical residue: v with every pivot bit of the echelon span
+    eliminated, from the highest bit down; one element of each coset."""
+    out = 0
+    while v:
+        piv = v.bit_length() - 1
+        row = span.rows.get(piv)
+        if row is None:
+            row = 1 << piv
+            out |= row
+        v ^= row
+    return out
+
+
+def _reduced_parts(mono, d, index, span):
+    """Indices of the monomials in the canonical residue of `mono` mod the
+    ideal span."""
+    return list(intlinalg.bits(_residue(span, 1 << index.position(mono, d))))
+
+
+def _span_quotient_primitives(window, cutoff, spec,
+                              ideal_rewrite=_ideal_rewrite,
+                              representatives=_representatives):
+    """Primitives of A//C, C = `spec` (of A when it is None), as the kernel
+    of the reduced coproduct on the representative monomials, both legs
+    reduced mod the span of A . C+."""
+    ring = st.xi_ring(cutoff)
+    H = st.dual_steenrod(len(ring.names))
+    index = DegreeIndex(ring)
+    cache = {}
+
+    def ideal(d):
+        return st.BitSpan() if spec is None else \
+            ideal_rewrite(spec, index, d, cache)
+
+    out = {}
+    for d in window:
+        if d <= 0:
+            out[d] = []
+            continue
+        reps = representatives(index.monomials(d), ideal(d))
+        tindex = {}
+        vecs = []
+        for m in reps:
+            v = 0
+            for mono in st.coproduct(Polynomial(ring, {m: 1}), cutoff).terms:
+                _, left, right = H.split(mono)
+                dl = ring.weight_of_monomial(left)
+                dr = d - dl
+                if dl == 0 or dr == 0:
+                    continue
+                for li in _reduced_parts(left, dl, index, ideal(dl)):
+                    for ri in _reduced_parts(right, dr, index, ideal(dr)):
+                        key = (dl, li, dr, ri)
+                        v ^= 1 << tindex.setdefault(key, len(tindex))
+            vecs.append(v)
+        out[d] = [ring.poly({reps[i]: 1 for i in intlinalg.bits(mask)}
+                            ).text() for mask in intlinalg.f2_kernel(vecs)]
+    return out
 
 
 CLOSURE_SPECS = {
@@ -373,8 +576,8 @@ class _DegreeSpans:
 
     def __init__(self, spec):
         self.spec = spec
-        self.index = st.DegreeIndex(spec.ring)
-        self.by_deg = spec.basis_by_degree()
+        self.index = DegreeIndex(spec.ring)
+        self.by_deg = _basis_by_degree(spec)
         self.masks = {d: [self.index.mask(spec.basis_poly(e), d)
                           for e in expos]
                       for d, expos in self.by_deg.items()}
@@ -508,8 +711,8 @@ def _polynomial_freeness_check(big, small, cells, cutoff):
     conv = [sum(ps_small[i] * ps_cells[d - i] for i in range(d + 1))
             for d in range(cutoff + 1)]
     ps_ok = conv == list(ps_big)
-    index = st.DegreeIndex(big.ring)
-    big_by_deg = big.basis_by_degree()
+    index = DegreeIndex(big.ring)
+    big_by_deg = _basis_by_degree(big)
     small_degrees = tuple(small.gen_degrees())
     small_by_deg = {d: monomials(small_degrees, d) for d in range(cutoff + 1)}
     for g in small.gens:
@@ -597,6 +800,22 @@ FREENESS_CASES = {
 }
 
 
+def _filtered_cells(big, small, cutoff):
+    """The cells as `freeness_rank_check` found them before the series:
+    the degrees of big's basis exponents through both cutoffs with every
+    e_j below the power r of y_j that leads a small generator; None when a
+    small generator is not in big."""
+    bounds = {}
+    for g in small.gens:
+        coords = big.coordinates(g)
+        if coords is None:
+            return None
+        (j, r), = ((j, e) for j, e in enumerate(coords[0]) if e)
+        bounds[j] = r
+    return [d for d, expos in _basis_by_degree(big).items() if d <= cutoff
+            for e in expos if all(e[j] < r for j, r in bounds.items())]
+
+
 @pytest.mark.parametrize("cutoff", [16, 24, 32])
 @pytest.mark.parametrize("name", sorted(FREENESS_CASES))
 def test_freeness_matches_cell_lift_loop(name, cutoff):
@@ -613,6 +832,33 @@ def test_freeness_matches_cell_lift_loop(name, cutoff):
         # big/(small^+ . big) times small's basis span big
         assert slow.pop("lifts_generate")
     assert fast == slow
+    assert fast.get("cells_found") == _filtered_cells(big, small, cutoff)
+
+
+@functools.lru_cache(maxsize=None)
+def _freeness_spec(name, cutoff):
+    return {"ku": _ku, "bp2": _bp2, "a": _a, "ko": st.ko_spec,
+            "tmf": st.tmf_spec, "bp3": _bp(3)}[name](cutoff)
+
+
+# big and small built at cutoffs of one xi generator count (four, 15..30,
+# or five, 31..62), checked through cutoffs below, between and above them
+@pytest.mark.parametrize("built", [(15, 18, 22, 26, 30), (31, 40, 48)])
+@pytest.mark.parametrize("big_name, small_name", [
+    ("ku", "ko"), ("bp2", "tmf"), ("bp2", "ko"), ("bp2", "bp3"),
+    ("a", "tmf"), ("a", "ko")])
+def test_freeness_cells_match_the_filter_at_mismatched_cutoffs(
+        big_name, small_name, built):
+    checks = sorted({4, 12, max(built) + 6} | set(built)
+                    | {c + 2 for c in built})
+    for big_cutoff in built:
+        big = _freeness_spec(big_name, big_cutoff)
+        for small_cutoff in built:
+            small = _freeness_spec(small_name, small_cutoff)
+            for cutoff in checks:
+                rep = st.freeness_rank_check(big, small, [0], cutoff)
+                assert rep.get("cells_found") == \
+                    _filtered_cells(big, small, cutoff)
 
 
 def test_freeness_takes_small_past_its_cutoff():
@@ -664,22 +910,22 @@ def test_freeness_forms_one_product_per_big_basis_element(name,
     assert st.freeness_rank_check(big, small, cells, 32)["free"]
     monkeypatch.undo()
     assert len(products) == FREENESS_PRODUCTS[name]
-    assert len(products) <= sum(map(len, big.basis_by_degree().values()))
+    assert len(products) <= sum(map(len, _basis_by_degree(big).values()))
 
 
 @pytest.mark.parametrize("cutoff", [16, 24, 32])
-def test_quotient_primitives_match_basis_ideal(cutoff, monkeypatch):
+def test_quotient_primitives_match_basis_ideal(cutoff):
     squares = st.make_spec("C", [(1, 2)], cutoff, conjugated=False)
-    index = st.DegreeIndex(squares.ring)
+    index = DegreeIndex(squares.ring)
     for d in range(1, cutoff + 1):
-        fast = st._ideal_rewrite(squares, index, d, {})
+        fast = _ideal_rewrite(squares, index, d, {})
         slow = _basis_ideal_rewrite(squares, index, d, {})
         assert fast.rank == slow.rank
         assert all(slow.contains(row) for row in fast.rows.values())
     window = range(1, cutoff + 1)
-    fast = st.primitives(window, cutoff, quotient_by=squares)
-    monkeypatch.setattr(st, "_ideal_rewrite", _basis_ideal_rewrite)
-    assert st.primitives(window, cutoff, quotient_by=squares) == fast
+    assert st.primitives(window, cutoff, quotient_by=squares) == \
+        _span_quotient_primitives(window, cutoff, squares,
+                                  ideal_rewrite=_basis_ideal_rewrite)
 
 
 def test_closure_computes_one_coproduct_per_generator(monkeypatch):
@@ -722,7 +968,7 @@ def test_bp_n_homology_not_closed_is_invariant_error(monkeypatch, capsys):
 
 def _basis_exponents_reference(spec):
     """The recursive enumerator of the spec's basis exponents that
-    `basis_by_degree` replaced, sorted by (degree, exponent tuple)."""
+    `poly.monomials` replaced, sorted by (degree, exponent tuple)."""
     degs = spec.gen_degrees()
     out = []
     expo = [0] * len(degs)
@@ -756,7 +1002,7 @@ BASIS_SPECS = {
 def test_basis_exponents_match_recursive_enumerator(name, cutoff):
     spec = BASIS_SPECS[name](cutoff)
     expected = _basis_exponents_reference(spec)
-    by_degree = spec.basis_by_degree()
+    by_degree = _basis_by_degree(spec)
     assert [e for expos in by_degree.values() for e in expos] == expected
     degs = spec.gen_degrees()
     assert all(sum(e * g for e, g in zip(expo, degs)) == d
@@ -791,28 +1037,32 @@ QUOTIENTS = {
 
 @pytest.mark.parametrize("cutoff", [16, 24, 32])
 @pytest.mark.parametrize("name", sorted(QUOTIENTS))
-def test_primitive_representatives_match_span_loop(name, cutoff,
-                                                   monkeypatch):
+def test_primitive_representatives_match_span_loop(name, cutoff):
     spec = QUOTIENTS[name](cutoff)
-    index = st.DegreeIndex(st.xi_ring(cutoff))
+    index = DegreeIndex(st.xi_ring(cutoff))
+    profile = {} if spec is None else spec.profile()
     cache = {}
     for d in range(1, cutoff + 1):
         # no ideal: the reference keeps every monomial, as the empty span
         # must
         span = st.BitSpan() if spec is None else \
-            st._ideal_rewrite(spec, index, d, cache)
-        assert st._representatives(index.monomials(d), span) == \
-            _representatives_reference(index.monomials(d),
-                                       None if spec is None else span)
-    window = range(1, cutoff + 1)
+            _ideal_rewrite(spec, index, d, cache)
+        reps = _representatives(index.monomials(d), span)
+        assert reps == _representatives_reference(
+            index.monomials(d), None if spec is None else span)
+        # the ideal is spanned by the monomials its profile caps
+        assert reps == [m for m in index.monomials(d)
+                        if all(m[n] < p for n, p in profile.items())]
+    window = range(-1, cutoff + 1)
     fast = st.primitives(window, cutoff, quotient_by=spec)
-    monkeypatch.setattr(st, "_representatives", _representatives_reference)
-    assert st.primitives(window, cutoff, quotient_by=spec) == fast
+    assert fast == _span_quotient_primitives(window, cutoff, spec)
+    assert fast == _span_quotient_primitives(
+        window, cutoff, spec, representatives=_representatives_reference)
 
 
 def test_degree_index_positions_follow_the_shared_basis():
     ring = st.xi_ring(16)
-    index = st.DegreeIndex(ring)
+    index = DegreeIndex(ring)
     for d in range(-1, 17):
         monos = index.monomials(d)
         assert list(monos) == ring.monomials_of_weight(d)
@@ -831,7 +1081,7 @@ def _coproduct_primitives(window, cutoff):
     monomial of each degree."""
     ring = st.xi_ring(cutoff)
     H = st.dual_steenrod(len(ring.names))
-    index = st.DegreeIndex(ring)
+    index = DegreeIndex(ring)
     out = {}
     for d in window:
         if d <= 0 or d > cutoff:

@@ -3,7 +3,8 @@
 The group law is computed by the chord construction on the branch at the
 origin, entirely over the coefficient ring: no denominators ever appear.
 One construction adds any two series without constant term; F(x, y), the
-[n]-series and `FormalGroupLaw.add` are three uses of it.
+[n]-series and `FormalGroupLaw.add` are three uses of it.  Only the branch
+w(z) is built up front; i(z) and F(x, y) are built on first use.
 """
 
 from __future__ import annotations
@@ -23,55 +24,58 @@ def branch_expansion(curve: WeierstrassCurve, order: int
     """w(z) = z^3 + ... with w = -1/y, z = -x/y: the unique series solution of
     w = z^3 + a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3.
 
-    Every term on the right but z^3 has a factor z or w^2, so its degree-n
-    part depends on w through degree n - 1 only: round n, at precision n,
-    turns a solution through degree n - 1 into one through degree n.  A last
-    round at full precision must leave w as it is."""
+    Its coefficients W_k = [k = 3] + a1 W_(k-1) + a2 W_(k-2) + a3 S_k
+    + a4 S_(k-1) + a6 T_k, with S_k and T_k those of w^2 and w^3, need W_j
+    for j < k only, as W_j = 0 for j < 3.  One round of the equation at
+    full precision must leave w as it is."""
     base = curve.ring
     ring = base.extend(("z",), (0,))
-    a1, a2, a3, a4, a6 = [a.cast(ring) for a in curve.coefficients()]
-    sv = ("z",)
-
-    def step(w: TruncatedSeries, n: int) -> TruncatedSeries:
-        z = TruncatedSeries(ring.gen("z"), sv, n)
-        w = TruncatedSeries(w.poly, sv, n)
-        return (z ** 3 + a1 * (z * w) + a2 * (z * z * w)
-                + a3 * (w * w) + a4 * (z * w * w) + a6 * (w ** 3))
-
-    w = TruncatedSeries(ring.zero(), sv, 0)
-    for n in range(1, order + 1):
-        w = step(w, n)
-    if step(w, order) != w:
+    a1, a2, a3, a4, a6 = curve.coefficients()
+    zero = base.zero()
+    W, S = [zero] * (order + 1), [zero] * (order + 1)
+    terms = {}
+    for k in range(3, order + 1):
+        S[k] = sum((W[j] * W[k - j] for j in range(3, k - 2)), zero)
+        t = sum((W[j] * S[k - j] for j in range(3, k - 5)), zero)
+        W[k] = (a1 * W[k - 1] + a2 * W[k - 2] + a3 * S[k] + a4 * S[k - 1]
+                + a6 * t + int(k == 3))
+        terms.update((m + (k,), c) for m, c in W[k].terms.items())
+    w = TruncatedSeries._truncated(Polynomial(ring, terms), ("z",), order)
+    z = TruncatedSeries(ring.gen("z"), ("z",), order)
+    if (z ** 3 + a1 * (z * w) + a2 * (z * z * w) + a3 * (w * w)
+            + a4 * (z * w * w) + a6 * (w ** 3)) != w:
         raise InvariantError("branch expansion is not a fixed point")
     return w
 
 
 def fgl_from_curve(curve: WeierstrassCurve, order: int) -> "FormalGroupLaw":
     """Chord-construction formal group law, truncated past total order `order`
-    in the two series variables.  Only the branch w(z) and the formal
-    inverse i(z) are built here, both at order + 2; F(x, y) is built on
-    first use of `sum_series`."""
-    pad = order + 2
-    w = branch_expansion(curve, pad)
-    # formal inverse: i(z) = -z / (1 - a1 z - a3 w(z))
-    zring = curve.ring.extend(("z",), (0,))
-    zs = TruncatedSeries(zring.gen("z"), ("z",), pad)
-    a1z, a3z = curve.a1.cast(zring), curve.a3.cast(zring)
-    inv_series = (-zs) * (1 - a1z * zs - a3z * w).unit_inverse()
-    return FormalGroupLaw(curve, w, inv_series, order)
+    in the two series variables.  Only the branch w(z) is built here, at
+    order + 2; the formal inverse i(z) is built on first use of
+    `inverse_series`, and F(x, y) on first use of `sum_series`."""
+    return FormalGroupLaw(curve, branch_expansion(curve, order + 2), order)
 
 
 @dataclass
 class FormalGroupLaw:
+    """The formal group law of `curve` at `order`, held as its branch w(z):
+    i(z) and F(x, y) are cached on first use."""
+
     curve: WeierstrassCurve
     branch: TruncatedSeries          # w(z), series var ("z",), order + 2
-    inverse_series: TruncatedSeries  # i(z), series var ("z",), order + 2
     order: int
 
     @property
     def ring(self) -> Ring:
         """The ring of `sum_series`: the curve's ring with x and y."""
         return self.curve.ring.extend(("x", "y"), (0, 0))
+
+    @functools.cached_property
+    def inverse_series(self) -> TruncatedSeries:
+        """i(z) = -z / (1 - a1 z - a3 w(z)), series var ("z",), order + 2."""
+        w = self.branch
+        z = TruncatedSeries(w.ring.gen("z"), ("z",), w.order)
+        return -z / (1 - self.curve.a1 * z - self.curve.a3 * w)
 
     @functools.cached_property
     def sum_series(self) -> TruncatedSeries:
@@ -127,11 +131,11 @@ class FormalGroupLaw:
         lam2 = lam * lam
         c3 = 1 + a2 * lam + a4 * lam2 + a6 * (lam2 * lam)
         c2 = a1 * lam + a3 * lam2 + nu * (a2 + 2 * a4 * lam + 3 * a6 * lam2)
-        z3 = -u - v - c2 * c3.unit_inverse()
+        z3 = -u - v - c2 / c3
         # (z3, lam*z3 + nu) is on the branch, so i(z3) = -z3 / (1 - a1 z3 -
         # a3 w(z3)) with w(z3) read off the chord
         w3 = lam * z3 + nu
-        return -z3 * (1 - a1 * z3 - a3 * w3).unit_inverse()
+        return -z3 / (1 - a1 * z3 - a3 * w3)
 
     def formal_inverse(self, u: TruncatedSeries) -> TruncatedSeries:
         tr = TruncatedSeries(self.inverse_series.poly,

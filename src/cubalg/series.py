@@ -5,8 +5,8 @@ variables"; truncation order counts total degree in those variables only,
 so base-ring coefficients stay exact polynomials.
 
 Invariant: a series never stores a term above its order.  The public
-constructor drops such terms; a result that cannot have any (a bounded
-product, or a sum of two series of the same order) is wrapped as it is.
+constructor drops such terms; a result that cannot have any (a product,
+quotient, negation, or sum of two series of one order) is wrapped as is.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(-self.poly, self.series_vars, self.order)
+        return TruncatedSeries._truncated(-self.poly, self.series_vars,
+                                          self.order)
 
     def __sub__(self, other):
         joined = self._join(other)
@@ -103,6 +104,35 @@ class TruncatedSeries:
         return TruncatedSeries._truncated(prod, self.series_vars, n)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """The exact quotient, one series degree at a time: q_k = c^-1 (n_k -
+        sum_(j >= 1) d_j q_(k-j)), with d_0 = c a unit scalar."""
+        joined = self._join(other)
+        if joined is NotImplemented:
+            return NotImplemented
+        den, n = joined
+        ring, idx = self.ring, self._indices(self.ring)
+        num, den = _parts(self.poly, idx, n), _parts(ring.zero() + den, idx, n)
+        if not den[0].is_constant():
+            raise ValueError("constant term is not a scalar")
+        cinv = unit_inverse(den[0].constant_term(), ring.modulus)
+        q, out = [], {}
+        for k in range(n + 1):
+            acc = dict(num[k].terms)
+            for j in range(1, k + 1):
+                for m, c in (den[j] * q[k - j]).terms.items():
+                    acc[m] = acc.get(m, 0) - c
+            q.append(Polynomial(ring, acc) * cinv)
+            out.update(q[k].terms)
+        return TruncatedSeries._truncated(Polynomial(ring, out),
+                                          self.series_vars, n)
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, (int, Polynomial)):
+            return NotImplemented
+        return TruncatedSeries(self.ring.zero() + other, self.series_vars,
+                               self.order) / self
 
     def __pow__(self, k: int):
         if k < 0:
@@ -140,26 +170,8 @@ class TruncatedSeries:
         return ring.poly(out)
 
     def unit_inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse of a series whose series-degree-0 part is an
-        invertible constant, by Newton iteration g <- g*(2 - f*g): each step
-        doubles the precision, so it takes O(log order) products (Brent &
-        Kung, J. ACM 1978)."""
-        idx = self._indices(self.ring)
-        c0 = _series_part(self.poly, idx, 0)
-        if not c0.is_constant():
-            raise ValueError("constant term is not a scalar")
-        cinv = unit_inverse(c0.constant_term(), self.ring.modulus)
-        sv = self.series_vars
-        # if g inverts f through series degree n, then f*g = 1 - e with e
-        # of degree > n, and f*g*(2 - f*g) = 1 - e^2 with e^2 of degree
-        # > 2n + 1
-        g = TruncatedSeries._truncated(self.ring.const(cinv), sv, 0)
-        n = 0
-        while n < self.order:
-            n = min(2 * n + 1, self.order)
-            g = TruncatedSeries._truncated(g.poly, sv, n)
-            g = g * (2 - TruncatedSeries(self.poly, sv, n) * g)
-        return g
+        """1 / self, for a series whose constant term is a unit scalar."""
+        return 1 / self
 
     def substitute(self, assignments: Mapping[str, "TruncatedSeries"]
                    ) -> "TruncatedSeries":
@@ -283,7 +295,11 @@ def _drop_above(poly: Polynomial, indices, bound: int) -> Polynomial:
     return Polynomial(poly.ring, out)
 
 
-def _series_part(poly: Polynomial, indices, deg: int) -> Polynomial:
-    return Polynomial(poly.ring,
-                      {m: c for m, c in poly.terms.items()
-                       if sum(m[i] for i in indices) == deg})
+def _parts(poly: Polynomial, indices, n: int) -> list:
+    """The parts of `poly` of series degree 0, ..., n."""
+    parts = [{} for _ in range(n + 1)]
+    for m, c in poly.terms.items():
+        d = sum(m[i] for i in indices)
+        if d <= n:
+            parts[d][m] = c
+    return [Polynomial(poly.ring, p) for p in parts]

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as hst
 
 from cubalg.curves import WeierstrassCurve, universal_curve, \
     universal_curve_ring
-from cubalg.fgl import fgl_from_curve, hasse_coefficients
+from cubalg import fgl
+from cubalg.fgl import branch_expansion, fgl_from_curve, hasse_coefficients
 from cubalg.poly import parse_polynomial
 from cubalg.series import TruncatedSeries
 
@@ -168,6 +169,18 @@ def test_chord_matches_reference(modulus, order):
     assert f.sum_series.text() == sum_ref.text()
 
 
+@pytest.mark.parametrize("curve", [
+    universal_curve(), universal_curve(2), universal_curve(3),
+    WeierstrassCurve.from_constants((0, 0, 1, 0, 0)),
+    WeierstrassCurve.from_constants((1, 0, 0, -1, 0)),
+], ids=["Z", "F2", "F3", "0,0,1,0,0", "1,0,0,-1,0"])
+def test_branch_matches_reference(curve):
+    for order in range(17):
+        w = branch_expansion(curve, order)
+        _same(w, _branch_reference(curve, order))
+        assert w.order == order
+
+
 def _series(data, ring, svars, order):
     """A random series in `ring` without constant term: at most 5 terms,
     exponents at most 2 in each generator."""
@@ -230,11 +243,26 @@ def test_v1_is_the_hasse_invariant(p, expected):
     assert hasse == parse_polynomial(expected, fp)
 
 
-def test_n_series_does_not_build_the_sum_series():
+def test_n_series_does_not_build_the_sum_series(monkeypatch):
     f = fgl_from_curve(universal_curve(), 6)
-    f.n_series(3)
+    for n in range(4):
+        f.n_series(n)
+    assert "inverse_series" not in vars(f)
+    f.formal_inverse(f.n_series(2))
+    assert "inverse_series" in vars(f)
     f.n_series(-2)
     assert "sum_series" not in vars(f)
     f.check()
     assert "sum_series" in vars(f)
+    # the Hasse coefficients read the p-series only
+    built = []
 
+    def recording(curve, order):
+        built.append(fgl_from_curve(curve, order))
+        return built[-1]
+
+    monkeypatch.setattr(fgl, "fgl_from_curve", recording)
+    hasse_coefficients(universal_curve(), 2, 2)
+    hasse_coefficients(universal_curve(3), 3, 1)
+    assert len(built) == 2
+    assert all("inverse_series" not in vars(g) for g in built)

@@ -291,6 +291,57 @@ def test_unit_inverse_matches_geometric_series(data, modulus, bivariate,
     assert (f * g - 1).poly.is_zero()
 
 
+def _same(got, want):
+    assert got == want and got.poly.terms == want.poly.terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=hst.data(), modulus=hst.sampled_from([None, 2, 3, 5]),
+       bivariate=hst.booleans())
+def test_division_matches_the_geometric_series(data, modulus, bivariate):
+    if bivariate:
+        R, sv = Ring(("c", "x", "y"), (2, 0, 0), modulus), ("x", "y")
+    else:
+        R, sv = Ring(("c", "z"), (2, 0), modulus), ("z",)
+    units = [1, -1] if modulus is None else list(range(1, modulus))
+    unit = hst.sampled_from(units)
+    orders8 = hst.integers(0, 8)
+    a = _series(data, R, sv, data.draw(orders8))
+    b = _series(data, R, sv, data.draw(orders8), min_degree=1) + data.draw(
+        unit)
+    inv = _unit_inverse_reference(b)
+    _same(a / b, a * inv)
+    # int and Polynomial numerators take the denominator's order
+    k = data.draw(hst.integers(-5, 5))
+    _same(k / b, inv * k)
+    p = _series(data, R, sv, 8).poly
+    _same(p / b, TruncatedSeries(p, sv, b.order) * inv)
+    # int and Polynomial denominators take the numerator's order
+    c = data.draw(unit)
+    _same(a / c, a * unit_inverse(c, modulus))
+    _same(a / b.poly,
+          a * _unit_inverse_reference(TruncatedSeries(b.poly, sv, a.order)))
+
+
+@pytest.mark.parametrize("modulus", [None, 3])
+def test_division_needs_a_unit_constant_term(modulus):
+    R = Ring(("c", "z"), (2, 0), modulus)
+    z, c = zs(R), R.gen("c")
+    # a constant term that is not a scalar, or a scalar that is no unit:
+    # 2 over Z, and 0 or 3 (= 0 over F_3)
+    dens = [c + z, 1 + c * c + z, z, 3 * z - 3, 2 * z * z]
+    if modulus is None:
+        dens.append(2 + z)
+    for den in dens:
+        with pytest.raises(ValueError) as want:
+            _unit_inverse_reference(den)
+        for divide in (lambda: (1 + z) / den, lambda: 1 / den,
+                       lambda: R.gen("c") / den, den.unit_inverse):
+            with pytest.raises(ValueError) as got:
+                divide()
+            assert str(got.value) == str(want.value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=hst.data(), modulus=moduli, equal=hst.booleans())
 def test_arithmetic_stores_no_term_above_order(data, modulus, equal):
@@ -360,6 +411,7 @@ def test_substitute_makes_one_product_per_exponent_group(monkeypatch):
 @pytest.mark.parametrize("op", [
     lambda s: s + 1.5, lambda s: 1.5 + s, lambda s: s - 1.5,
     lambda s: 1.5 - s, lambda s: s * 1.5, lambda s: 1.5 * s,
+    lambda s: s / 1.5, lambda s: 1.5 / s,
 ])
 def test_unsupported_operand_is_pythons_type_error(R, op):
     with pytest.raises(TypeError, match="unsupported operand"):

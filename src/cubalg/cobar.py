@@ -140,39 +140,58 @@ class CobarComplex:
     # -- differential ------------------------------------------------------
 
     def _differential(self, s: int) -> List[Dict[int, int]]:
+        """d_s as its columns.  Each face is worked out once per input and
+        kept in a table local to this call, its terms in the order they are
+        added: face 0 once per A-monomial, faces 1..s once per slot
+        monomial, face s+1 once per comodule label, with its sign."""
         H = self.H
         mod = H.gamma.modulus
         index = {b: i for i, b in enumerate(self.bases[s + 1])}
+        # face 0: the terms delta_a . eps of eta_R(a) with eps nonconstant
+        face0: Dict[tuple, List[tuple]] = {}
+        # faces 1..s: the terms c . p (x) q of Delta(m), p and q nonconstant
+        inner: Dict[tuple, List[tuple]] = {}
+        # face s+1: the terms (-1)^(s+1) c . eps (x) label' of the coaction
+        outer: Dict[str, List[tuple]] = {}
+        last_sign = -1 if (s + 1) % 2 else 1
         cols: List[Dict[int, int]] = []
         for amono, slots, label in self.bases[s]:
             acc: Dict[tuple, int] = {}
-
-            def add(target: tuple, c: int):
-                if c:
-                    acc[target] = acc.get(target, 0) + c
-
-            # face 0: left coefficient through eta_R into a fresh slot
-            for mono, c in H.eta_R_monomial(amono).terms.items():
-                delta_a, eps = H.split(mono)
-                if any(eps):
-                    add((delta_a, (eps,) + slots, label), c)
-            # faces 1..s: Delta on slot i
-            for i, m in enumerate(slots):
-                sign = -1 if (i + 1) % 2 else 1
-                for c, p, q in H.delta_monomial(m):
-                    if any(p) and any(q):
-                        new = slots[:i] + (p, q) + slots[i + 1:]
-                        add((amono, new, label), sign * c)
-            # face s+1: coaction on the comodule element
-            sign = -1 if (s + 1) % 2 else 1
-            for gamma, label2 in self.M.coaction[label]:
-                for mono, c in gamma.terms.items():
-                    a, eps = H.split(mono)
-                    if any(a):
-                        raise NotImplementedError(
-                            "coaction with A-coefficients unsupported")
+            terms = face0.get(amono)
+            if terms is None:
+                terms = face0[amono] = []
+                for mono, c in H.eta_R_monomial(amono).terms.items():
+                    delta_a, eps = H.split(mono)
                     if any(eps):
-                        add((amono, slots + (eps,), label2), sign * c)
+                        terms.append((delta_a, eps, c))
+            for delta_a, eps, c in terms:
+                target = (delta_a, (eps,) + slots, label)
+                acc[target] = acc.get(target, 0) + c
+            for i, m in enumerate(slots):
+                terms = inner.get(m)
+                if terms is None:
+                    terms = inner[m] = [(p, q, c) for c, p, q
+                                        in H.delta_monomial(m)
+                                        if any(p) and any(q)]
+                sign = -1 if (i + 1) % 2 else 1
+                head, tail = slots[:i], slots[i + 1:]
+                for p, q, c in terms:
+                    target = (amono, head + (p, q) + tail, label)
+                    acc[target] = acc.get(target, 0) + sign * c
+            terms = outer.get(label)
+            if terms is None:
+                terms = outer[label] = []
+                for gamma, label2 in self.M.coaction[label]:
+                    for mono, c in gamma.terms.items():
+                        a, eps = H.split(mono)
+                        if any(a):
+                            raise NotImplementedError(
+                                "coaction with A-coefficients unsupported")
+                        if any(eps):
+                            terms.append((eps, label2, last_sign * c))
+            for eps, label2, c in terms:
+                target = (amono, slots + (eps,), label2)
+                acc[target] = acc.get(target, 0) + c
             if mod:
                 acc = {t: c % mod for t, c in acc.items()}
             cols.append({index[t]: c for t, c in acc.items() if c})

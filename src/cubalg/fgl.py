@@ -32,13 +32,18 @@ def branch_expansion(curve: WeierstrassCurve, order: int
     ring = base.extend(("z",), (0,))
     a1, a2, a3, a4, a6 = curve.coefficients()
     zero = base.zero()
+
+    def times(x: Polynomial, y: Polynomial) -> Polynomial:
+        # a product with a zero factor is zero: no product is formed
+        return zero if x.is_zero() or y.is_zero() else x * y
+
     W, S = [zero] * (order + 1), [zero] * (order + 1)
     terms = {}
     for k in range(3, order + 1):
-        S[k] = sum((W[j] * W[k - j] for j in range(3, k - 2)), zero)
-        t = sum((W[j] * S[k - j] for j in range(3, k - 5)), zero)
-        W[k] = (a1 * W[k - 1] + a2 * W[k - 2] + a3 * S[k] + a4 * S[k - 1]
-                + a6 * t + int(k == 3))
+        S[k] = sum((times(W[j], W[k - j]) for j in range(3, k - 2)), zero)
+        t = sum((times(W[j], S[k - j]) for j in range(3, k - 5)), zero)
+        W[k] = (times(a1, W[k - 1]) + times(a2, W[k - 2]) + times(a3, S[k])
+                + times(a4, S[k - 1]) + times(a6, t) + int(k == 3))
         terms.update((m + (k,), c) for m, c in W[k].terms.items())
     w = TruncatedSeries._truncated(Polynomial(ring, terms), ("z",), order)
     z = TruncatedSeries(ring.gen("z"), ("z",), order)

@@ -49,6 +49,9 @@ class HopfAlgebroidPresentation:
     chi_gamma: Dict[str, Polynomial]     # gamma generator -> Gamma
     reduce_hook: Optional[Callable[[Polynomial], Polynomial]] = None
     notes: List[str] = field(default_factory=list)
+    # the report of the `verify_or_raise` that passed, when one has run
+    axioms: Dict[str, bool] = field(default_factory=dict, init=False,
+                                    repr=False)
 
     _tensor_rings: Dict[int, Ring] = field(default_factory=dict,
                                            init=False, repr=False)
@@ -265,11 +268,14 @@ class HopfAlgebroidPresentation:
         return out
 
     def verify_or_raise(self) -> Dict[str, bool]:
+        """`verify`, raising InvariantError on a failed axiom; a passing
+        report is kept as `axioms`."""
         report = self.verify()
         bad = [k for k, v in report.items() if not v]
         if bad:
             raise InvariantError("presentation %r fails axioms: %s"
                                  % (self.name, ", ".join(bad)))
+        self.axioms = report
         return report
 
 
@@ -340,9 +346,12 @@ def synthesize_weierstrass_algebroid() -> HopfAlgebroidPresentation:
     return H
 
 
+@functools.lru_cache(maxsize=None)
 def builtin_algebroid(name: str) -> HopfAlgebroidPresentation:
     """Named presentations: "mqd" (quadratic divisors), "z2_group"
-    (functions on the group Z/2), "weierstrass" (synthesized)."""
+    (functions on the group Z/2), "weierstrass" (synthesized).  Each is
+    built and verified once per process and shared by every call, so
+    callers only read it; a failed build raises and is not kept."""
     if name == "weierstrass":
         return synthesize_weierstrass_algebroid()
     if name == "mqd":

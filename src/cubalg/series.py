@@ -121,6 +121,8 @@ class TruncatedSeries:
         for k in range(n + 1):
             acc = dict(num[k].terms)
             for j in range(1, k + 1):
+                if den[j].is_zero() or q[k - j].is_zero():
+                    continue
                 for m, c in (den[j] * q[k - j]).terms.items():
                     acc[m] = acc.get(m, 0) - c
             q.append(Polynomial(ring, acc) * cinv)

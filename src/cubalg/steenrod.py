@@ -430,7 +430,9 @@ def _quotient_primitives(window: Sequence[int], cutoff: int,
     ideal A . C+.  By C's profile that ideal is spanned by the capped
     monomials, those with e_n >= p_n for some n (`SubalgebraSpec.profile`),
     so the representatives are the monomials that are not capped, and
-    reduction drops a term when either leg is capped."""
+    reduction drops a term when either leg is capped.  The right leg's test
+    is needed: in F_2[xi2, xi3]/(xi2^4, xi3^2), caps p_n = 1, 4, 2, 1, ...
+    xi3 is primitive only because xi1 caps the right leg of xi2^2 (x) xi1."""
     ring = xi_ring(cutoff)
     H = dual_steenrod(len(ring.names))
     # a cap on an xi beyond the ring lies above the cutoff

@@ -8,7 +8,7 @@ from cubalg.curves import WeierstrassCurve, universal_curve, \
     universal_curve_ring
 from cubalg import fgl
 from cubalg.fgl import branch_expansion, fgl_from_curve, hasse_coefficients
-from cubalg.poly import parse_polynomial
+from cubalg.poly import Polynomial, parse_polynomial
 from cubalg.series import TruncatedSeries
 
 
@@ -266,3 +266,27 @@ def test_n_series_does_not_build_the_sum_series(monkeypatch):
     hasse_coefficients(universal_curve(3), 3, 1)
     assert len(built) == 2
     assert all("inverse_series" not in vars(g) for g in built)
+
+
+def test_no_polynomial_product_has_a_zero_factor(monkeypatch):
+    # the division recurrence and the branch recurrence skip d_j q_(k-j),
+    # W_j W_(k-j), W_j S_(k-j) and a_i W_j when a factor is zero
+    mul = Polynomial.__mul__
+    zero_factor = []
+
+    def checking(self, other):
+        if isinstance(other, Polynomial) and (self.is_zero()
+                                              or other.is_zero()):
+            zero_factor.append((self.text(), other.text()))
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", checking)
+    curves = [universal_curve(),
+              WeierstrassCurve.from_constants((0, 0, 1, 0, 0)),
+              WeierstrassCurve.from_constants((1, 0, 0, -1, 0))]
+    for curve in curves:
+        f = fgl_from_curve(curve, 8)
+        f.n_series(3)
+        f.formal_inverse(f.n_series(2))
+    hasse_coefficients(universal_curve(3), 3, 2)
+    assert zero_factor == []

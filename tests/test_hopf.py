@@ -1,3 +1,6 @@
+import contextlib
+import io
+
 import pytest
 
 from cubalg import InvariantError
@@ -40,6 +43,33 @@ def test_eta_r_monomial_matches_eta_r(name):
     assert H.eta_R_monomial((0,) * len(H.A.names)) == H.gamma.one()
 
 
+@pytest.mark.parametrize("name", ["weierstrass", "mqd", "z2_group"])
+def test_builtin_algebroid_is_built_once(name):
+    H = builtin_algebroid(name)
+    assert builtin_algebroid(name) is H
+    assert H.axioms == H.verify() and all(H.axioms.values())
+
+
+def _structure_texts(H):
+    return ({n: p.text() for n, p in H.eta_r.items()},
+            {n: p.text() for n, p in H.delta.items()},
+            {n: p.text() for n, p in H.chi_gamma.items()})
+
+
+def test_cli_leaves_the_shared_presentation_as_built():
+    # the hopf verbs only read the shared presentation: its structure
+    # maps after they ran equal a fresh build's
+    for argv in (["hopf", "synthesize"],
+                 ["hopf", "cobar", "--extended", "6"],
+                 ["hopf", "h0"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert dispatch(argv) == 0
+    shared = builtin_algebroid("weierstrass")
+    fresh = synthesize_weierstrass_algebroid()
+    assert fresh is not shared
+    assert _structure_texts(shared) == _structure_texts(fresh)
+
+
 def test_synthesis_is_deterministic():
     a = synthesize_weierstrass_algebroid()
     b = synthesize_weierstrass_algebroid()
@@ -78,16 +108,22 @@ def test_ku_cp2_involution():
 
 
 def test_failed_axiom_is_invariant_error(monkeypatch):
+    # builtin_algebroid keeps what it built: start from a fresh build
+    builtin_algebroid.cache_clear()
     monkeypatch.setattr(HopfAlgebroidPresentation, "verify",
                         lambda self: {"antipode_laws": False})
     with pytest.raises(InvariantError, match="fails axioms: antipode_laws"):
         builtin_algebroid("mqd")
     assert dispatch(["hopf", "synthesize", "--algebroid", "mqd"]) \
         == EXIT_INVARIANT
+    # a failed build is not kept: the next call builds and verifies again
+    monkeypatch.undo()
+    assert all(builtin_algebroid("mqd").axioms.values())
 
 
 def test_composition_mismatch_is_invariant_error(monkeypatch):
     # a "composite" that drops the second change cannot match two steps
+    builtin_algebroid.cache_clear()
     monkeypatch.setattr(CoordinateChange, "compose",
                         lambda self, second: self)
     with pytest.raises(InvariantError, match="composition mismatch"):

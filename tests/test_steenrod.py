@@ -185,10 +185,22 @@ def _profile_primitives(profile):
     return out
 
 
+def _profile_021_spec(cutoff):
+    """Profile exponents (0, 2, 1, 0, ...): the quotient Hopf algebra
+    F_2[xi2, xi3]/(xi2^4, xi3^2) (each Delta(xi_n^(p_n)) has a capped leg
+    in every term).  xi3 is primitive in it only because the right leg xi1
+    of the term xi2^2 (x) xi1 is capped."""
+    return st.make_spec("C(0,2,1)", [(1, 1), (2, 4), (3, 2), (4, 1)],
+                        cutoff)
+
+
 # the profile quotients by name: A//H(ko) = A(1)_*, A//H(tmf) = A(2)_* and
 # A//H(BP<n>) = E(n)_*, with the primitives dual to their algebra
-# generators Sq^1, Sq^2 (, Sq^4), and Q_0, ..., Q_n
+# generators Sq^1, Sq^2 (, Sq^4), and Q_0, ..., Q_n; and the quotient of
+# profile (0, 2, 1), dual to the algebra generated by the Milnor basis
+# elements P^0_2 = Q_1, P^1_2 and P^0_3 = Q_2
 PROFILE_QUOTIENTS = {
+    "profile_021": (_profile_021_spec, ["xi2", "xi2^2", "xi3"]),
     "ko": (st.ko_spec, ["xi1", "xi1^2"]),
     "tmf": (st.tmf_spec, ["xi1", "xi1^2", "xi1^4"]),
     "bp0": (lambda c: st.bp_n_homology(0, c), ["xi1"]),
@@ -209,6 +221,26 @@ def test_profile_quotient_primitives(name, cutoff):
     pr = st.primitives(range(1, cutoff + 1), cutoff, quotient_by=spec)
     assert {d: v for d, v in pr.items() if v} == {
         parse_polynomial(x, ring).weight(): [x] for x in expected}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_QUOTIENTS))
+def test_profile_ideals_are_hopf_ideals(name):
+    # every term of Delta(xi_n^(p_n)) has a capped leg, so J = (xi_n^(p_n))
+    # is a Hopf ideal and A_*/J a quotient Hopf algebra
+    cutoff = 32
+    profile = PROFILE_QUOTIENTS[name][0](cutoff).profile()
+    ring = st.xi_ring(cutoff)
+    H = st.dual_steenrod(len(ring.names))
+
+    def capped(mono):
+        return any(mono[n] >= p for n, p in profile.items())
+
+    for n, p in profile.items():
+        g = ring.gen(ring.names[n]) ** p
+        if g.max_weight() <= cutoff:
+            for mono in st.coproduct(g, cutoff).terms:
+                _, left, right = H.split(mono)
+                assert capped(left) or capped(right), (n, p, mono)
 
 
 def test_a_quotient_that_is_no_profile_quotient_is_rejected():
@@ -1032,6 +1064,7 @@ QUOTIENTS = {
     "ko": st.ko_spec,
     "tmf": st.tmf_spec,
     "bp1": lambda c: st.bp_n_homology(1, c),
+    "profile_021": _profile_021_spec,
 }
 
 

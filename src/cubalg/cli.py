@@ -309,13 +309,19 @@ def cmd_hopf_kucp2(args) -> int:
 
 
 def _xi_generator(args):
-    """xi_k through the cutoff, for 1 <= k <= the generator count there."""
+    """xi_k through the cutoff, for 1 <= k <= the generator count there and
+    |xi_k| = 2^k - 1 <= the cutoff (the ring at cutoff 0 still holds
+    xi_1)."""
     from . import steenrod as st
 
     ring = st.xi_ring(args.cutoff)
     if not 1 <= args.k <= len(ring.names):
         raise ValueError("k must be in 1..%d at cutoff %d, got %d"
                          % (len(ring.names), args.cutoff, args.k))
+    degree = (1 << args.k) - 1
+    if degree > args.cutoff:
+        raise ValueError("xi%d has degree %d, above the cutoff %d"
+                         % (args.k, degree, args.cutoff))
     return ring.gen("xi%d" % args.k)
 
 

@@ -4,8 +4,14 @@ closure, primitives, graded freeness, and the uniqueness probes.
 The algebra is Z/2[xi1, xi2, ...] with |xi_i| = 2^i - 1 (single grading);
 only the generators needed for a given degree cutoff are instantiated.
 Through xi_k it is the Hopf algebroid presentation `dual_steenrod(k)` over
-A = F_2, whose structure maps give the coproduct and conjugation and whose
-`split` reads the slots of a tensor-square monomial.
+A = F_2, whose structure maps give the conjugation and whose `split` reads
+the slots of a tensor-square monomial.  `coproduct` takes the Frobenius
+root first: over F_2, x = r^(2^j) with r found by dividing exponents, and
+Delta(x) is Delta(r) with its exponents times 2^j.  Delta(r) comes from a
+table of Delta chi(xi_n), built once per generator count from the
+recursion that defines chi, when r is a conjugate chi(xi_n) (the root of
+every generator `make_spec` builds), and from the structure maps
+otherwise.
 Membership in a subalgebra spec is leading-term reduction in its triangular
 basis (`SubalgebraSpec.coordinates`).  The same leading terms give the
 profile that presents a quotient A//C by monomials (`SubalgebraSpec.profile`)
@@ -73,12 +79,63 @@ def dual_steenrod(k: int) -> HopfAlgebroidPresentation:
     return H
 
 
+def _frobenius(terms: Dict[tuple, int], j: int) -> Dict[tuple, int]:
+    """The terms of p^(2^j) over F_2 from those of p: every exponent times
+    2^j, since squaring adds no cross terms and c^2 = c.  For j < 0, the
+    terms of the 2^-j-th root, which exists when 2^-j divides every
+    exponent."""
+    if j < 0:
+        return {tuple(e >> -j for e in m): c for m, c in terms.items()}
+    return {tuple(e << j for e in m): c for m, c in terms.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _conjugate_coproducts(k: int) -> Dict[frozenset, Polynomial]:
+    """{the monomials of chi(xi_n): Delta chi(xi_n)} for 1 <= n <= k, from
+    Delta applied to the recursion that defines chi in `dual_steenrod`:
+    Delta chi(xi_n) = sum_{i<n} Delta(xi_{n-i})^(2^i) Delta chi(xi_i).
+    Built once per k, on first use; shared, so callers only read it."""
+    H = dual_steenrod(k)
+    t2 = H.tensor_ring(2)
+    deltas = [t2.one()] + [H.delta[n] for n in H.gamma_names]
+    dchis = [t2.one()]                          # Delta chi(xi_0) = 1
+    for n in range(1, k + 1):
+        dchis.append(sum(
+            (Polynomial(t2, _frobenius(deltas[n - i].terms, i)) * dchis[i]
+             for i in range(n)), t2.zero()))
+    return {frozenset(H.chi_gamma[name].terms): d
+            for name, d in zip(H.gamma_names, dchis[1:])}
+
+
 def coproduct(x: Polynomial, cutoff: int) -> Polynomial:
     """Delta(x) in the two-slot tensor ring of `dual_steenrod`, for x of
-    degree <= cutoff."""
+    degree <= cutoff.
+
+    Over F_2, x = r^(2^j) for the largest 2^j dividing every exponent of
+    x, so Delta(x) is Delta(r) with every exponent times 2^j (`_frobenius`;
+    Delta is a ring map).  Delta(r) comes from the table of Delta
+    chi(xi_n) when r is a conjugate chi(xi_n), as every generator
+    `make_spec` builds is, and from the structure maps otherwise."""
     if x.max_weight() > cutoff:
-        raise ValueError("element degree exceeds cutoff")
-    return dual_steenrod(gen_count(cutoff)).delta_map(x)
+        raise ValueError("element degree %d exceeds the cutoff %d"
+                         % (x.max_weight(), cutoff))
+    H = dual_steenrod(gen_count(cutoff))
+    g = H.gamma
+    if not (g.extends(x.ring) or x.ring.extends(g)):
+        return H.delta_map(x)
+    # into the exponent width of g: generators past it lie above the cutoff
+    k = len(g.names)
+    terms = {(m + (0,) * k)[:k]: c for m, c in x.terms.items()}
+    low = 0
+    for m in terms:
+        for e in m:
+            low |= e
+    j = (low & -low).bit_length() - 1 if low else 0
+    root = _frobenius(terms, -j)
+    dr = _conjugate_coproducts(k).get(frozenset(root))
+    if dr is None:
+        dr = H.delta_map(Polynomial(g, root))
+    return Polynomial(dr.ring, _frobenius(dr.terms, j))
 
 
 def conjugate(x: Polynomial) -> Polynomial:
@@ -573,10 +630,14 @@ def uniqueness_probe(case: str, prim: Optional[Dict[int, List[str]]] = None
             # membership in A (x) F2{xi1^8} requires every right leg to be
             # the monomial xi1^8
             if right != (8,) + (0,) * (len(ring.names) - 1):
-                bad_terms.append((monomial_text(ring.names, left),
-                                  monomial_text(ring.names, right)))
+                bad_terms.append((dl, left, right))
+        # the first three by left-leg degree, then by exponents: an order
+        # that does not depend on how Delta was formed
         report["degree12_witness"] = {
             "element": "xi1^6*xibar2^2",
             "primitive_mod_xi1^8": not bad_terms,
-            "offending_terms": bad_terms[:3]}
+            "offending_terms": [
+                (monomial_text(ring.names, left),
+                 monomial_text(ring.names, right))
+                for _, left, right in sorted(bad_terms)[:3]]}
     return report

@@ -115,6 +115,91 @@ def test_coproduct_and_conjugate_match_milnor_reference():
         assert st.conjugate(x) == x.map_gens(ring, chi)
 
 
+# Delta through Frobenius roots and the table of Delta chi(xi_n), against
+# Delta through the structure maps
+
+
+def test_conjugate_coproduct_table_matches_the_ring_map():
+    k = st.gen_count(256)
+    assert k == 8
+    H = st.dual_steenrod(k)
+    table = st._conjugate_coproducts(k)
+    assert st._conjugate_coproducts(k) is table and len(table) == k
+    for n in range(1, k + 1):
+        chi = H.chi_gamma["xi%d" % n]
+        got = table[frozenset(chi.terms)]
+        ref = H.delta_map(chi)
+        assert got.ring is ref.ring and got.terms == ref.terms
+
+
+def _assert_coproduct_is_the_ring_map(x, cutoff):
+    ref = st.dual_steenrod(st.gen_count(cutoff)).delta_map(x)
+    got = st.coproduct(x, cutoff)
+    assert got.ring is ref.ring and got.terms == ref.terms
+
+
+@pytest.mark.parametrize("cutoff", [16, 64])
+def test_coproduct_of_every_generator_power(cutoff):
+    # xi_n^(2^j) and chi(xi_n)^(2^j): the roots xi_n (n >= 2) are not in
+    # the table, and chi(xi_n) are
+    ring = st.xi_ring(cutoff)
+    for n, deg in enumerate(ring.weights, start=1):
+        q = 1
+        while deg * q <= cutoff:
+            for base in (ring.gen("xi%d" % n), st.conjugate(ring.gen(
+                    "xi%d" % n))):
+                _assert_coproduct_is_the_ring_map(base ** q, cutoff)
+            q <<= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hst.data())
+def test_coproduct_matches_the_ring_map(data):
+    cutoff = data.draw(hst.sampled_from([16, 64]))
+    # a ring of fewer, as many or more xi generators than the cutoff's
+    ring = st.xi_ring(data.draw(hst.sampled_from(
+        [cutoff // 4, cutoff, 2 * cutoff])))
+    q = 1 << data.draw(hst.integers(0, 3))
+    if data.draw(hst.booleans()):
+        top = max(n for n, w in enumerate(ring.weights, start=1)
+                  if w * q <= cutoff)
+        n = data.draw(hst.integers(1, top))
+        x = st.conjugate(ring.gen("xi%d" % n)) ** q
+    else:
+        d = data.draw(hst.integers(1, cutoff // q))
+        monos = data.draw(hst.lists(hst.sampled_from(
+            monomials(ring.weights, d)), min_size=1, max_size=5))
+        x = ring.zero()
+        for m in monos:
+            x = x + ring.poly({m: 1})
+        x = x ** q
+    _assert_coproduct_is_the_ring_map(x, cutoff)
+
+
+def test_coproduct_of_an_element_above_the_cutoff_names_both_degrees():
+    x = st.xi_ring(64).gen("xi3") ** 2
+    with pytest.raises(ValueError, match="^element degree 14 exceeds the "
+                       "cutoff 13$"):
+        st.coproduct(x, 13)
+
+
+def test_closure_of_the_named_specs_forms_no_ring_map(monkeypatch):
+    specs = [st.tmf_spec(64), st.bp_n_homology(2, 64), st.ko_spec(64),
+             st.bp_n_homology(1, 64)]
+    st._conjugate_coproducts(st.gen_count(64))
+    calls = []
+    map_gens = Polynomial.map_gens
+
+    def counting(self, target, images):
+        calls.append(self)
+        return map_gens(self, target, images)
+
+    monkeypatch.setattr(Polynomial, "map_gens", counting)
+    for spec in specs:
+        assert st.comodule_closure_check(spec, 64)["closed"]
+    assert calls == []
+
+
 def test_primitives_of_A():
     pr = st.primitives(range(1, 17), 16)
     found = {d: v for d, v in pr.items() if v}
@@ -338,7 +423,10 @@ def test_uniqueness_probe_tmf():
     assert rep["forced_generator"] == "xi1^8"
     wit = rep["degree12_witness"]
     assert not wit["primitive_mod_xi1^8"]
-    assert wit["offending_terms"]
+    # the first three by left-leg degree, then by exponents
+    assert wit["offending_terms"] == [("xi1^2", "xi1^4*xi2^2"),
+                                      ("xi1^4", "xi1^2*xi2^2"),
+                                      ("xi2^2", "xi1^6")]
 
 
 def test_a2_pattern():

@@ -309,19 +309,15 @@ def cmd_hopf_kucp2(args) -> int:
 
 
 def _xi_generator(args):
-    """xi_k through the cutoff, for 1 <= k <= the generator count there and
-    |xi_k| = 2^k - 1 <= the cutoff (the ring at cutoff 0 still holds
-    xi_1)."""
+    """xi_k through the cutoff, for 1 <= k <= K, the largest K with
+    |xi_K| = 2^K - 1 <= the cutoff (K = 0 at cutoff 0)."""
     from . import steenrod as st
 
     ring = st.xi_ring(args.cutoff)
-    if not 1 <= args.k <= len(ring.names):
+    top = (args.cutoff + 1).bit_length() - 1
+    if not 1 <= args.k <= top:
         raise ValueError("k must be in 1..%d at cutoff %d, got %d"
-                         % (len(ring.names), args.cutoff, args.k))
-    degree = (1 << args.k) - 1
-    if degree > args.cutoff:
-        raise ValueError("xi%d has degree %d, above the cutoff %d"
-                         % (args.k, degree, args.cutoff))
+                         % (top, args.cutoff, args.k))
     return ring.gen("xi%d" % args.k)
 
 

@@ -14,8 +14,10 @@ The cosimplicial faces are
 where face_0 inserts a unit slot (turning the left coefficient into eta_R,
 by the middle relation), face_i applies Delta to slot i, and face_{s+1}
 applies the coaction to b.  Terms acquiring a constant slot are dropped
-(normalization).  Delta images and coactions must be free of A-generators
--- true for every built-in presentation; any other raises
+(normalization), so a comodule keeps only its reduced coaction
+psi(b) - 1 (x) b, as (coefficient, gamma exponents, label) triples whose
+exponents fill the new last slot as they are.  Delta images must be free
+of A-generators -- true for every built-in presentation; any other raises
 NotImplementedError -- so no coefficient ever has to be moved across an
 interior slot.
 
@@ -37,30 +39,22 @@ from . import InvariantError
 from .chart import BigradedChart
 from .hopf import HopfAlgebroidPresentation
 from .intlinalg import field_rank, invariant_factors, p_local_part
-from .poly import Polynomial, is_prime, monomial_text
+from .poly import is_prime, monomial_text
 
 
 @dataclass
 class Comodule:
-    """Graded comodule with finite listed basis; the coaction sends a basis
-    element to a sum of (gamma element) (x) (basis element)."""
+    """Graded comodule with finite listed basis, kept by its reduced
+    coaction psi(b) - 1 (x) b: for each basis label, the terms
+    c . eps (x) b' as triples (c, eps, b'), eps the exponents of a
+    nonconstant pure gamma monomial."""
     basis: List[Tuple[str, int]]                       # (label, weight)
-    coaction: Dict[str, List[Tuple[Polynomial, str]]]  # label -> [(gamma, l')]
+    coaction: Dict[str, List[Tuple[int, tuple, str]]]  # (c, eps, label')
 
 
-def trivial_comodule(H: HopfAlgebroidPresentation, gen_weight: int = 0
-                     ) -> Comodule:
-    return Comodule(basis=[("1", gen_weight)],
-                    coaction={"1": [(H.gamma.one(), "1")]})
-
-
-def sign_comodule(H: HopfAlgebroidPresentation, gen_weight: int) -> Comodule:
-    """Rank-1 comodule with coaction (1 - 2d) (x) gen: the sign
-    representation of the Z/2-group algebroid."""
-    g = H.gamma
-    gamma = g.one() - 2 * g.gen(H.gamma_names[0])
-    return Comodule(basis=[("1", gen_weight)],
-                    coaction={"1": [(gamma, "1")]})
+def trivial_comodule() -> Comodule:
+    """A itself in weight 0: its reduced coaction is zero."""
+    return Comodule(basis=[("1", 0)], coaction={"1": []})
 
 
 def extended_comodule(H: HopfAlgebroidPresentation, max_weight: int
@@ -70,15 +64,14 @@ def extended_comodule(H: HopfAlgebroidPresentation, max_weight: int
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0, got %d" % max_weight)
     basis: List[Tuple[str, int]] = []
-    coaction: Dict[str, List[Tuple[Polynomial, str]]] = {}
+    coaction: Dict[str, List[Tuple[int, tuple, str]]] = {}
     names = H.gamma_names
     for w in range(max_weight + 1):
         for m in H.gamma_monomials(w, nonconstant=(w != 0)):
             label = monomial_text(names, m)
             basis.append((label, w))
-            coaction[label] = [
-                (H.gamma.poly({H.join((p,)): c}), monomial_text(names, q))
-                for c, p, q in H.delta_monomial(m)]
+            coaction[label] = [(c, p, monomial_text(names, q))
+                               for c, p, q in H.delta_monomial(m) if any(p)]
     basis.sort(key=lambda bw: (bw[1], bw[0]))
     return Comodule(basis=basis, coaction=coaction)
 
@@ -140,10 +133,10 @@ class CobarComplex:
     # -- differential ------------------------------------------------------
 
     def _differential(self, s: int) -> List[Dict[int, int]]:
-        """d_s as its columns.  Each face is worked out once per input and
+        """d_s as its columns.  Faces 0..s are worked out once per input and
         kept in a table local to this call, its terms in the order they are
         added: face 0 once per A-monomial, faces 1..s once per slot
-        monomial, face s+1 once per comodule label, with its sign."""
+        monomial; face s+1 reads the reduced coaction of the label."""
         H = self.H
         mod = H.gamma.modulus
         index = {b: i for i, b in enumerate(self.bases[s + 1])}
@@ -151,8 +144,6 @@ class CobarComplex:
         face0: Dict[tuple, List[tuple]] = {}
         # faces 1..s: the terms c . p (x) q of Delta(m), p and q nonconstant
         inner: Dict[tuple, List[tuple]] = {}
-        # face s+1: the terms (-1)^(s+1) c . eps (x) label' of the coaction
-        outer: Dict[str, List[tuple]] = {}
         last_sign = -1 if (s + 1) % 2 else 1
         cols: List[Dict[int, int]] = []
         for amono, slots, label in self.bases[s]:
@@ -178,20 +169,9 @@ class CobarComplex:
                 for p, q, c in terms:
                     target = (amono, head + (p, q) + tail, label)
                     acc[target] = acc.get(target, 0) + sign * c
-            terms = outer.get(label)
-            if terms is None:
-                terms = outer[label] = []
-                for gamma, label2 in self.M.coaction[label]:
-                    for mono, c in gamma.terms.items():
-                        a, eps = H.split(mono)
-                        if any(a):
-                            raise NotImplementedError(
-                                "coaction with A-coefficients unsupported")
-                        if any(eps):
-                            terms.append((eps, label2, last_sign * c))
-            for eps, label2, c in terms:
+            for c, eps, label2 in self.M.coaction[label]:
                 target = (amono, slots + (eps,), label2)
-                acc[target] = acc.get(target, 0) + c
+                acc[target] = acc.get(target, 0) + last_sign * c
             if mod:
                 acc = {t: c % mod for t, c in acc.items()}
             cols.append({index[t]: c for t, c in acc.items() if c})
@@ -252,13 +232,12 @@ class CobarComplex:
 def twist_comodule(H: HopfAlgebroidPresentation, j: int) -> Comodule:
     """The comodule whose strand-2j cobar computes H^*(omega^j): for graded
     algebroids the trivial comodule (the twist is the weight strand); for
-    the Z/2-group algebroid the parity of j selects trivial or sign
-    coefficients, with the generator placed in weight 2j."""
+    the Z/2-group algebroid the generator sits in weight 2j, with the sign
+    coaction 1 - 2d when j is odd and the trivial one when j is even."""
     if H.name == "z2_group":
-        if j % 2:
-            return sign_comodule(H, 2 * j)
-        return trivial_comodule(H, 2 * j)
-    return trivial_comodule(H)
+        return Comodule(basis=[("1", 2 * j)],
+                        coaction={"1": [(-2, (1,), "1")] if j % 2 else []})
+    return trivial_comodule()
 
 
 def cobar_cohomology(H: HopfAlgebroidPresentation, twists: Sequence[int],

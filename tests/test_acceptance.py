@@ -152,7 +152,7 @@ def test_criterion_7_hopf_algebroids():
     for H in (W, builtin_algebroid("mqd")):
         oracle = invariants_h0(H, range(-12, 13))
         for j in range(-12, 13):
-            cx = CobarComplex(H, trivial_comodule(H), 2 * j, 0)
+            cx = CobarComplex(H, trivial_comodule(), 2 * j, 0)
             rank, torsion = cx.cohomology()[0]
             ok = ok and rank == len(oracle[j]) and torsion == []
         M = extended_comodule(H, 8)

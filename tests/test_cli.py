@@ -310,9 +310,10 @@ def test_dispatch_builds_the_parser_once():
     ["steenrod", "primitives", "--cutoff", "-1"],
     ["steenrod", "primitives", "--window", "64..64", "--cutoff", "32"],
     ["steenrod", "conjugate", "--k", "1", "--cutoff", "-1"],
-    # the ring at cutoff 0 holds xi1, of degree 1
+    # no xi_k has degree 2^k - 1 <= 0: the range at cutoff 0 is empty
     ["steenrod", "conjugate", "--k", "1", "--cutoff", "0"],
     ["steenrod", "coproduct", "--k", "1", "--cutoff", "0"],
+    ["steenrod", "conjugate", "--k", "2", "--cutoff", "0"],
 ], ids=" ".join)
 def test_bad_prime_or_bound_exits_2(argv, capsys):
     # --prime 0 is not the default prime 2: it is rejected like any non-prime
@@ -320,7 +321,8 @@ def test_bad_prime_or_bound_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("cubalg: error: ")
     if argv[-2:] == ["--cutoff", "0"]:
-        assert err == "cubalg: error: xi1 has degree 1, above the cutoff 0\n"
+        assert err == "cubalg: error: k must be in 1..0 at cutoff 0, " \
+            "got %s\n" % argv[argv.index("--k") + 1]
 
 
 @pytest.mark.parametrize("argv", [["descent", "--degrees="],

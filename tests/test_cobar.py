@@ -8,7 +8,7 @@ from cubalg.cobar import (CobarComplex, cobar_cohomology,
 from cubalg.hopf import (builtin_algebroid, invariants_h0,
                          synthesize_weierstrass_algebroid)
 from cubalg.intlinalg import homology, p_local_part
-from cubalg.poly import Ring
+from cubalg.poly import Ring, monomial_text
 from cubalg.steenrod import dual_steenrod
 
 
@@ -24,11 +24,11 @@ def Z2():
 
 def test_d_squared_is_zero_assembled(W):
     # assembly asserts d^2 = 0 internally; this exercises the assertion
-    CobarComplex(W, trivial_comodule(W), 8, 3)
+    CobarComplex(W, trivial_comodule(), 8, 3)
 
 
 def test_d_squared_check_catches_corrupted_entry(W):
-    cx = CobarComplex(W, trivial_comodule(W), 8, 3)
+    cx = CobarComplex(W, trivial_comodule(), 8, 3)
     # bump the sparse entry (i, 0) of d_s where column i of d_{s+1} is
     # nonzero: d_{s+1} d_s then gains that column in its column 0
     s, i = next((s, i) for s in range(cx.s_max) if cx.columns[s]
@@ -68,7 +68,7 @@ def test_ext_over_the_dual_steenrod_algebra_mod_2():
     for s, t in EXT_A_THROUGH_T10.values():
         expect[(s, t)] = expect.get((s, t), 0) + 1
     for t in range(11):
-        cx = CobarComplex(H, trivial_comodule(H), t, 3)
+        cx = CobarComplex(H, trivial_comodule(), t, 3)
         for s, (dim, torsion) in enumerate(cx.cohomology(2)):
             assert (dim, torsion) == (expect.get((s, t), 0), []), (s, t)
 
@@ -76,7 +76,7 @@ def test_ext_over_the_dual_steenrod_algebra_mod_2():
 @pytest.mark.parametrize("prime", [None, 3])
 def test_cohomology_over_a_modulus_needs_that_prime(prime):
     H = dual_steenrod(4)
-    cx = CobarComplex(H, trivial_comodule(H), 4, 2)
+    cx = CobarComplex(H, trivial_comodule(), 4, 2)
     with pytest.raises(ValueError, match="modulus 2: cohomology needs "
                                          "prime=2"):
         cx.cohomology(prime)
@@ -85,7 +85,7 @@ def test_cohomology_over_a_modulus_needs_that_prime(prime):
 def test_h0_matches_oracle_weierstrass(W):
     oracle = invariants_h0(W, range(0, 13))
     for j in range(0, 13):
-        cx = CobarComplex(W, trivial_comodule(W), 2 * j, 0)
+        cx = CobarComplex(W, trivial_comodule(), 2 * j, 0)
         rank, torsion = cx.cohomology()[0]
         assert rank == len(oracle[j]) and torsion == []
 
@@ -94,33 +94,66 @@ def test_h0_matches_oracle_mqd():
     H = builtin_algebroid("mqd")
     oracle = invariants_h0(H, range(-4, 13))
     for j in range(-4, 13):
-        cx = CobarComplex(H, trivial_comodule(H), 2 * j, 0)
+        cx = CobarComplex(H, trivial_comodule(), 2 * j, 0)
         rank, torsion = cx.cohomology()[0]
         assert rank == len(oracle[j]) and torsion == []
 
 
-def test_extended_comodule_acyclic(W):
-    M = extended_comodule(W, 8)
-    cx = CobarComplex(W, M, 8, 2)
-    h = cx.cohomology()
-    # H^0 = A_8 (rank = dim of weight-8 part of Z[a1..a6]), higher vanish
-    assert h[0][0] == len(W.A.monomials_of_weight(8))
-    assert h[1] == (0, []) and h[2] == (0, [])
+def _presentation(name):
+    return dual_steenrod(4) if name == "dual_steenrod(4)" \
+        else builtin_algebroid(name)
+
+
+# (presentation, max weight of the extended comodule, strands, s_max,
+# prime); dual_steenrod(4) has Gamma mod 2, so its cohomology is over F_2
+EXTENDED_CASES = [
+    ("weierstrass", 8, [8], 2, None),
+    ("mqd", 8, [8], 2, None),
+    ("z2_group", 0, range(-4, 5), 3, None),
+    ("dual_steenrod(4)", 8, range(0, 9), 3, 2),
+]
+
+
+@pytest.mark.parametrize("name, max_weight, strands, s_max, prime",
+                         EXTENDED_CASES, ids=[c[0] for c in EXTENDED_CASES])
+def test_extended_comodule_acyclic(name, max_weight, strands, s_max, prime):
+    # Gamma is cofree: Ext = A_t in s = 0 (the weight-t part of A), and
+    # nothing above
+    H = _presentation(name)
+    M = extended_comodule(H, max_weight)
+    for t in strands:
+        h = CobarComplex(H, M, t, s_max).cohomology(prime)
+        assert h == [(len(H.A.monomials_of_weight(t)), [])] \
+            + [(0, [])] * s_max, t
+
+
+@pytest.mark.parametrize("name, max_weight",
+                         [c[:2] for c in EXTENDED_CASES],
+                         ids=[c[0] for c in EXTENDED_CASES])
+def test_extended_coaction_is_delta_less_the_counit_term(name, max_weight):
+    # each label's triples (c, p, q) are the terms c . p (x) q of
+    # Delta(m) - 1 (x) m, term for term
+    H = _presentation(name)
+    M = extended_comodule(H, max_weight)
+    t2 = H.tensor_ring(2)
+    unit = (0,) * len(H.gamma_names)
+    monos = {monomial_text(H.gamma_names, m): m
+             for w in range(max_weight + 1)
+             for m in H.gamma_monomials(w, nonconstant=False)}
+    assert sorted(M.coaction) == sorted(monos) \
+        == sorted(label for label, _ in M.basis)
+    for label, triples in M.coaction.items():
+        m = monos[label]
+        reduced = H.delta_map(H.gamma.poly({H.join((m,)): 1})) \
+            - t2.poly({H.join((unit, m)): 1})
+        assert sorted((H.join((p, monos[q])), c) for c, p, q in triples) \
+            == sorted(reduced.terms.items()), label
 
 
 def test_extended_comodule_rejects_a_negative_weight(W):
     with pytest.raises(ValueError, match="max_weight must be >= 0"):
         extended_comodule(W, -1)
     assert [b for b in extended_comodule(W, 0).basis] == [("1", 0)]
-
-
-def test_extended_comodule_acyclic_mqd():
-    H = builtin_algebroid("mqd")
-    M = extended_comodule(H, 8)
-    cx = CobarComplex(H, M, 8, 2)
-    h = cx.cohomology()
-    assert h[0][0] == len(H.A.monomials_of_weight(8))
-    assert h[1] == (0, []) and h[2] == (0, [])
 
 
 def test_z2_chart_closed_form(Z2):
@@ -265,16 +298,10 @@ def _differential_reference(cx, s):
                 if any(p) and any(q):
                     new = slots[:i] + (p, q) + slots[i + 1:]
                     add((amono, new, label), sign * c)
-        # face s+1: coaction on the comodule element
+        # face s+1: the reduced coaction on the comodule element
         sign = -1 if (s + 1) % 2 else 1
-        for gamma, label2 in cx.M.coaction[label]:
-            for mono, c in gamma.terms.items():
-                a, eps = H.split(mono)
-                if any(a):
-                    raise NotImplementedError(
-                        "coaction with A-coefficients unsupported")
-                if any(eps):
-                    add((amono, slots + (eps,), label2), sign * c)
+        for c, eps, label2 in cx.M.coaction[label]:
+            add((amono, slots + (eps,), label2), sign * c)
         if mod:
             acc = {t: c % mod for t, c in acc.items()}
         cols.append({index[t]: c for t, c in acc.items() if c})
@@ -294,11 +321,11 @@ def _face_table_cases():
     yield H, extended_comodule(H, 6), 8, 2
     Z2 = builtin_algebroid("z2_group")
     for j in range(-3, 4):
-        # odd j: the sign comodule; every Gamma passes the reduce_hook
+        # odd j: the sign coaction; every Gamma passes the reduce_hook
         yield Z2, twist_comodule(Z2, j), 2 * j, 4
     A = dual_steenrod(4)
     for t in range(11):
-        yield A, trivial_comodule(A), t, 3
+        yield A, trivial_comodule(), t, 3
 
 
 def test_face_tables_match_the_per_term_loop():

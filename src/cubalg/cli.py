@@ -98,19 +98,21 @@ def _reject_reversed(text: str, lo: int, hi: int) -> None:
         raise ValueError("reversed range %r: %d exceeds %d" % (text, lo, hi))
 
 
-def _finish(args, obj, rows=None, columns=None) -> int:
-    """Serialize and write/print; returns the exit code."""
-    if args.format == "tsv":
-        if rows is None:
-            raise ValueError("this verb has no tabular form; use json")
-        text = emit.tsv_text(rows, columns)
-    else:
-        text = emit.json_text(obj)
+def _write(args, text: str) -> int:
+    """Write `text` to `--output`, or print it; returns the exit code."""
     if args.output:
         emit.atomic_write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def _finish(args, obj, rows=None, columns=None) -> int:
+    """Serialize as `--format` asks and write; returns the exit code.  Only
+    a verb registered with "tsv" among its formats passes `rows`."""
+    if args.format == "tsv":
+        return _write(args, emit.tsv_text(rows, columns))
+    return _write(args, emit.json_text(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +161,19 @@ def cmd_curve_nseries(args) -> int:
 def cmd_curve_hasse(args) -> int:
     from .fgl import hasse_coefficients
 
-    curve = parse_curve(args.curve)
-    p = 2 if args.prime is None else args.prime
-    vs = hasse_coefficients(curve, p, args.imax)
-    obj = {"prime": p,
-           "v": {("v%d" % i): vs[i].text() for i in range(len(vs))}}
-    rows = [{"i": i, "v_i": vs[i].text()} for i in range(len(vs))]
+    vs = hasse_coefficients(parse_curve(args.curve), args.prime, args.imax)
+    v = [x.text() for x in vs]
+    obj = {"prime": args.prime, "v": {"v%d" % i: t for i, t in enumerate(v)}}
+    rows = [{"i": i, "v_i": t} for i, t in enumerate(v)]
     return _finish(args, obj, rows, ["i", "v_i"])
 
 
 def cmd_curve_landweber(args) -> int:
     from .regseq import landweber_report
 
-    curve = parse_curve(args.curve)
-    p = 2 if args.prime is None else args.prime
-    rep = landweber_report(curve, p, args.cutoff)
+    rep = landweber_report(parse_curve(args.curve), args.prime, args.cutoff)
     reg = rep["regularity"]
-    obj = {"prime": p, "v": rep["v"],
+    obj = {"prime": args.prime, "v": rep["v"],
            "regular_through_cutoff": reg.regular_through_cutoff,
            "certified": reg.certified,
            "quotient_total_rank": reg.quotient_total_rank,
@@ -189,13 +187,12 @@ def cmd_cover_fiber(args) -> int:
     from .covers import cover_fiber
     from .curves import AI_NAMES
 
-    p = 2 if args.prime is None else args.prime
     if args.cusp:
         coeffs = (0, 0, 0, 0, 0)
     else:
         coeffs = parse_ints(args.curve, "--curve", AI_NAMES)
-    fib = cover_fiber(coeffs, p, args.field)
-    obj = {"prime": p, "field": fib.field, "rank": fib.rank,
+    fib = cover_fiber(coeffs, args.prime, args.field)
+    obj = {"prime": args.prime, "field": fib.field, "rank": fib.rank,
            "variables": list(fib.var_names),
            "weights": list(fib.var_weights),
            "basis": fib.basis_text()}
@@ -226,13 +223,11 @@ def cmd_descent(args) -> int:
     jhi = max(degrees) // 2 + 1
     page = cech_weighted_projective(w, range(jlo, jhi + 1))
     table = descent_assemble(page, degrees)
+    gens = {d: ["%s:%s" % g for g in table[d]["generators"]] for d in degrees}
     obj = {"weights": list(w),
-           "pi": {str(d): {"rank": table[d]["rank"],
-                           "generators": ["%s:%s" % g
-                                          for g in table[d]["generators"]]}
+           "pi": {str(d): {"rank": table[d]["rank"], "generators": gens[d]}
                   for d in degrees}}
-    rows = [{"degree": d, "rank": table[d]["rank"],
-             "generators": ["%s:%s" % g for g in table[d]["generators"]]}
+    rows = [{"degree": d, "rank": table[d]["rank"], "generators": gens[d]}
             for d in degrees]
     return _finish(args, obj, rows, ["degree", "rank", "generators"])
 
@@ -242,7 +237,7 @@ def cmd_tmf_mu(args) -> int:
 
     window = parse_range(args.window)
     out = tmf_mu_page((min(window), max(window)), args.cutoff,
-                      prime=2 if args.prime is None else args.prime,
+                      prime=args.prime,
                       specialize_p13=args.specialize,
                       validate_h0=args.validate)
     obj = {"window": list(out["window"]), "prime": out["prime"],
@@ -283,9 +278,7 @@ def cmd_hopf_cobar(args) -> int:
     ch = cobar_cohomology(H, twists, args.smax, prime=args.fp,
                           p_local=args.p_local, comodule=comodule)
     obj = emit.chart_to_obj(ch)
-    rows = [{"s": c["s"], "t": c["t"], "rank": c["rank"],
-             "torsion": c["torsion"]} for c in obj["cells"]]
-    return _finish(args, obj, rows, ["s", "t", "rank", "torsion"])
+    return _finish(args, obj, obj["cells"], ["s", "t", "rank", "torsion"])
 
 
 def cmd_hopf_h0(args) -> int:
@@ -295,8 +288,8 @@ def cmd_hopf_h0(args) -> int:
     twists = parse_range(args.twists)
     inv = invariants_h0(H, twists)
     obj = {str(j): [p.text() for p in inv[j]] for j in twists}
-    rows = [{"twist": j, "rank": len(inv[j]),
-             "generators": [p.text() for p in inv[j]]} for j in twists]
+    rows = [{"twist": j, "rank": len(inv[j]), "generators": obj[str(j)]}
+            for j in twists]
     return _finish(args, obj, rows, ["twist", "rank", "generators"])
 
 
@@ -309,12 +302,12 @@ def cmd_hopf_kucp2(args) -> int:
 
 
 def _xi_generator(args):
-    """xi_k through the cutoff, for 1 <= k <= K, the largest K with
-    |xi_K| = 2^K - 1 <= the cutoff (K = 0 at cutoff 0)."""
+    """xi_k in the ring through the cutoff, for 1 <= k <= the number of
+    generators, `steenrod.gen_count(cutoff)` (0 at cutoff 0)."""
     from . import steenrod as st
 
     ring = st.xi_ring(args.cutoff)
-    top = (args.cutoff + 1).bit_length() - 1
+    top = st.gen_count(args.cutoff)
     if not 1 <= args.k <= top:
         raise ValueError("k must be in 1..%d at cutoff %d, got %d"
                          % (top, args.cutoff, args.k))
@@ -394,27 +387,41 @@ def cmd_chart_render(args) -> int:
     render.title = args.title
     for arrow in args.arrow or []:
         render.arrows.append(tuple(int(x) for x in arrow.split(",")))
-    text = chartmod.chart_svg(render)
-    if args.output:
-        emit.atomic_write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write(args, chartmod.chart_svg(render))
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _common(p, cutoff=None, prime=False):
-    p.add_argument("--format", choices=("json", "tsv"),
-                   default="json")
+TABULAR = ("json", "tsv")
+JSON_ONLY = ("json",)
+
+
+def _verb(group, name: str, handler, formats: Sequence[str] = TABULAR,
+          prime=False, cutoff: Optional[int] = None, parents=()):
+    """Register the verb `name` in `group`, run by `handler`, with
+    `--output`, `--format` over `formats` (none when empty), `--prime`
+    defaulting to `prime` (none when False) and `--cutoff` defaulting to
+    `cutoff` (none when None); returns its parser."""
+    p = group.add_parser(name, parents=parents)
     p.add_argument("--output", default=None,
                    help="output path (relative to $CUBALG_OUTPUT_DIR)")
-    if prime:
-        p.add_argument("--prime", type=int, default=None)
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
+    if prime is not False:
+        p.add_argument("--prime", type=int, default=prime)
     if cutoff is not None:
         p.add_argument("--cutoff", type=int, default=cutoff)
+    p.set_defaults(func=handler)
+    return p
+
+
+def _shared(option: str, **kwargs) -> List[argparse.ArgumentParser]:
+    """`parents` for the verbs that take `option`, declared once."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(option, **kwargs)
+    return [parent]
 
 
 @functools.lru_cache(maxsize=None)
@@ -426,71 +433,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact computational algebra for elliptic cohomology")
     sub = top.add_subparsers(dest="verb", required=True)
 
-    curve = sub.add_parser("curve").add_subparsers(dest="sub", required=True)
-    p = curve.add_parser("invariants")
-    p.add_argument("--curve", default="a1,a2,a3,a4,a6")
-    _common(p, prime=True)
-    p.set_defaults(func=cmd_curve_invariants)
-    p = curve.add_parser("fgl")
-    p.add_argument("--curve", default="a1,a2,a3,a4,a6")
-    p.add_argument("--order", type=int, default=4)
-    _common(p, prime=True)
-    p.set_defaults(func=cmd_curve_fgl)
-    p = curve.add_parser("nseries")
-    p.add_argument("--curve", default="a1,a2,a3,a4,a6")
+    def group(name):
+        return sub.add_parser(name).add_subparsers(dest="sub", required=True)
+
+    # --prime None is over Z; the verbs that work at one prime default to 2
+    curve = group("curve")
+    on_curve = _shared("--curve", default="a1,a2,a3,a4,a6")
+    _verb(curve, "invariants", cmd_curve_invariants, prime=None,
+          parents=on_curve)
+    _verb(curve, "fgl", cmd_curve_fgl, JSON_ONLY, prime=None,
+          parents=on_curve).add_argument("--order", type=int, default=4)
+    p = _verb(curve, "nseries", cmd_curve_nseries, prime=None,
+              parents=on_curve)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--order", type=int, default=4)
-    _common(p, prime=True)
-    p.set_defaults(func=cmd_curve_nseries)
-    p = curve.add_parser("hasse")
-    p.add_argument("--curve", default="a1,a2,a3,a4,a6")
-    p.add_argument("--imax", type=int, default=2)
-    _common(p, prime=True)
-    p.set_defaults(func=cmd_curve_hasse)
-    p = curve.add_parser("landweber")
-    p.add_argument("--curve", default="a1,a2,a3,a4,a6")
-    _common(p, cutoff=48, prime=True)
-    p.set_defaults(func=cmd_curve_landweber)
+    _verb(curve, "hasse", cmd_curve_hasse, prime=2,
+          parents=on_curve).add_argument("--imax", type=int, default=2)
+    _verb(curve, "landweber", cmd_curve_landweber, JSON_ONLY, prime=2,
+          cutoff=48, parents=on_curve)
 
-    cover = sub.add_parser("cover").add_subparsers(dest="sub", required=True)
-    p = cover.add_parser("fiber")
+    p = _verb(group("cover"), "fiber", cmd_cover_fiber, prime=2)
     p.add_argument("--cusp", action="store_true")
     p.add_argument("--curve", default="0,0,0,0,0",
                    help="integer coefficients a1,a2,a3,a4,a6")
     p.add_argument("--field", default=None, help='"Q" or "F<p>", p prime')
-    _common(p, prime=True)
-    p.set_defaults(func=cmd_cover_fiber)
 
-    p = sub.add_parser("cech")
+    p = _verb(sub, "cech", cmd_cech)
     p.add_argument("--weights", default="1,3")
     p.add_argument("--twists", default="-6..6")
-    _common(p)
-    p.set_defaults(func=cmd_cech)
 
-    p = sub.add_parser("descent")
+    p = _verb(sub, "descent", cmd_descent)
     p.add_argument("--weights", default="1,3")
     p.add_argument("--degrees", default="0..12")
-    _common(p)
-    p.set_defaults(func=cmd_descent)
 
-    p = sub.add_parser("tmf-mu")
+    p = _verb(sub, "tmf-mu", cmd_tmf_mu, JSON_ONLY, prime=2, cutoff=8)
     p.add_argument("--window", default="-70..12")
     p.add_argument("--specialize", action="store_true",
                    help="two-variable specialization (exact graded ranks)")
     p.add_argument("--validate", action="store_true",
                    help="certify H0 via the (c4, delta) regular sequence")
-    _common(p, cutoff=8, prime=True)
-    p.set_defaults(func=cmd_tmf_mu)
 
-    hopf = sub.add_parser("hopf").add_subparsers(dest="sub", required=True)
-    p = hopf.add_parser("synthesize")
-    p.add_argument("--algebroid", default="weierstrass",
-                   choices=("weierstrass", "mqd", "z2_group"))
-    _common(p)
-    p.set_defaults(func=cmd_hopf_synthesize)
-    p = hopf.add_parser("cobar")
-    p.add_argument("--algebroid", default="weierstrass",
-                   choices=("weierstrass", "mqd", "z2_group"))
+    # the names `hopf.builtin_algebroid` builds (no engine is imported here)
+    hopf = group("hopf")
+    algebroid = _shared("--algebroid", default="weierstrass",
+                        choices=("weierstrass", "mqd", "z2_group"))
+    _verb(hopf, "synthesize", cmd_hopf_synthesize, JSON_ONLY,
+          parents=algebroid)
+    p = _verb(hopf, "cobar", cmd_hopf_cobar, parents=algebroid)
     p.add_argument("--twists", default="0..4")
     p.add_argument("--smax", type=int, default=3)
     p.add_argument("--fp", type=int, default=None,
@@ -500,51 +489,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extended", type=int, default=None,
                    help="use Gamma itself (truncated at this weight) as "
                         "the comodule")
-    _common(p)
-    p.set_defaults(func=cmd_hopf_cobar)
-    p = hopf.add_parser("h0")
-    p.add_argument("--algebroid", default="weierstrass",
-                   choices=("weierstrass", "mqd", "z2_group"))
-    p.add_argument("--twists", default="0..12")
-    _common(p)
-    p.set_defaults(func=cmd_hopf_h0)
-    p = hopf.add_parser("kucp2")
-    _common(p)
-    p.set_defaults(func=cmd_hopf_kucp2)
+    _verb(hopf, "h0", cmd_hopf_h0,
+          parents=algebroid).add_argument("--twists", default="0..12")
+    _verb(hopf, "kucp2", cmd_hopf_kucp2, JSON_ONLY)
 
-    steen = sub.add_parser("steenrod").add_subparsers(dest="sub",
-                                                      required=True)
-    p = steen.add_parser("conjugate")
-    p.add_argument("--k", type=int, required=True)
-    _common(p, cutoff=64)
-    p.set_defaults(func=cmd_steenrod_conjugate)
-    p = steen.add_parser("coproduct")
-    p.add_argument("--k", type=int, required=True)
-    _common(p, cutoff=64)
-    p.set_defaults(func=cmd_steenrod_coproduct)
-    p = steen.add_parser("verify")
-    _common(p, cutoff=64)
-    p.set_defaults(func=cmd_steenrod_verify)
-    p = steen.add_parser("primitives")
+    steen = group("steenrod")
+    for name, handler in (("conjugate", cmd_steenrod_conjugate),
+                          ("coproduct", cmd_steenrod_coproduct)):
+        _verb(steen, name, handler, JSON_ONLY,
+              cutoff=64).add_argument("--k", type=int, required=True)
+    _verb(steen, "verify", cmd_steenrod_verify, cutoff=64)
+    p = _verb(steen, "primitives", cmd_steenrod_primitives, cutoff=16)
     p.add_argument("--window", default="1..16")
     p.add_argument("--quotient", default=None,
                    help='"squares" for the quotient by Z/2[xi_i^2]')
-    _common(p, cutoff=16)
-    p.set_defaults(func=cmd_steenrod_primitives)
 
-    chartp = sub.add_parser("chart").add_subparsers(dest="sub",
-                                                    required=True)
-    p = chartp.add_parser("render")
+    p = _verb(group("chart"), "render", cmd_chart_render, formats=())
     p.add_argument("--input", required=True, help="chart JSON path")
     p.add_argument("--x-range", dest="x_range", default=None)
     p.add_argument("--s-range", dest="s_range", default=None)
     p.add_argument("--title", default="")
     p.add_argument("--arrow", action="append", default=None,
                    help="differential arrow s1,t1,s2,t2 (repeatable)")
-    p.add_argument("--output", default=None,
-                   help="output path (relative to $CUBALG_OUTPUT_DIR)")
-    p.set_defaults(func=cmd_chart_render)
-
     return top
 
 

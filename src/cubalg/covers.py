@@ -152,9 +152,6 @@ class TwoRowPage:
     h0_ranks: Dict[int, int] = field(default_factory=dict)
     h1_ranks: Dict[int, int] = field(default_factory=dict)
 
-    def twists(self):
-        return sorted(set(self.h0_ranks) | set(self.h1_ranks))
-
 
 def cech_weighted_projective(weights: Tuple[int, int], twists: Sequence[int],
                              gen_names: Tuple[str, str] = ("x1", "x2")

@@ -409,12 +409,17 @@ def builtin_algebroid(name: str) -> HopfAlgebroidPresentation:
 def invariants_h0(H: HopfAlgebroidPresentation, twists: Sequence[int]
                   ) -> Dict[int, List[Polynomial]]:
     """Per twist j, a basis of ker(eta_R - eta_L) on the weight-2j part of
-    A, by integer linear algebra.  Independent of the cobar engine."""
+    A, by integer linear algebra.  Independent of the cobar engine.  The
+    twist must be the weight strand: an A with no generators, as for the
+    Z/2-group algebroid, whose twist lies in its comodules, is rejected."""
+    if not H.A.names:
+        raise ValueError("%s has a base ring with no generators, so its "
+                         "twist is not a weight of A; use `hopf cobar` for "
+                         "its H^0" % H.name)
     out: Dict[int, List[Polynomial]] = {}
-    g = H.gamma
     for j in twists:
         w = 2 * j
-        if w < 0 or (w > 0 and not H.A.names):
+        if w < 0:
             out[j] = []
             continue
         monos = H.A.monomials_of_weight(w)

@@ -37,10 +37,8 @@ BitSpan = intlinalg.BitSpan
 
 
 def gen_count(cutoff: int) -> int:
-    k = 1
-    while (2 << k) - 1 <= cutoff:   # 2^(k+1) - 1 <= cutoff
-        k += 1
-    return k
+    """The largest k with |xi_k| = 2^k - 1 <= cutoff (0 at cutoff 0)."""
+    return (cutoff + 1).bit_length() - 1
 
 
 def xi_ring(cutoff: int) -> Ring:

@@ -8,7 +8,7 @@ import pytest
 
 from cubalg import InvariantError
 from cubalg import chart as chartmod
-from cubalg import covers, emit, regseq
+from cubalg import covers, emit, fgl, hopf, regseq
 from cubalg import steenrod as st
 from cubalg import cli
 from cubalg.cli import dispatch, parse_curve, parse_range
@@ -21,6 +21,11 @@ def run(args):
     with contextlib.redirect_stdout(buf):
         rc = dispatch(args)
     return rc, buf.getvalue()
+
+
+def verb_of(argv):
+    """The verb's words, "descent" or "curve fgl", at the head of `argv`."""
+    return " ".join(a for a in argv[:2] if not a.startswith("-"))
 
 
 def test_parse_curve_mixed():
@@ -241,14 +246,79 @@ def test_hopf_h0_through_twist_12_is_pinned():
         "10703580e86d6e284fc4f180bad792ba")
 
 
+# the engine function each verb below calls first
+ENGINES = {
+    "descent": (covers, "cech_weighted_projective"),
+    "chart render": (chartmod, "render_window_for"),
+    "curve fgl": (fgl, "fgl_from_curve"),
+    "curve landweber": (regseq, "landweber_report"),
+    "tmf-mu": (covers, "tmf_mu_page"),
+    "hopf synthesize": (hopf, "builtin_algebroid"),
+    "hopf kucp2": (hopf, "ku_cp2_involution"),
+    "steenrod conjugate": (st, "xi_ring"),
+    "steenrod coproduct": (st, "xi_ring"),
+}
+
+
+# the last seven verbs have no tabular form: their --format takes json only
 @pytest.mark.parametrize("argv", [
     ["descent", "--format", "svg"],
     ["chart", "render", "--input", "chart.json", "--format", "tsv"],
+    ["curve", "fgl", "--format", "tsv"],
+    ["curve", "landweber", "--format", "tsv"],
+    ["tmf-mu", "--format", "tsv"],
+    ["hopf", "synthesize", "--format", "tsv"],
+    ["hopf", "kucp2", "--format", "tsv"],
+    ["steenrod", "conjugate", "--k", "2", "--format", "tsv"],
+    ["steenrod", "coproduct", "--k", "2", "--format", "tsv"],
 ])
-def test_format_values_without_effect_are_rejected(argv):
+def test_format_values_without_effect_are_rejected(argv, monkeypatch,
+                                                   capsys):
+    # rejected by the parser, before the verb runs its engine
+    engine, name = ENGINES[verb_of(argv)]
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("%s called" % name)
+
+    monkeypatch.setattr(engine, name, unreached)
     with pytest.raises(SystemExit) as exc:
         dispatch(argv)
     assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--format" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "invariants"], ["curve", "fgl", "--order", "3"],
+    ["curve", "nseries", "--n", "2"], ["curve", "hasse", "--imax", "1"],
+    ["curve", "landweber", "--cutoff", "6"], ["cover", "fiber"], ["cech"],
+    ["descent"], ["tmf-mu", "--window=-8..4"], ["hopf", "synthesize"],
+    ["hopf", "cobar", "--twists", "0..2", "--smax", "1"],
+    ["hopf", "h0", "--twists", "0..4"], ["hopf", "kucp2"],
+    ["steenrod", "conjugate", "--k", "3"],
+    ["steenrod", "coproduct", "--k", "3"],
+    ["steenrod", "verify", "--cutoff", "16"],
+    ["steenrod", "primitives", "--window", "1..8"],
+], ids=" ".join)
+def test_format_json_is_the_default(argv):
+    rc, out = run(argv)
+    assert rc == cli.EXIT_OK and out
+    assert run(argv + ["--format", "json"]) == (rc, out)
+
+
+def test_curve_fgl_at_order_3_passes_its_checks():
+    rc, out = run(["curve", "fgl", "--order", "3"])
+    obj = json.loads(out)
+    assert rc == cli.EXIT_OK and obj["order"] == 3
+    assert obj["checks"] and all(obj["checks"].values())
+
+
+def test_curve_hasse_v0_is_the_prime():
+    # v0 is the coefficient of z in [p](z), which is p
+    rc, out = run(["curve", "hasse", "--prime", "3", "--imax", "1"])
+    obj = json.loads(out)
+    assert rc == cli.EXIT_OK and obj["prime"] == 3
+    assert sorted(obj["v"]) == ["v0", "v1"] and obj["v"]["v0"] == "3"
 
 
 @pytest.mark.parametrize("argv", [
@@ -269,14 +339,22 @@ def test_prime_is_rejected_where_it_is_not_read(argv):
     assert exc.value.code == 2
 
 
+# the verbs that work at one prime default to 2; the other curve verbs
+# default to None, over Z
+DEFAULT_PRIME = {"curve hasse": 2, "curve landweber": 2, "cover fiber": 2,
+                 "tmf-mu": 2, "curve invariants": None, "curve fgl": None,
+                 "curve nseries": None}
+
+
 @pytest.mark.parametrize("argv", [
     ["curve", "invariants"], ["curve", "fgl"],
     ["curve", "nseries", "--n", "2"], ["curve", "hasse"],
     ["curve", "landweber"], ["cover", "fiber"], ["tmf-mu"],
 ])
 def test_prime_is_taken_where_it_is_read(argv):
-    args = cli.build_parser().parse_args(argv + ["--prime", "3"])
-    assert args.prime == 3
+    parse = cli.build_parser().parse_args
+    assert parse(argv + ["--prime", "3"]).prime == 3
+    assert parse(argv).prime == DEFAULT_PRIME[verb_of(argv)]
 
 
 def test_dispatch_builds_the_parser_once():

@@ -2,6 +2,7 @@ import pytest
 
 import elimination_reference as ref
 from cubalg import InvariantError, cobar
+from cubalg.cli import dispatch
 from cubalg.cobar import (CobarComplex, cobar_cohomology,
                           extended_comodule, trivial_comodule,
                           twist_comodule)
@@ -82,21 +83,29 @@ def test_cohomology_over_a_modulus_needs_that_prime(prime):
         cx.cohomology(prime)
 
 
-def test_h0_matches_oracle_weierstrass(W):
-    oracle = invariants_h0(W, range(0, 13))
-    for j in range(0, 13):
-        cx = CobarComplex(W, trivial_comodule(), 2 * j, 0)
-        rank, torsion = cx.cohomology()[0]
-        assert rank == len(oracle[j]) and torsion == []
-
-
-def test_h0_matches_oracle_mqd():
-    H = builtin_algebroid("mqd")
-    oracle = invariants_h0(H, range(-4, 13))
-    for j in range(-4, 13):
-        cx = CobarComplex(H, trivial_comodule(), 2 * j, 0)
-        rank, torsion = cx.cohomology()[0]
-        assert rank == len(oracle[j]) and torsion == []
+@pytest.mark.parametrize("name", ["weierstrass", "mqd", "z2_group"])
+def test_h0_matches_oracle(name, capsys):
+    H = builtin_algebroid(name)
+    twists = range(-4, 13)
+    h0 = [CobarComplex(H, twist_comodule(H, j), 2 * j, 0).cohomology()[0]
+          for j in twists]
+    if name != "z2_group":
+        oracle = invariants_h0(H, twists)
+        assert h0 == [(len(oracle[j]), []) for j in twists]
+        return
+    # H^0(Z/2; sign^j) = Z for even j and 0 for odd j; the sign twist lives
+    # in the comodule, where ker(eta_R - eta_L) on A = Z cannot see it, so
+    # the oracle refuses the presentation rather than answer Z in twist 0
+    # and 0 elsewhere
+    assert h0 == [(1 - j % 2, []) for j in twists]
+    message = ("z2_group has a base ring with no generators, so its twist "
+               "is not a weight of A; use `hopf cobar` for its H^0")
+    with pytest.raises(ValueError) as exc:
+        invariants_h0(H, twists)
+    assert str(exc.value) == message
+    assert dispatch(["hopf", "h0", "--algebroid", name,
+                     "--twists=-2..2"]) == 2
+    assert capsys.readouterr() == ("", "cubalg: error: %s\n" % message)
 
 
 def _presentation(name):

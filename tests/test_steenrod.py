@@ -21,7 +21,16 @@ def test_ring_generators_follow_cutoff():
 def test_negative_cutoff_is_rejected():
     with pytest.raises(ValueError, match="cutoff must be >= 0"):
         st.xi_ring(-1)
-    assert st.xi_ring(0).names == ("xi1",)
+    # |xi_1| = 1 is above the cutoff 0: no generator is in degree <= 0
+    assert st.xi_ring(0).names == ()
+
+
+def test_ring_holds_exactly_the_generators_through_the_cutoff():
+    for cutoff in range(301):
+        names = tuple("xi%d" % k for k in range(1, 10)
+                      if (1 << k) - 1 <= cutoff)
+        assert st.xi_ring(cutoff).names == names, cutoff
+        assert st.gen_count(cutoff) == len(names), cutoff
 
 
 def test_conjugate_golden():

@@ -364,11 +364,8 @@ def cmd_steenrod_primitives(args) -> int:
     from . import steenrod as st
 
     window = parse_range(args.window)
-    spec = None
-    if args.quotient == "squares":
-        spec = st.make_spec("C", [(1, 2)], args.cutoff, conjugated=False)
-    elif args.quotient:
-        raise ValueError("unknown quotient %r" % args.quotient)
+    spec = None if args.quotient is None else st.make_spec(
+        "C", [(1, 2)], args.cutoff, conjugated=False)
     pr = st.primitives(window, args.cutoff, quotient_by=spec)
     obj = {str(d): pr[d] for d in window}
     rows = [{"degree": d, "primitives": pr[d]} for d in window if pr[d]]
@@ -501,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     _verb(steen, "verify", cmd_steenrod_verify, cutoff=64)
     p = _verb(steen, "primitives", cmd_steenrod_primitives, cutoff=16)
     p.add_argument("--window", default="1..16")
-    p.add_argument("--quotient", default=None,
+    p.add_argument("--quotient", default=None, choices=("squares",),
                    help='"squares" for the quotient by Z/2[xi_i^2]')
 
     p = _verb(group("chart"), "render", cmd_chart_render, formats=())

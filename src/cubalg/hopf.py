@@ -36,9 +36,11 @@ class HopfAlgebroidPresentation:
     eta_L is the inclusion A -> Gamma = A[gamma]; eta_R, Delta, chi are
     recorded by their generator images (Delta images in the 2-slot tensor
     ring, written with coefficients on the left).  epsilon kills the gamma
-    generators.  `reduce_hook`, when set, rewrites polynomials to a normal
-    form after every structure-map application (used by the Z/2-group
-    algebroid, whose Gamma is Z[d]/(d^2 - d) handled by exponent clamping).
+    generators.  `gamma_caps`, when set, bounds each gamma generator's
+    exponent (None: no cap): Gamma is A[gamma]/(gamma_i^(caps[i])), with
+    basis the monomials below the caps, as for a profile quotient of A_*
+    (Adams & Margolis 1974).  `_reduce` applies them, after `reduce_hook`'s
+    rewriting if set (d^2 = d for the Z/2 group), to every structure map.
     """
     name: str
     A: Ring
@@ -48,6 +50,7 @@ class HopfAlgebroidPresentation:
     delta: Dict[str, Polynomial]         # gamma generator -> tensor square
     chi_gamma: Dict[str, Polynomial]     # gamma generator -> Gamma
     reduce_hook: Optional[Callable[[Polynomial], Polynomial]] = None
+    gamma_caps: Optional[tuple] = None
     notes: List[str] = field(default_factory=list)
     # the report of the `verify_or_raise` that passed, when one has run
     axioms: Dict[str, bool] = field(default_factory=dict, init=False,
@@ -95,7 +98,14 @@ class HopfAlgebroidPresentation:
         return head + tuple(e for m in slots for e in m)
 
     def _reduce(self, p: Polynomial) -> Polynomial:
-        return self.reduce_hook(p) if self.reduce_hook else p
+        """p in normal form: the hook's rewriting, then every monomial with
+        a gamma exponent at its cap, in any slot, dropped."""
+        p = self.reduce_hook(p) if self.reduce_hook else p
+        caps = self.gamma_caps
+        return p if caps is None else Polynomial(p.ring, {
+            m: c for m, c in p.terms.items()
+            if all(e < cap for slot in self.split(m)[1:]
+                   for e, cap in zip(slot, caps) if cap is not None)})
 
     # -- structure maps ----------------------------------------------------
 
@@ -182,18 +192,9 @@ class HopfAlgebroidPresentation:
         return self._reduce(out)
 
     def gamma_monomials(self, w: int, nonconstant: bool = True) -> list:
-        """Pure gamma monomials of weight w (exponent tuples over
-        gamma_names only), in the algebra basis of Gamma over A."""
-        if self.reduce_hook is not None:
-            # Z[d]/(d^2 - d): basis {1, d}
-            if w != 0:
-                return []
-            out = [] if nonconstant else [(0,) * len(self.gamma_names)]
-            for k in range(len(self.gamma_names)):
-                out.append(tuple(1 if i == k else 0
-                                 for i in range(len(self.gamma_names))))
-            return out
-        monos = monomials(self.gamma_weights, w)
+        """Pure gamma monomials of weight w below the gamma caps (exponents
+        over gamma_names only): the algebra basis of Gamma over A."""
+        monos = monomials(self.gamma_weights, w, self.gamma_caps)
         return [m for m in monos if any(m)] if nonconstant else list(monos)
 
     # -- axiom verification ------------------------------------------------
@@ -218,10 +219,10 @@ class HopfAlgebroidPresentation:
             right_images[slot_name(n, 1)] = g.gen(n)
             right_images[slot_name(n, 2)] = 0
         out["counit_laws"] = all(
-            self._reduce(self.delta[n].map_gens(g, left_images)) == g.gen(n)
-            and self._reduce(self.delta[n].map_gens(g, right_images))
-            == g.gen(n)
-            for n in self.gamma_names)
+            self._reduce(self.delta[n].map_gens(g, images))
+            == self._reduce(g.gen(n))
+            for n in self.gamma_names
+            for images in (left_images, right_images))
 
         # coassociativity on Gamma-generators
         t3 = self.tensor_ring(3)
@@ -247,8 +248,7 @@ class HopfAlgebroidPresentation:
 
         # conjugation: chi o eta_L = eta_R holds by definition; the rest:
         out["chi_involution"] = all(
-            self.chi(self.chi(x)) == x.cast(g) if x.ring is A
-            else self.chi(self.chi(x)) == x
+            self.chi(self.chi(x)) == self._reduce(x.cast(g))
             for x in agens + [g.gen(n) for n in self.gamma_names])
         out["chi_eta_R"] = all(
             self.chi(self.eta_R(a)) == a.cast(g) for a in agens)
@@ -374,21 +374,17 @@ def builtin_algebroid(name: str) -> HopfAlgebroidPresentation:
         gamma_names, gamma_weights = ("d",), (0,)
 
         def clamp(p: Polynomial) -> Polynomial:
-            # d^2 = d: clamp every slot copy of d to exponent <= 1
+            # d^k = d for k >= 1, in every slot copy of d
             out: Dict[tuple, int] = {}
             for m, cf in p.terms.items():
                 m2 = tuple(min(e, 1) for e in m)
-                c2 = out.get(m2, 0) + cf
-                if c2:
-                    out[m2] = c2
-                else:
-                    out.pop(m2, None)
-            return p.ring.poly(out)
+                out[m2] = out.get(m2, 0) + cf
+            return p.ring.poly(out)          # drops the zero coefficients
 
         H = HopfAlgebroidPresentation(
             name="z2_group", A=A, gamma_names=gamma_names,
             gamma_weights=gamma_weights, eta_r={}, delta={}, chi_gamma={},
-            reduce_hook=clamp,
+            reduce_hook=clamp, gamma_caps=(2,),
             notes=["Gamma = Z[d]/(d^2 - d), d the indicator of the "
                    "nontrivial group element; free of rank 2 over A = Z "
                    "with basis {1, d}"])

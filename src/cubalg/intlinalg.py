@@ -411,8 +411,6 @@ def invariant_factors(vectors: Sequence[Row]) -> List[int]:
     if not residual:
         return [1] * units
     rank, delta = _rank_and_minor(residual)
-    if delta == 1:
-        return [1] * (units + rank)
     # the indices still held, renumbered 0 .. n-1 for `_diagonalize`
     key = {i: j for j, i in enumerate(sorted(i for i, ks in where.items()
                                              if ks))}

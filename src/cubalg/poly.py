@@ -7,11 +7,11 @@ polynomial from a smaller ring embeds into any extension of its ring by
 zero-padding the exponent vector.
 
 The monomial basis of each graded piece is enumerated once per (weights,
-degree): `monomials` and `monomial_index` are memoized and shared by every
-engine that works degree by degree in that basis.  The other conventions
-the engines share live here too: `monomial_text` prints a monomial,
-`Ring.weight_of_monomial` weighs it, `unit_inverse` inverts a constant and
-`is_prime` checks a prime.
+degree, exponent caps): `monomials` and `monomial_index` are memoized and
+shared by every engine that works degree by degree in that basis.  The
+other conventions the engines share live here too: `monomial_text` prints
+a monomial, `Ring.weight_of_monomial` weighs it, `unit_inverse` inverts a
+constant and `is_prime` checks a prime.
 """
 
 from __future__ import annotations
@@ -67,21 +67,34 @@ def _mul_terms_bounded(a, b, modulus, indices, bound):
     return {m: c for m, c in acc.items() if c}
 
 
+def monomials(weights: tuple, w: int, caps: Optional[tuple] = None) -> tuple:
+    """The exponent tuples of weight w under the generator weights, each
+    exponent below its generator's cap (caps[i] None, or no caps: no cap),
+    in ascending lexicographic order; () when w < 0.  A generator of
+    weight 0 needs a cap, or the piece is infinite.  Shared by every call,
+    so callers only read it."""
+    if caps is not None and all(cap is None for cap in caps):
+        caps = None
+    return _monomials(weights, w, caps)
+
+
 @functools.lru_cache(maxsize=None)
-def monomials(weights: tuple, w: int) -> tuple:
-    """The exponent tuples of weight w under the generator weights, in
-    ascending lexicographic order; () when w < 0.  Shared by every call, so
-    callers only read it."""
-    if any(wt <= 0 for wt in weights):
-        raise ValueError("generator weights must be positive to enumerate "
-                         "a graded piece")
+def _monomials(weights: tuple, w: int, caps: Optional[tuple]) -> tuple:
+    """`monomials`, memoized under one key for every way of giving no caps."""
     if w < 0:
         return ()
     if not weights:
         return ((),) if w == 0 else ()
-    first, rest = weights[0], weights[1:]
-    return tuple((e,) + m for e in range(w // first + 1)
-                 for m in monomials(rest, w - e * first))
+    first, cap = weights[0], caps[0] if caps else None
+    if first <= 0 and cap is None:
+        raise ValueError("generator weights must be positive, or capped, to "
+                         "enumerate a graded piece")
+    top = w // first if first > 0 else cap - 1
+    if cap is not None:
+        top = min(top, cap - 1)
+    rest = caps[1:] if caps else None
+    return tuple((e,) + m for e in range(top + 1)
+                 for m in monomials(weights[1:], w - e * first, rest))
 
 
 @functools.lru_cache(maxsize=None)

@@ -50,17 +50,18 @@ def xi_ring(cutoff: int) -> Ring:
 
 
 @functools.lru_cache(maxsize=None)
-def dual_steenrod(k: int) -> HopfAlgebroidPresentation:
+def dual_steenrod(k: int, caps: Optional[tuple] = None
+                  ) -> HopfAlgebroidPresentation:
     """(F_2, A_*) through xi_k as a Hopf algebroid presentation (Milnor
     1958): Delta(xi_n) = sum_i xi_{n-i}^(2^i) (x) xi_i, and chi from the
     recursion sum_{i=0}^n xi_{n-i}^(2^i) chi(xi_i) = 0 (n >= 1).  eta_R =
-    eta_L, since A = F_2 has no generators.  Shared by every call, so
-    callers only read it."""
+    eta_L, since A = F_2 has no generators; `caps` make it a `quotient`.
+    Built once per (k, caps), shared, so callers only read it."""
     names = tuple("xi%d" % i for i in range(1, k + 1))
     H = HopfAlgebroidPresentation(
         name="dual_steenrod", A=Ring((), (), 2), gamma_names=names,
         gamma_weights=tuple((1 << i) - 1 for i in range(1, k + 1)),
-        eta_r={}, delta={}, chi_gamma={})
+        eta_r={}, delta={}, chi_gamma={}, gamma_caps=caps)
     t2, g = H.tensor_ring(2), H.gamma
     left = [t2.one()] + [t2.gen(slot_name(n, 1)) for n in names]
     right = [t2.one()] + [t2.gen(slot_name(n, 2)) for n in names]
@@ -107,7 +108,7 @@ def _conjugate_coproducts(k: int) -> Dict[frozenset, Polynomial]:
 
 def coproduct(x: Polynomial, cutoff: int) -> Polynomial:
     """Delta(x) in the two-slot tensor ring of `dual_steenrod`, for x of
-    degree <= cutoff.
+    degree <= cutoff in a ring of xi generators over Z/2 (else ValueError).
 
     Over F_2, x = r^(2^j) for the largest 2^j dividing every exponent of
     x, so Delta(x) is Delta(r) with every exponent times 2^j (`_frobenius`;
@@ -120,7 +121,8 @@ def coproduct(x: Polynomial, cutoff: int) -> Polynomial:
     H = dual_steenrod(gen_count(cutoff))
     g = H.gamma
     if not (g.extends(x.ring) or x.ring.extends(g)):
-        return H.delta_map(x)
+        raise ValueError("coproduct of an element of %r, which is no ring "
+                         "of xi generators over Z/2" % x.ring)
     # into the exponent width of g: generators past it lie above the cutoff
     k = len(g.names)
     terms = {(m + (0,) * k)[:k]: c for m, c in x.terms.items()}
@@ -407,8 +409,8 @@ def primitives(window: Sequence[int], cutoff: int,
     2^k < d, the terms L (x) xi1^(2^k) of Delta(x) cancel.  Those terms
     are read off the exponents (`_left_legs`), with no coproduct formed.
     The algebra generators of the dual of A//C are not known in closed
-    form, so a quotient takes the reduced coproduct of each
-    representative monomial instead (`_quotient_primitives`); C must be
+    form, so a quotient takes the reduced coproduct of each basis
+    monomial of `quotient` instead (`_quotient_primitives`); C must be
     built through the cutoff, or generators of C below it are missing."""
     ring = xi_ring(cutoff)
     for d in window:
@@ -477,44 +479,38 @@ def _left_legs(expo: tuple, j: int) -> List[tuple]:
             if not rem & ~r]
 
 
+def quotient(spec: SubalgebraSpec, cutoff: int) -> HopfAlgebroidPresentation:
+    """A//C, C = spec, through the xi generators of degree <= cutoff: the
+    profile quotient A_*/(xi_n^(p_n)) (`SubalgebraSpec.profile`), which is
+    `dual_steenrod` with the p_n as gamma caps.  A cap on an xi beyond
+    those lies above the cutoff.  With no cap, it is `dual_steenrod(k)`."""
+    k, prof = gen_count(cutoff), spec.profile()
+    caps = tuple(prof.get(n) for n in range(k))
+    return dual_steenrod(k, caps) if any(caps) else dual_steenrod(k)
+
+
 def _quotient_primitives(window: Sequence[int], cutoff: int,
                          quotient_by: SubalgebraSpec
                          ) -> Dict[int, List[str]]:
     """`primitives` of A//C, C = `quotient_by`: the kernel of the reduced
-    coproduct on the representative monomials, both legs reduced mod the
-    ideal A . C+.  By C's profile that ideal is spanned by the capped
-    monomials, those with e_n >= p_n for some n (`SubalgebraSpec.profile`),
-    so the representatives are the monomials that are not capped, and
-    reduction drops a term when either leg is capped.  The right leg's test
-    is needed: in F_2[xi2, xi3]/(xi2^4, xi3^2), caps p_n = 1, 4, 2, 1, ...
+    coproduct on the basis monomials of `quotient`, those below the caps,
+    whose coproducts drop every term with a capped leg.  The right leg's
+    cap matters: in F_2[xi2, xi3]/(xi2^4, xi3^2), caps p_n = 1, 4, 2, 1, ...
     xi3 is primitive only because xi1 caps the right leg of xi2^2 (x) xi1."""
-    ring = xi_ring(cutoff)
-    H = dual_steenrod(len(ring.names))
-    # a cap on an xi beyond the ring lies above the cutoff
-    caps = [(n, p) for n, p in quotient_by.profile().items()
-            if n < len(ring.names)]
-
-    def capped(mono: tuple) -> bool:
-        return any(mono[n] >= p for n, p in caps)
-
+    Q = quotient(quotient_by, cutoff)
     out: Dict[int, List[str]] = {}
     for d in window:
-        if d <= 0:
-            out[d] = []
-            continue
-        reps = [m for m in monomials(ring.weights, d) if not capped(m)]
-        # one column bit per term L (x) R of both legs uncapped
+        reps = Q.gamma_monomials(d)
+        # one column bit per term L (x) R of the reduced coproduct
         tindex: Dict[tuple, int] = {}
         vecs: List[int] = []
         for m in reps:
             v = 0
-            for mono in coproduct(Polynomial(ring, {m: 1}), cutoff).terms:
-                _, left, right = H.split(mono)
-                if any(left) and any(right) and not (capped(left)
-                                                     or capped(right)):
-                    v ^= 1 << tindex.setdefault(mono, len(tindex))
+            for _, left, right in Q.delta_monomial(m):
+                if any(left) and any(right):
+                    v ^= 1 << tindex.setdefault((left, right), len(tindex))
             vecs.append(v)
-        out[d] = [ring.poly({reps[i]: 1 for i in bits(mask)}).text()
+        out[d] = [Q.gamma.poly({reps[i]: 1 for i in bits(mask)}).text()
                   for mask in f2_kernel(vecs)]
     return out
 

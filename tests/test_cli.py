@@ -288,6 +288,18 @@ def test_format_values_without_effect_are_rejected(argv, monkeypatch,
     assert out == "" and "--format" in err
 
 
+def test_an_unknown_quotient_is_rejected_by_the_parser(monkeypatch, capsys):
+    def unreached(*args, **kwargs):
+        raise AssertionError("primitives called")
+
+    monkeypatch.setattr(st, "primitives", unreached)
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["steenrod", "primitives", "--quotient", "cubes"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--quotient: invalid choice: 'cubes'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["curve", "invariants"], ["curve", "fgl", "--order", "3"],
     ["curve", "nseries", "--n", "2"], ["curve", "hasse", "--imax", "1"],

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 import elimination_reference as ref
 from cubalg import InvariantError, cobar
+from cubalg import steenrod as st
 from cubalg.cli import dispatch
 from cubalg.cobar import (CobarComplex, cobar_cohomology,
                           extended_comodule, trivial_comodule,
@@ -9,7 +12,7 @@ from cubalg.cobar import (CobarComplex, cobar_cohomology,
 from cubalg.hopf import (builtin_algebroid, invariants_h0,
                          synthesize_weierstrass_algebroid)
 from cubalg.intlinalg import homology, p_local_part
-from cubalg.poly import Ring, monomial_text
+from cubalg.poly import monomial_text
 from cubalg.steenrod import dual_steenrod
 
 
@@ -70,6 +73,41 @@ def test_ext_over_the_dual_steenrod_algebra_mod_2():
         expect[(s, t)] = expect.get((s, t), 0) + 1
     for t in range(11):
         cx = CobarComplex(H, trivial_comodule(), t, 3)
+        for s, (dim, torsion) in enumerate(cx.cohomology(2)):
+            assert (dim, torsion) == (expect.get((s, t), 0), []), (s, t)
+
+
+def test_ext_over_e1_is_polynomial_on_v0_and_v1():
+    # E(1)_* = A//H(BP<1>) = F_2[xi1, xi2]/(xi1^2, xi2^2), dual to the
+    # exterior algebra on Q_0, Q_1: Ext is F_2[v0, v1], |v0| = (1, 1) and
+    # |v1| = (1, 3) in (s, t), one class per monomial v0^a v1^b
+    H = st.quotient(st.bp_n_homology(1, 16), 16)
+    for t in range(13):
+        cx = CobarComplex(H, trivial_comodule(), t, 3)
+        got = [dim for dim, torsion in cx.cohomology(2)]
+        assert got == [sum(1 for a in range(s + 1) if a + 3 * (s - a) == t)
+                       for s in range(4)], t
+
+
+# Ext_{A(1)}^{s,t}(F_2, F_2) for t <= 14 and s <= 4, the ko pattern:
+# h0-towers in stems 0, 4 and 8, on 1, on a in (3, 7) and on b in (4, 12),
+# and h1, h1^2 in stems 1 and 2 (h0 h1 = h1^3 = h1 a = 0)
+EXT_A1_THROUGH_T14 = {
+    "1": (0, 0), "h0": (1, 1), "h1": (1, 2), "h0^2": (2, 2),
+    "h1^2": (2, 4), "h0^3": (3, 3), "a": (3, 7), "h0^4": (4, 4),
+    "h0a": (4, 8), "b": (4, 12),
+}
+
+
+def test_ext_over_a1_is_the_ko_pattern():
+    # A(1)_* = A//H(ko) = F_2[xi1, xi2]/(xi1^4, xi2^2): the cobar complex
+    # of the capped presentation, whose xi3 and xi4 are 0
+    H = st.quotient(st.ko_spec(16), 16)
+    expect = {}
+    for s, t in EXT_A1_THROUGH_T14.values():
+        expect[(s, t)] = expect.get((s, t), 0) + 1
+    for t in range(15):
+        cx = CobarComplex(H, trivial_comodule(), t, 4)
         for s, (dim, torsion) in enumerate(cx.cohomology(2)):
             assert (dim, torsion) == (expect.get((s, t), 0), []), (s, t)
 
@@ -217,13 +255,18 @@ def test_twist_comodule_weights(Z2, W):
 
 
 def _gamma_monomials_reference(H, w, nonconstant=True):
-    """Gamma monomials from a ring of the gamma generators alone."""
-    if H.reduce_hook is not None:
-        return H.gamma_monomials(w, nonconstant)
-    monos = Ring(H.gamma_names, H.gamma_weights).monomials_of_weight(w)
-    if nonconstant:
-        monos = [m for m in monos if any(m)]
-    return sorted(monos)
+    """The gamma monomials of weight w that are their own normal form
+    under the presentation's reduction, found in the box of exponents up to
+    w over the weight, or up to 3 for a generator of weight 0 (d^2 = d
+    rewrites every d^k, k >= 2, for the Z/2 group)."""
+    boxes = [range(w // wt + 1 if wt else 4) for wt in H.gamma_weights]
+    out = []
+    for m in itertools.product(*boxes):
+        x = H.gamma.poly({H.join((m,)): 1})
+        if sum(e * wt for e, wt in zip(m, H.gamma_weights)) == w \
+                and (any(m) or not nonconstant) and H._reduce(x) == x:
+            out.append(m)
+    return sorted(out)
 
 
 def _a_monomials(H, w):

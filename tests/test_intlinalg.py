@@ -407,6 +407,17 @@ def test_invariant_factors_do_not_blow_up():
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("as_columns", [False, True],
+                         ids=["rows", "columns"])
+def test_invariant_factors_of_a_unimodular_matrix_without_a_unit(as_columns):
+    # no entry is a unit, so the whole matrix is the residual; its minor
+    # is det = 1, every residue mod 1 is 0, and the chain is all 1s
+    a = [[2, 3], [3, 5]]
+    assert intlinalg._rank_and_minor(ref.sparse_rows(a)) == (2, 1)
+    vectors = _sparse_columns(a, 2) if as_columns else ref.sparse_rows(a)
+    assert invariant_factors(vectors) == _determinantal_factors(a) == [1, 1]
+
+
 # unit-free entries, one of them large: a nonzero minor of such a matrix
 # is a large modulus
 _LARGE_WITHOUT_UNIT = [0, 0, 2, -4, 6, 9, 12, -15, 100000]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -110,6 +112,35 @@ def test_weight_zero_generator_cannot_be_enumerated():
         ring.monomials_of_weight(2)
     with pytest.raises(ValueError):
         monomials((1, 0), 3)
+    with pytest.raises(ValueError):
+        monomials((1, 0), 3, (4, None))
+
+
+_GENERATOR = hst.tuples(hst.integers(0, 6),
+                        hst.one_of(hst.none(), hst.integers(1, 4))
+                        ).filter(lambda g: g[0] or g[1] is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.lists(_GENERATOR, min_size=1, max_size=4), hst.integers(-2, 20))
+def test_capped_monomials_are_the_box_below_the_caps(gens, w):
+    # a weight-0 generator is enumerable once capped
+    weights = tuple(wt for wt, _ in gens)
+    caps = tuple(cap for _, cap in gens)
+    boxes = [range(cap) if cap is not None else range(max(w, 0) // wt + 1)
+             for wt, cap in gens]
+    expected = sorted(e for e in itertools.product(*boxes)
+                      if sum(x * wt for x, wt in zip(e, weights)) == w)
+    assert list(monomials(weights, w, caps)) == expected
+    if all(cap is None for cap in caps):
+        assert monomials(weights, w, caps) is monomials(weights, w)
+
+
+def test_an_uncapped_call_has_one_memo_key():
+    first = monomials((97, 89), 186)
+    assert monomials((97, 89), 186, None) is first
+    assert monomials((97, 89), 186, caps=None) is first
+    assert first == ((1, 1),)
 
 
 def test_monomial_text():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -7,6 +9,7 @@ from cubalg.fgl import hasse_coefficients
 from cubalg.intlinalg import field_kernel
 from cubalg.poly import Polynomial, Ring, monomials, parse_polynomial
 from cubalg import regseq
+from cubalg.cli import dispatch, parse_curve
 from cubalg.regseq import graded_regular_sequence_check, landweber_report
 
 
@@ -80,6 +83,41 @@ def test_landweber_report_builds_one_ideal(monkeypatch):
     assert len(built) == 1
     assert rep["regularity"].ideal is not None
     assert len(rep["regularity"].ideal.generators) == 2
+
+
+@pytest.mark.parametrize("text", ["a1,a2,0,0,0", "0,0,a3,0,0"])
+def test_landweber_report_adds_the_rest_of_v1_v2_past_a_failure(text,
+                                                               capsys):
+    # v2 = a1 a2 lies in (v1) = (a1), or v1 = 0: the check stops early and
+    # the report adds the rest of (v1, v2) to the ideal it kept; its spans
+    # and the powers found are those of a span of every m * v_i
+    curve = parse_curve(text)
+    rep = landweber_report(curve, 2, 24)
+    assert not rep["regularity"].regular_through_cutoff
+    ring = curve.a1.ring
+    vs = [v.restrict(ring) for v in hasse_coefficients(curve, 2, 2)[1:]]
+    ref = regseq.GradedIdeal(ring, 2, 24)
+    for v in vs:
+        if any(c % 2 for c in v.terms.values()):
+            d = v.weight()
+            for w in range(24 - d + 1):
+                for m in monomials(ring.weights, w):
+                    ref.spans[w + d].insert(
+                        ref.vector(Polynomial(ring, {m: 1}) * v, w + d))
+    ideal = rep["regularity"].ideal
+    assert all(set(ideal.spans[w].rows) == set(ref.spans[w].rows)
+               for w in range(25))
+    inv = invariants(curve)
+    powers = [next((e for e in range(1, 13)
+                    if (inv[name] ** e).max_weight() <= 24
+                    and ref.contains(inv[name] ** e)), None)
+              for name in ("c4", "delta")]
+    assert [rep["c4_power_in_ideal"], rep["delta_power_in_ideal"]] \
+        == powers == [1, 1]
+    argv = ["curve", "landweber", "--curve", text, "--cutoff", "24"]
+    assert dispatch(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [out["c4_power_in_ideal"], out["delta_power_in_ideal"]] == powers
 
 
 def _landweber_sequence_at_3():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 
 import pytest
@@ -192,6 +193,16 @@ def test_coproduct_of_an_element_above_the_cutoff_names_both_degrees():
         st.coproduct(x, 13)
 
 
+@pytest.mark.parametrize("ring", [Ring(("a",), (1,), 2),
+                                  Ring(("xi1",), (1,))],
+                         ids=["Z/2[a]", "Z[xi1]"])
+def test_coproduct_rejects_a_ring_of_no_xi_generators_over_z2(ring):
+    with pytest.raises(ValueError) as exc:
+        st.coproduct(ring.gen(ring.names[0]), 16)
+    assert str(exc.value) == ("coproduct of an element of %r, which is no "
+                              "ring of xi generators over Z/2" % ring)
+
+
 def test_closure_of_the_named_specs_forms_no_ring_map(monkeypatch):
     specs = [st.tmf_spec(64), st.bp_n_homology(2, 64), st.ko_spec(64),
              st.bp_n_homology(1, 64)]
@@ -346,6 +357,60 @@ def test_a_quotient_that_is_no_profile_quotient_is_rejected():
         bad.profile()
     with pytest.raises(ValueError, match="generator xibar2 has the term"):
         st.primitives(range(1, 25), 24, quotient_by=bad)
+
+
+# the profile quotients A//C as capped presentations, with their total
+# dimensions: A(1)_* = A//H(ko), A(2)_* = A//H(tmf), E(n)_* = A//H(BP<n>);
+# the exterior quotient by the squares leaves xi5 uncapped at cutoff 32
+CAPPED_QUOTIENTS = {
+    "A(1)": (st.ko_spec, 8),
+    "A(2)": (st.tmf_spec, 64),
+    "E(1)": (lambda c: st.bp_n_homology(1, c), 4),
+    "E(2)": (lambda c: st.bp_n_homology(2, c), 8),
+    "squares": (lambda c: st.make_spec("C", [(1, 2)], c, conjugated=False),
+                None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_QUOTIENTS))
+def test_quotient_is_a_hopf_algebroid(name):
+    # xi_n with cap 1 is 0, so the counit and involution checks hold only
+    # once both sides are reduced
+    Q = st.quotient(CAPPED_QUOTIENTS[name][0](32), 32)
+    checks = Q.verify()
+    assert len(checks) == 8 and all(checks.values()), checks
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_QUOTIENTS))
+def test_quotient_basis_is_the_box_below_the_caps(name):
+    make, total = CAPPED_QUOTIENTS[name]
+    cutoff = 32
+    spec = make(cutoff)
+    Q = st.quotient(spec, cutoff)
+    ring = st.xi_ring(cutoff)
+    profile = spec.profile()
+    boxes = [range(profile[n]) if n in profile else range(cutoff // wt + 1)
+             for n, wt in enumerate(ring.weights)]
+    by_degree = {}
+    for e in itertools.product(*boxes):
+        by_degree.setdefault(ring.weight_of_monomial(e), []).append(e)
+    for d in range(-1, cutoff + 1):
+        assert Q.gamma_monomials(d, nonconstant=False) == \
+            sorted(by_degree.get(d, [])), d
+    if total is not None:
+        assert sum(len(Q.gamma_monomials(d, nonconstant=False))
+                   for d in range(2 * cutoff)) == total
+
+
+def test_quotient_is_built_once_per_generator_count_and_caps():
+    Q = st.quotient(st.tmf_spec(64), 32)
+    assert st.quotient(st.tmf_spec(32), 32) is Q
+    assert Q is st.dual_steenrod(5, (8, 4, 2, 1, 1))
+    assert Q.gamma is not st.dual_steenrod(5).gamma
+    assert st.dual_steenrod(5).gamma_caps is None
+    # a profile that caps no xi through the cutoff leaves A_* itself
+    squares = st.make_spec("C", [(1, 2)], 1, conjugated=False)
+    assert st.quotient(squares, 1) is st.dual_steenrod(1)
 
 
 def test_closure_witness_xi1_cubed():
